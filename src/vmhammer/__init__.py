@@ -2,6 +2,7 @@
 
 The package splits into:
 
+  gf2       bit-packed GF(2) elimination, image tables, span enumeration
   mapping   GF(2)-linear physical-address mappings, validation, translation
   dram      open-page DRAM state, activation counting, threshold bitflips
   layout    VM memory layouts, footprints, mitigation planners

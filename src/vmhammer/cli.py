@@ -109,7 +109,7 @@ def cmd_validate_map(args) -> int:
 def cmd_translate(args) -> int:
     mapping = _resolve_mapping(args.mapping)
     geo = mapping.geometry
-    digits = max(1, (geo.address_width + 3) // 4)
+    digits = geo.pa_digits
     if ":" in args.address:
         parts = args.address.split(":")
         if len(parts) != 6:
@@ -135,16 +135,16 @@ def cmd_plan(args) -> int:
         raise ValueError("--sizes must list at least one VM size")
     if args.mitigation == "siloz":
         plan = plan_siloz(mapping, sizes)
-        payload = plan.to_dict(max(1, (mapping.geometry.address_width + 3) // 4))
+        payload = plan.to_dict(mapping.geometry.pa_digits)
     elif args.mitigation == "citadel":
         layout = plan_citadel(mapping, sizes, args.guard_rows)
-        payload = layout.to_dict(max(1, (mapping.geometry.address_width + 3) // 4))
+        payload = layout.to_dict(mapping.geometry.pa_digits)
     else:
         layout = pack_layout(mapping, tuple(sizes))
         violations = check_layout(layout, mapping.geometry)
         if violations:
             raise PlanError("; ".join(violations))
-        payload = layout.to_dict(max(1, (mapping.geometry.address_width + 3) // 4))
+        payload = layout.to_dict(mapping.geometry.pa_digits)
     _emit_json(args, payload)
     return 0
 
@@ -216,7 +216,7 @@ def cmd_replay_trace(args) -> int:
     )
     stats, flips = replay_trace(trace, mapping, params, refresh_every=args.refresh_every)
     geo = mapping.geometry
-    digits = max(1, (geo.address_width + 3) // 4)
+    digits = geo.pa_digits
     _emit_json(
         args,
         {

@@ -126,6 +126,8 @@ class SimState:
         """One memory access under the open-page policy."""
         if kind not in ("read", "write"):
             raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
+        if kind == "write" and (data is None or not 0 <= data <= 0xFF):
+            raise ValueError(f"write needs a byte value, got {data!r}")
         coord = self.mapping.pa_to_coord(pa)
         bt = coord.bank_tuple
         self.stats.accesses += 1
@@ -137,8 +139,6 @@ class SimState:
                 self.stats.precharges += 1
             self._activate(coord)
         if kind == "write":
-            if data is None or not 0 <= data <= 0xFF:
-                raise ValueError(f"write needs a byte value, got {data!r}")
             self.contents[pa] = data
             return AccessOutcome(hit=hit, value=None)
         return AccessOutcome(hit=hit, value=self.contents.get(pa, 0))
@@ -149,7 +149,7 @@ class SimState:
         Models a flush+access loop that defeats the row buffer: counts as an
         access that always misses, re-opening the row even if already open.
         """
-        self._check_coord(coord)
+        self.geometry.check_coord(coord)
         bt = coord.bank_tuple
         self.stats.accesses += 1
         if bt in self.open_row:
@@ -184,13 +184,6 @@ class SimState:
         if not 0 <= pa < total:
             raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")
 
-    def _check_coord(self, coord: DramCoordinate) -> None:
-        geo = self.geometry
-        for kind in ("channel", "rank", "bankgroup", "bank", "row", "column"):
-            value = getattr(coord, kind)
-            if not 0 <= value < geo.extent(kind):
-                raise ValueError(f"{kind} {value} outside [0, {geo.extent(kind)})")
-
     def _activate(self, coord: DramCoordinate) -> None:
         bt = coord.bank_tuple
         self.open_row[bt] = coord.row
@@ -201,22 +194,11 @@ class SimState:
         self.act_count[key] = count
         self._maybe_flip(coord, count)
 
-    def _flip_candidates(self, coord: DramCoordinate) -> list[int]:
-        geo = self.geometry
-        sub = geo.subarray_of(coord.row)
-        out = []
-        for victim in range(coord.row - self.params.blast_radius, coord.row + self.params.blast_radius + 1):
-            if victim == coord.row or not 0 <= victim < geo.rows:
-                continue
-            if geo.subarray_of(victim) == sub:
-                out.append(victim)
-        return out
-
     def _maybe_flip(self, coord: DramCoordinate, count: int) -> None:
         if count <= self.params.hc_first:
             return
         bt = coord.bank_tuple
-        for victim in self._flip_candidates(coord):
+        for victim in self.geometry.neighbours(coord.row, self.params.blast_radius):
             if self.params.deterministic_mode:
                 if (bt, victim) in self._det_flipped:
                     continue

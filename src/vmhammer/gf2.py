@@ -1,17 +1,19 @@
 """Bit-packed linear algebra over GF(2).
 
 A matrix is a list of Python ints, one per row; bit i of a row is the entry
-in column i. Python ints are unbounded, so any width works.
+in column i. Python ints are unbounded, so any width works. A linear map is
+also given by its columns, the images of the unit vectors; from those,
+``image_tables`` translates single vectors and ``span`` enumerates images of
+whole subspaces (both within numpy's int64 for the enumeration).
 """
 
 from __future__ import annotations
 
-__all__ = ["parity", "rank", "analyze"]
+from typing import Sequence
 
+import numpy as np
 
-def parity(x: int) -> int:
-    """Parity (XOR-fold) of the set bits of x."""
-    return x.bit_count() & 1
+__all__ = ["rank", "analyze", "reduce_basis", "span", "image_tables", "image"]
 
 
 def rank(rows: list[int], width: int) -> int:
@@ -57,3 +59,48 @@ def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | N
         return r, None, None
     inverse = [combo[pivot_row_of_col[c]] for c in range(width)]
     return r, inverse, None
+
+
+def reduce_basis(vectors: list[int]) -> list[int]:
+    """A basis of the span of vectors: linearly independent, same span."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def span(vectors: Sequence[int]) -> np.ndarray:
+    """Every XOR combination of vectors, in natural index order.
+
+    Entry i is the XOR of vectors[j] over the set bits j of i, so the result
+    has 2**len(vectors) entries (with repeats when the vectors are dependent)
+    and entry 0 is zero. Vectors must fit in int64.
+    """
+    out = np.zeros(1 << len(vectors), dtype=np.int64)
+    filled = 1
+    for v in vectors:
+        out[filled : 2 * filled] = out[:filled] ^ v
+        filled *= 2
+    return out
+
+
+def image_tables(columns: Sequence[int]) -> tuple[list[int], ...]:
+    """Per-byte lookup tables of the linear map whose columns are given.
+
+    columns[j] is the image of the unit vector e_j. Table t holds, for every
+    byte value b, the image of b << 8t; ``image`` XORs one entry per byte.
+    """
+    return tuple(span(columns[lo : lo + 8]).tolist() for lo in range(0, len(columns), 8))
+
+
+def image(tables: tuple[list[int], ...], x: int) -> int:
+    """Image of x under the map ``image_tables`` built; x must fit its width."""
+    out = 0
+    for table in tables:
+        out ^= table[x & 0xFF]
+        x >>= 8
+    return out

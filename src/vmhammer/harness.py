@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import gf2
 from .dram import BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
     AggressorSite,
@@ -352,24 +353,12 @@ def _select_aggressors(
 # -- pattern seeding --------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _column_pa_deltas(mapping: AddressMapping) -> tuple[int, ...]:
-    width = mapping.geometry.coord_width("column")
-    return tuple(
-        mapping.coord_to_pa(DramCoordinate(0, 0, 0, 0, 0, 1 << i)) for i in range(width)
-    )
-
-
 def row_pa_array(mapping: AddressMapping, row_tuple: RowTuple) -> np.ndarray:
     """Physical addresses of every byte of one row, indexed by column."""
     ch, rk, bg, bk, row = row_tuple
     base = mapping.coord_to_pa(DramCoordinate(ch, rk, bg, bk, row, 0))
-    out = np.zeros(mapping.geometry.columns, dtype=np.int64)
-    filled = 1
-    for delta in _column_pa_deltas(mapping):
-        out[filled : 2 * filled] = out[:filled] ^ delta
-        filled *= 2
-    return out ^ base
+    column_bits = mapping.inverse_columns[mapping.geometry.coord_offsets[5] :]
+    return gf2.span(column_bits) ^ base
 
 
 def _reachable_rows(
@@ -377,18 +366,13 @@ def _reachable_rows(
 ) -> list[RowTuple]:
     """Rows a hammered aggressor can flip: same bank tuple and subarray,
     within the blast radius. These are the rows worth pattern-seeding."""
-    rows: set[RowTuple] = set()
-    for site in sites:
-        row = site.coord.row
-        sub = geometry.subarray_of(row)
-        for delta in range(-blast_radius, blast_radius + 1):
-            victim = row + delta
-            if delta == 0 or not 0 <= victim < geometry.rows:
-                continue
-            if geometry.subarray_of(victim) != sub:
-                continue
-            rows.add(site.coord.bank_tuple + (victim,))
-    return sorted(rows)
+    return sorted(
+        {
+            site.coord.bank_tuple + (victim,)
+            for site in sites
+            for victim in geometry.neighbours(site.coord.row, blast_radius)
+        }
+    )
 
 
 def seed_pattern(
@@ -397,15 +381,6 @@ def seed_pattern(
     for rt in rows:
         for pa in row_pa_array(state.mapping, rt).tolist():
             state.write_byte(pa, pattern)
-
-
-def sweep_rows(state: SimState, rows: list[RowTuple]) -> dict[int, int]:
-    """Read back seeded rows; report bytes by PA (for post-hoc flip checks)."""
-    observed = {}
-    for rt in rows:
-        for pa in row_pa_array(state.mapping, rt).tolist():
-            observed[pa] = state.read_byte(pa)
-    return observed
 
 
 # -- the attack itself -------------------------------------------------------------
@@ -428,7 +403,7 @@ class AttackReport:
 
     def to_dict(self) -> dict:
         geo = self.scenario.mapping.geometry
-        digits = max(1, (geo.address_width + 3) // 4)
+        digits = geo.pa_digits
         out = {
             "tool": {"name": "vmhammer", "version": self.tool_version},
             "scenario": self.scenario.canonical_dict(),

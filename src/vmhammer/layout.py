@@ -7,7 +7,9 @@ plan_citadel leaves whole guard rows between row-contiguous allocations.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
-blocks and enumerating each block's image as an affine GF(2) span.
+blocks and enumerating each block's image with ``gf2.span`` over the mapping's
+columns, XORed with the image of the block's base. A footprint keeps the row
+tuples as packed coordinate vectors with the column bits cleared.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .mapping import AddressMapping, DramCoordinate, Geometry, stride_free_of
+from . import gf2
+from .mapping import AddressMapping, DramCoordinate, Geometry
 
 __all__ = [
     "UNUSED",
@@ -152,80 +155,37 @@ def check_layout(layout: MemoryLayout, geometry: Geometry) -> list[str]:
 # -- footprints ---------------------------------------------------------------
 
 
+def _row_tuple_mask(geometry: Geometry) -> int:
+    """Coordinate-vector mask of everything but the column."""
+    return (1 << geometry.coord_offsets[5]) - 1
+
+
+def _stride_free_of(mapping: AddressMapping, coord_bits: int) -> int:
+    """Largest power-of-two stride whose aligned blocks keep constant every
+    coordinate-vector bit set in ``coord_bits``: 2**k for the lowest PA bit k
+    that feeds one of them."""
+    for k, column in enumerate(mapping.columns):
+        if column & coord_bits:
+            return 1 << k
+    return mapping.geometry.total_bytes
+
+
 def row_granularity(mapping: AddressMapping) -> int:
     """Largest power-of-two PA stride whose aligned blocks stay in one row tuple."""
-    return stride_free_of(mapping, ("channel", "rank", "bankgroup", "bank", "row"))
+    return _stride_free_of(mapping, _row_tuple_mask(mapping.geometry))
 
 
 def row_chunk_stride(mapping: AddressMapping) -> int:
     """Largest stride whose aligned blocks keep the row index constant."""
-    return stride_free_of(mapping, ("row",))
+    geo = mapping.geometry
+    return _stride_free_of(mapping, (geo.rows - 1) << geo.coord_offsets[4])
 
 
 def group_stride(mapping: AddressMapping) -> int:
     """Largest stride whose aligned blocks stay inside one subarray group."""
     geo = mapping.geometry
-    sub_lo = geo.rows_per_subarray.bit_length() - 1
-    used = 0
-    for mask in mapping.masks[4][sub_lo:]:  # row masks above the in-subarray bits
-        used |= mask
-    if used == 0:
-        return geo.total_bytes
-    return 1 << ((used & -used).bit_length() - 1)
-
-
-def _pack_widths(geometry: Geometry) -> tuple[int, int, int, int]:
-    return (
-        geometry.ranks.bit_length() - 1,
-        geometry.bankgroups.bit_length() - 1,
-        geometry.banks.bit_length() - 1,
-        geometry.rows.bit_length() - 1,
-    )
-
-
-def _pack_row_tuple(geometry: Geometry, coord: DramCoordinate) -> int:
-    rank_w, bg_w, bank_w, row_w = _pack_widths(geometry)
-    packed = coord.channel
-    packed = (packed << rank_w) | coord.rank
-    packed = (packed << bg_w) | coord.bankgroup
-    packed = (packed << bank_w) | coord.bank
-    packed = (packed << row_w) | coord.row
-    return packed
-
-
-def _unpack_row_tuple(geometry: Geometry, packed: int) -> RowTuple:
-    rank_w, bg_w, bank_w, row_w = _pack_widths(geometry)
-    row = packed & ((1 << row_w) - 1)
-    packed >>= row_w
-    bank = packed & ((1 << bank_w) - 1)
-    packed >>= bank_w
-    bg = packed & ((1 << bg_w) - 1)
-    packed >>= bg_w
-    rank = packed & ((1 << rank_w) - 1)
-    channel = packed >> rank_w
-    return (channel, rank, bg, bank, row)
-
-
-@lru_cache(maxsize=32)
-def _row_tuple_deltas(mapping: AddressMapping) -> tuple[int, ...]:
-    """Packed row-tuple image of each single-bit physical address."""
-    geo = mapping.geometry
-    deltas = []
-    for j in range(geo.address_width):
-        coord = mapping.pa_to_coord(1 << j)
-        deltas.append(_pack_row_tuple(geo, coord))
-    return tuple(deltas)
-
-
-def _reduce_basis(vectors: list[int]) -> list[int]:
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+    above_subarray = geo.rows - geo.rows_per_subarray  # row bits naming the subarray
+    return _stride_free_of(mapping, above_subarray << geo.coord_offsets[4])
 
 
 def _aligned_blocks(start: int, size: int) -> list[tuple[int, int]]:
@@ -243,7 +203,8 @@ def _aligned_blocks(start: int, size: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class RowFootprint:
-    """Exact set of row tuples a PA region touches."""
+    """Exact set of row tuples a PA region touches, kept as packed coordinate
+    vectors with the column bits cleared."""
 
     geometry: Geometry
     packed: frozenset[int]
@@ -252,20 +213,21 @@ class RowFootprint:
     # frozen; neither property participates in equality or hashing
     @cached_property
     def rows(self) -> frozenset[RowTuple]:
-        return frozenset(_unpack_row_tuple(self.geometry, p) for p in self.packed)
+        return frozenset(self.geometry.unpack(p)[:5] for p in self.packed)
 
     @cached_property
     def groups(self) -> frozenset[tuple[BankTuple, int]]:
         geo = self.geometry
+        # clearing the in-subarray row bits leaves one vector per group
+        in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]
         out = set()
-        for p in self.packed:
-            ch, rk, bg, bk, row = _unpack_row_tuple(geo, p)
+        for vec in {p & ~in_subarray for p in self.packed}:
+            ch, rk, bg, bk, row, _ = geo.unpack(vec)
             out.add(((ch, rk, bg, bk), geo.subarray_of(row)))
         return frozenset(out)
 
     def row_indices(self) -> frozenset[int]:
-        geo = self.geometry
-        return frozenset(_unpack_row_tuple(geo, p)[4] for p in self.packed)
+        return frozenset(self.geometry.unpack(p)[4] for p in self.packed)
 
 
 def _region_packed_rows(mapping: AddressMapping, start: int, size: int) -> set[int]:
@@ -276,17 +238,12 @@ def _region_packed_rows(mapping: AddressMapping, start: int, size: int) -> set[i
         raise ValueError(
             f"region [0x{start:x}, 0x{start + size:x}) exceeds the address space"
         )
-    deltas = _row_tuple_deltas(mapping)
+    row_tuple = _row_tuple_mask(geo)
+    images = [column & row_tuple for column in mapping.columns]
     packed: set[int] = set()
     for base, k in _aligned_blocks(start, size):
-        anchor = _pack_row_tuple(geo, mapping.pa_to_coord(base))
-        basis = _reduce_basis([deltas[j] for j in range(k)])
-        span = np.zeros(1 << len(basis), dtype=np.int64)
-        size_so_far = 1
-        for b in basis:
-            span[size_so_far : 2 * size_so_far] = span[:size_so_far] ^ b
-            size_so_far *= 2
-        packed.update((span ^ anchor).tolist())
+        anchor = geo.pack(mapping.pa_to_coord(base)) & row_tuple
+        packed.update((gf2.span(gf2.reduce_basis(images[:k])) ^ anchor).tolist())
     return packed
 
 
@@ -386,16 +343,11 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
 
 @lru_cache(maxsize=8)
 def _chunk_rows(mapping: AddressMapping) -> np.ndarray:
-    """Row index of every aligned row-chunk, built by XOR doubling."""
+    """Row index of every aligned row-chunk, in PA order."""
     geo = mapping.geometry
-    stride = row_chunk_stride(mapping)
-    n = geo.total_bytes // stride
-    rows = np.zeros(n, dtype=np.int64)
-    filled = 1
-    while filled < n:
-        delta = mapping.pa_to_coord(filled * stride).row
-        rows[filled : 2 * filled] = rows[:filled] ^ delta
-        filled *= 2
+    low = row_chunk_stride(mapping).bit_length() - 1
+    offset = geo.coord_offsets[4]
+    rows = gf2.span([column >> offset & (geo.rows - 1) for column in mapping.columns[low:]])
     rows.setflags(write=False)
     return rows
 
@@ -507,21 +459,12 @@ def _find_aggressors(
     victim_rows = row_footprint(mapping, layout.region_of(victim_vm)).rows
     sites = []
     for ch, rk, bg, bk, row in sorted(attacker_rows):
-        sub = geo.subarray_of(row)
-        victims = []
-        for delta in range(-blast_radius, blast_radius + 1):
-            v = row + delta
-            if delta == 0 or not 0 <= v < geo.rows:
-                continue
-            if geo.subarray_of(v) != sub:
-                continue
-            if (ch, rk, bg, bk, v) in victim_rows:
-                victims.append(v)
+        victims = tuple(
+            v for v in geo.neighbours(row, blast_radius) if (ch, rk, bg, bk, v) in victim_rows
+        )
         if victims:
             coord = DramCoordinate(ch, rk, bg, bk, row, 0)
-            sites.append(
-                AggressorSite(mapping.coord_to_pa(coord), coord, tuple(sorted(victims)))
-            )
+            sites.append(AggressorSite(mapping.coord_to_pa(coord), coord, victims))
     return tuple(sites)
 
 

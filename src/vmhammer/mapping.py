@@ -5,6 +5,11 @@ row, column, all LSB-first) an XOR of physical-address bits. Validation checks
 that the stacked bit matrix is invertible, which is exactly the condition for
 the mapping to be a bijection between physical addresses and coordinates; the
 inverse matrix then gives the exact coordinate-to-address translation.
+
+A coordinate is also one packed bit vector: the fields in COORD_KINDS order,
+LSB-first, channel in the lowest bits and column in the highest. The columns
+of the forward and inverse matrices are the images of single bits, and both
+translations are XORs of per-byte lookups built from them.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ __all__ = [
     "load_mapping",
     "default_geometry",
     "builtin_mappings",
-    "stride_free_of",
 ]
 
-# Fixed coordinate order used for matrix rows and coordinate-vector packing.
+# Fixed coordinate order used for matrix rows and coordinate-vector packing;
+# column comes last, so a row tuple is the low bits of a coordinate vector.
 COORD_KINDS = ("channel", "rank", "bankgroup", "bank", "row", "column")
 
 GEOMETRY_FIELDS = (
@@ -83,6 +88,10 @@ class Geometry:
                 f"geometry.rows_per_subarray ({self.rows_per_subarray}) "
                 f"cannot exceed rows ({self.rows})"
             )
+        if self.address_width > 63:
+            raise MappingError(
+                f"geometry spans {self.address_width} address bits, at most 63 are supported"
+            )
 
     @property
     def total_bytes(self) -> int:
@@ -107,21 +116,67 @@ class Geometry:
     def bank_tuple_count(self) -> int:
         return self.channels * self.ranks * self.bankgroups * self.banks
 
+    @property
+    def pa_digits(self) -> int:
+        """Hex digits needed to print any physical address."""
+        return max(1, (self.address_width + 3) // 4)
+
+    # cached_property writes the instance dict directly, so it coexists with
+    # frozen; cached values take no part in equality or hashing
+    @cached_property
+    def extents(self) -> tuple[int, ...]:
+        """Extent of each coordinate, in COORD_KINDS order."""
+        return (self.channels, self.ranks, self.bankgroups, self.banks, self.rows, self.columns)
+
+    @cached_property
+    def coord_offsets(self) -> tuple[int, ...]:
+        """Bit offset of each coordinate in the packed vector, in COORD_KINDS order."""
+        offsets = [0]
+        for extent in self.extents[:-1]:
+            offsets.append(offsets[-1] + _log2(extent))
+        return tuple(offsets)
+
     def extent(self, kind: str) -> int:
-        return {
-            "channel": self.channels,
-            "rank": self.ranks,
-            "bankgroup": self.bankgroups,
-            "bank": self.banks,
-            "row": self.rows,
-            "column": self.columns,
-        }[kind]
+        return self.extents[COORD_KINDS.index(kind)]
 
     def coord_width(self, kind: str) -> int:
         return _log2(self.extent(kind))
 
+    def check_coord(self, coord: "DramCoordinate") -> None:
+        """Raise ValueError unless every field of coord is inside its extent."""
+        for kind, extent in zip(COORD_KINDS, self.extents):
+            value = getattr(coord, kind)
+            if not 0 <= value < extent:
+                raise ValueError(f"{kind} {value} outside [0, {extent})")
+
+    def pack(self, coord: "DramCoordinate") -> int:
+        """Packed coordinate vector of an in-range coordinate."""
+        vec = 0
+        for kind, offset in zip(COORD_KINDS, self.coord_offsets):
+            vec |= getattr(coord, kind) << offset
+        return vec
+
+    @cached_property
+    def _fields(self) -> tuple[tuple[int, int], ...]:
+        return tuple((offset, extent - 1) for offset, extent in zip(self.coord_offsets, self.extents))
+
+    def unpack(self, vec: int) -> tuple[int, ...]:
+        """Coordinate fields, in COORD_KINDS order, of a packed vector."""
+        return tuple([(vec >> offset) & mask for offset, mask in self._fields])
+
     def subarray_of(self, row: int) -> int:
         return row // self.rows_per_subarray
+
+    def neighbours(self, row: int, radius: int) -> list[int]:
+        """Rows a hammered ``row`` can disturb, ascending: those within
+        ``radius`` of it in its own subarray, excluding the row itself."""
+        per = self.rows_per_subarray
+        sub = row // per
+        out = []
+        for v in range(row - radius, row + radius + 1):
+            if v != row and v // per == sub:  # also keeps v inside [0, rows)
+                out.append(v)
+        return out
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in GEOMETRY_FIELDS}
@@ -223,25 +278,10 @@ class AddressMapping:
         return self.bit_functions[COORD_KINDS.index(kind)]
 
     @cached_property
-    def masks(self) -> tuple[tuple[int, ...], ...]:
-        """Per kind, per output bit, the XOR set as a PA-bit mask."""
-        return tuple(
-            tuple(sum(1 << b for b in term) for term in fn) for fn in self.bit_functions
-        )
-
-    @cached_property
     def matrix_rows(self) -> tuple[int, ...]:
-        """Forward matrix rows in COORD_KINDS order, LSB-first within a kind."""
-        return tuple(mask for kind_masks in self.masks for mask in kind_masks)
-
-    @cached_property
-    def _coord_offsets(self) -> tuple[int, ...]:
-        offsets = []
-        pos = 0
-        for kind in COORD_KINDS:
-            offsets.append(pos)
-            pos += self.geometry.coord_width(kind)
-        return tuple(offsets)
+        """Forward matrix rows in COORD_KINDS order, LSB-first within a kind:
+        each output bit's XOR set as a PA-bit mask."""
+        return tuple(sum(1 << b for b in term) for fn in self.bit_functions for term in fn)
 
     @cached_property
     def _inverse_rows(self) -> tuple[int, ...]:
@@ -256,30 +296,33 @@ class AddressMapping:
             raise MappingError("mapping is not invertible; validate() it first")
         return tuple(inverse)
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Forward matrix columns: the coordinate vector of each single-bit PA."""
+        return _transpose(self.matrix_rows, self.geometry.address_width)
+
+    @cached_property
+    def inverse_columns(self) -> tuple[int, ...]:
+        """Inverse matrix columns: the PA of each single-bit coordinate vector."""
+        return _transpose(self._inverse_rows, self.geometry.address_width)
+
+    @cached_property
+    def _forward_tables(self) -> tuple[list[int], ...]:
+        return gf2.image_tables(self.columns)
+
+    @cached_property
+    def _inverse_tables(self) -> tuple[list[int], ...]:
+        return gf2.image_tables(self.inverse_columns)
+
     def pa_to_coord(self, pa: int) -> DramCoordinate:
         total = self.geometry.total_bytes
         if not 0 <= pa < total:
             raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")
-        values = []
-        for kind_masks in self.masks:
-            value = 0
-            for i, mask in enumerate(kind_masks):
-                value |= gf2.parity(pa & mask) << i
-            values.append(value)
-        return DramCoordinate(*values)
+        return DramCoordinate(*self.geometry.unpack(gf2.image(self._forward_tables, pa)))
 
     def coord_to_pa(self, coord: DramCoordinate) -> int:
-        geo = self.geometry
-        vec = 0
-        for offset, kind in zip(self._coord_offsets, COORD_KINDS):
-            value = getattr(coord, kind)
-            if not 0 <= value < geo.extent(kind):
-                raise ValueError(f"{kind} {value} outside [0, {geo.extent(kind)})")
-            vec |= value << offset
-        pa = 0
-        for j, mask in enumerate(self._inverse_rows):
-            pa |= gf2.parity(vec & mask) << j
-        return pa
+        self.geometry.check_coord(coord)
+        return gf2.image(self._inverse_tables, self.geometry.pack(coord))
 
     def coord_from_parts(
         self, bank_tuple: tuple[int, int, int, int], row: int, column: int = 0
@@ -321,6 +364,12 @@ class ValidationReport:
         if self.inverse_rows is not None:
             out["inverse_rows"] = [f"0x{m:x}" for m in self.inverse_rows]
         return out
+
+
+def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    return tuple(
+        sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(width)
+    )
 
 
 def _bit_labels(mapping: AddressMapping) -> list[tuple[str, int]]:
@@ -458,19 +507,3 @@ def builtin_mappings(geometry: Geometry | None = None) -> dict[str, AddressMappi
             {"column": column, "bankgroup": bankgroup, "bank": [[21, 6]], "row": noncontig_row},
         ),
     }
-
-
-def stride_free_of(mapping: AddressMapping, kinds: Iterable[str]) -> int:
-    """Largest power-of-two stride whose aligned blocks keep ``kinds`` constant.
-
-    Returns 2**k where no PA bit below k feeds any listed coordinate; aligned
-    blocks of that size therefore never straddle a change in those coordinates.
-    """
-    used = 0
-    for kind in kinds:
-        for mask in mapping.masks[COORD_KINDS.index(kind)]:
-            used |= mask
-    if used == 0:
-        return mapping.geometry.total_bytes
-    low = (used & -used).bit_length() - 1
-    return 1 << low

@@ -123,6 +123,28 @@ def test_write_then_read(presets):
         state.write_byte(1 << 40, 0)
 
 
+def _snapshot(state: SimState):
+    return state.stats.to_dict(), dict(state.open_row)
+
+
+def test_rejected_activation_leaves_state_unchanged(presets):
+    state = SimState(presets["simple"], det_params())
+    state.access(0x1234)
+    before = _snapshot(state)
+    with pytest.raises(ValueError):
+        state.activate_row(DramCoordinate(0, 0, 0, 2, 0, 0))  # bank out of range
+    assert _snapshot(state) == before
+
+
+def test_rejected_write_leaves_state_unchanged(presets):
+    state = SimState(presets["simple"], det_params())
+    state.access(0x1234)
+    before = _snapshot(state)
+    with pytest.raises(ValueError):
+        state.access(0x8000, "write", None)  # another row of the open bank
+    assert _snapshot(state) == before
+
+
 # -- threshold exactness -----------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmhammer.gf2 import analyze, parity, rank
+from vmhammer.gf2 import analyze, image, image_tables, rank, reduce_basis, span
 
 
 def span_size(rows):
@@ -14,6 +14,16 @@ def span_size(rows):
     for row in rows:
         span |= {s ^ row for s in span}
     return len(span)
+
+
+def brute_image(columns, x):
+    """Image of x under the map with the given columns: XOR of the columns
+    selected by the set bits of x."""
+    acc = 0
+    for j, column in enumerate(columns):
+        if x >> j & 1:
+            acc ^= column
+    return acc
 
 
 def matmul(a_rows, b_rows):
@@ -29,13 +39,6 @@ def matmul(a_rows, b_rows):
             k += 1
         out.append(acc)
     return out
-
-
-def test_parity():
-    assert parity(0) == 0
-    assert parity(1) == 1
-    assert parity(0b1011) == 1
-    assert parity(0xFFFF) == 0
 
 
 def test_rank_known_cases():
@@ -112,3 +115,32 @@ def test_analyze_square_matrices(rows):
             if dep >> i & 1:
                 acc ^= row
         assert acc == 0 and dep != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1), max_size=10))
+def test_span_is_brute_force_enumeration_in_index_order(vectors):
+    out = span(vectors).tolist()
+    assert out == [brute_image(vectors, i) for i in range(1 << len(vectors))]
+    assert len(set(out)) == span_size(vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=12))
+def test_reduce_basis_keeps_the_span(vectors):
+    basis = reduce_basis(vectors)
+    assert len(basis) == rank(vectors, 12)
+    assert set(span(basis).tolist()) == set(span(vectors).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_image_tables_match_brute_force(data):
+    width = data.draw(st.integers(min_value=0, max_value=40))
+    columns = data.draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << 62) - 1), min_size=width, max_size=width)
+    )
+    tables = image_tables(columns)
+    assert len(tables) == (width + 7) // 8
+    for x in data.draw(st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=20)):
+        assert image(tables, x) == brute_image(columns, x)

@@ -5,6 +5,7 @@ the exhaustive and property tests then hold the fast paths to the same
 answers.
 """
 
+import dataclasses
 import json
 import random
 
@@ -67,6 +68,8 @@ def test_geometry_rejects_bad_fields():
         Geometry.from_dict({k: v for k, v in good.items() if k != "banks"})
     with pytest.raises(MappingError):
         Geometry.from_dict({**good, "bogus": 1})
+    with pytest.raises(MappingError):  # 64 address bits do not fit an int64
+        Geometry.from_dict({**good, "channels": 1 << 32})
 
 
 def test_geometry_dict_roundtrip(geometry):
@@ -316,7 +319,19 @@ def test_exhaustive_translation_against_oracle():
                 coord.row,
                 coord.column,
             )
+            assert mapping.coord_to_pa(coord) == pa
         assert len(set(packed.tolist())) == geometry.total_bytes
+
+
+def test_translation_wider_than_32_bits(geometry):
+    wide = Geometry.from_dict({**geometry.to_dict(), "channels": 2})
+    assert wide.address_width == 33
+    rng = random.Random(33)
+    mapping = random_invertible_mapping(rng, wide)
+    for pa in [wide.total_bytes - 1, 1 << 32] + rng.sample(range(wide.total_bytes), 500):
+        coord = mapping.pa_to_coord(pa)
+        assert dataclasses.astuple(coord) == brute_coord(mapping, pa)
+        assert mapping.coord_to_pa(coord) == pa
 
 
 # -- derived stride helpers --------------------------------------------------------
