@@ -10,7 +10,7 @@ MARKS = {"MITIGATED": "mitigated", "NOT_MITIGATED": "FLIPPED", "ERROR": "error"}
 
 def main():
     # reduced threshold keeps the demo fast; verdicts match the full scale
-    scenarios = builtin_matrix(hc_first=100, deterministic=True)
+    scenarios = builtin_matrix(hc_first=100)
     reports = run_matrix(scenarios)
 
     print("verdict grid (attacker vm1 hammering toward victim vm0):\n")

@@ -80,20 +80,18 @@ def _error(exc: Exception) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+HAMMER_FIELDS = tuple(f.name for f in dataclasses.fields(HammerParams))
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` given on the command line, by parameter name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def _scenario_overrides(scenario, args):
     """Apply global CLI overrides on top of a loaded scenario."""
-    h = scenario.hammer
-    hammer = HammerParams(
-        hc_first=args.hc_first if args.hc_first is not None else h.hc_first,
-        flip_probability=h.flip_probability,
-        blast_radius=h.blast_radius,
-        deterministic_mode=True if args.deterministic else h.deterministic_mode,
-        rng_seed=args.seed if args.seed is not None else h.rng_seed,
-    )
-    scenario = dataclasses.replace(scenario, hammer=hammer)
-    if args.hammer_count is not None:
-        scenario = dataclasses.replace(scenario, hammer_count=args.hammer_count)
-    return scenario
+    hammer = dataclasses.replace(scenario.hammer, **_given(args, HAMMER_FIELDS))
+    return dataclasses.replace(scenario, hammer=hammer, **_given(args, ("hammer_count",)))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -181,12 +179,7 @@ def cmd_matrix(args) -> int:
         scenarios = load_matrix_scenarios(args.path)
         scenarios = [_scenario_overrides(s, args) for s in scenarios]
     else:
-        scenarios = builtin_matrix(
-            hc_first=args.hc_first if args.hc_first is not None else 50_000,
-            deterministic=True,
-            rng_seed=args.seed if args.seed is not None else 0,
-            hammer_count=args.hammer_count,
-        )
+        scenarios = builtin_matrix(**_given(args, ("hc_first", "rng_seed", "hammer_count")))
     reports = run_matrix(scenarios)
     summary = matrix_summary(reports)
     if args.table:
@@ -207,14 +200,8 @@ def cmd_replay_trace(args) -> int:
     mapping = _resolve_mapping(args.mapping)
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = parse_trace(fh.read())
-    params = HammerParams(
-        hc_first=args.hc_first if args.hc_first is not None else 50_000,
-        flip_probability=args.flip_probability,
-        blast_radius=args.blast_radius,
-        deterministic_mode=args.deterministic,
-        rng_seed=args.seed if args.seed is not None else 0,
-    )
-    stats, flips = replay_trace(trace, mapping, params, refresh_every=args.refresh_every)
+    params = HammerParams(**_given(args, HAMMER_FIELDS))
+    stats, flips = replay_trace(trace, mapping, params, **_given(args, ("refresh_every",)))
     geo = mapping.geometry
     digits = geo.pa_digits
     _emit_json(
@@ -258,10 +245,10 @@ def _hex_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the result to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    common.add_argument(
-        "--deterministic", action="store_true", help="force deterministic flip mode"
-    )
+    common.add_argument("--seed", type=int, default=None, dest="rng_seed",
+                        help="RNG seed override")
+    common.add_argument("--deterministic", action="store_const", const=True, default=None,
+                        dest="deterministic_mode", help="force deterministic flip mode")
     common.add_argument("--hc-first", type=int, default=None, dest="hc_first",
                         help="activation threshold override")
     common.add_argument("--hammer-count", type=int, default=None, dest="hammer_count",
@@ -308,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay-trace", parents=[common], help="replay an access trace")
     p.add_argument("trace")
     p.add_argument("mapping")
-    p.add_argument("--refresh-every", type=int, default=100_000, dest="refresh_every",
+    p.add_argument("--refresh-every", type=int, default=None, dest="refresh_every",
                    help="activations per refresh window")
-    p.add_argument("--flip-probability", type=float, default=1e-4, dest="flip_probability")
-    p.add_argument("--blast-radius", type=int, default=1, dest="blast_radius")
+    p.add_argument("--flip-probability", type=float, default=None, dest="flip_probability")
+    p.add_argument("--blast-radius", type=int, default=None, dest="blast_radius")
     p.set_defaults(func=cmd_replay_trace)
 
     p = sub.add_parser("gen-trace", parents=[common], help="synthesize an access trace")

@@ -12,11 +12,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .mapping import AddressMapping, DramCoordinate, Geometry
+from .mapping import AddressMapping, DramCoordinate, Geometry, is_integer
 
-__all__ = ["HammerParams", "Stats", "BitflipRecord", "AccessOutcome", "SimState"]
+__all__ = [
+    "InvariantError",
+    "HammerParams",
+    "Stats",
+    "BitflipRecord",
+    "AccessOutcome",
+    "SimState",
+]
 
 BankTuple = tuple[int, int, int, int]
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -35,6 +46,17 @@ class HammerParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("hc_first", "blast_radius", "rng_seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        prob = self.flip_probability
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+            raise ValueError(f"flip_probability must be a number, got {prob!r}")
+        if not isinstance(self.deterministic_mode, bool):
+            raise ValueError(
+                f"deterministic_mode must be true or false, got {self.deterministic_mode!r}"
+            )
         if self.hc_first < 1:
             raise ValueError(f"hc_first must be >= 1, got {self.hc_first}")
         if not 0.0 < self.flip_probability <= 1.0:
@@ -118,7 +140,7 @@ class SimState:
         self.stats = Stats()
         self.rng = random.Random(params.rng_seed)
         self._det_flipped: set[tuple[BankTuple, int]] = set()  # per-window latch
-        mapping._inverse_rows  # fail fast on non-invertible mappings
+        mapping.inverse_columns  # fail fast on non-invertible mappings
 
     # -- memory access path -------------------------------------------------
 
@@ -219,10 +241,14 @@ class SimState:
             victim_row,
             column,
         )
-        # Confinement: same bank tuple, same subarray, within blast radius.
-        assert victim.bank_tuple == aggressor.bank_tuple
-        assert abs(victim_row - aggressor.row) <= self.params.blast_radius
-        assert geo.subarray_of(victim_row) == geo.subarray_of(aggressor.row)
+        # Confinement: same subarray, within blast radius (the bank tuple is
+        # the aggressor's by construction).
+        if abs(victim_row - aggressor.row) > self.params.blast_radius or (
+            geo.subarray_of(victim_row) != geo.subarray_of(aggressor.row)
+        ):
+            raise InvariantError(
+                f"flip in row {victim_row} is out of reach of aggressor row {aggressor.row}"
+            )
         pa = self.mapping.coord_to_pa(victim)
         old = self.contents.get(pa, 0)
         new = old ^ (1 << bit)

@@ -9,6 +9,7 @@ when no flip lands in victim-owned memory.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from .dram import BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
     AggressorSite,
     MemoryLayout,
+    PlanError,
     Region,
     check_layout,
     classify_pa,
@@ -34,8 +36,10 @@ from .mapping import (
     AddressMapping,
     DramCoordinate,
     Geometry,
+    MappingError,
     builtin_mappings,
     default_geometry,
+    is_integer,
     load_mapping,
 )
 
@@ -99,6 +103,10 @@ def parse_size(value) -> int:
         raise ScenarioError(f"not a size: {value!r}") from None
 
 
+def _is_int_sequence(value) -> bool:
+    return isinstance(value, (tuple, list)) and all(is_integer(v) for v in value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One attack configuration against a two-sided VM layout."""
@@ -117,6 +125,19 @@ class Scenario:
     label: str = "inline"
 
     def __post_init__(self) -> None:
+        for name in ("mitigation", "attacker_vm", "victim_vm", "label"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ScenarioError(f"{name} must be a string, got {value!r}")
+        integers = ("guard_global_rows", "refresh_every", "check_pattern")
+        if self.hammer_count is not None:
+            integers += ("hammer_count",)
+        for name in integers:
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        if not _is_int_sequence(self.vm_sizes):
+            raise ScenarioError(f"vm_sizes must be a list of integers, got {self.vm_sizes!r}")
         if self.mitigation not in MITIGATIONS:
             raise ScenarioError(f"unknown mitigation {self.mitigation!r}")
         if not self.vm_sizes:
@@ -129,15 +150,17 @@ class Scenario:
             raise ScenarioError(f"refresh_every must be >= 1, got {self.refresh_every}")
         if not 0 <= self.check_pattern <= 0xFF:
             raise ScenarioError(f"check_pattern must be a byte, got {self.check_pattern}")
-        if isinstance(self.aggressor_selection, str):
-            if self.aggressor_selection not in ("all", "first"):
-                raise ScenarioError(
-                    f"aggressor_selection must be 'all', 'first', or a row list, "
-                    f"got {self.aggressor_selection!r}"
-                )
+        selection = self.aggressor_selection
+        if isinstance(selection, str):
+            valid = selection in ("all", "first")
         else:
-            if not self.aggressor_selection:
-                raise ScenarioError("explicit aggressor_selection must list rows")
+            valid = _is_int_sequence(selection)
+        if not valid:
+            raise ScenarioError(
+                f"aggressor_selection must be 'all', 'first', or a row list, got {selection!r}"
+            )
+        if not selection:
+            raise ScenarioError("explicit aggressor_selection must list rows")
 
     @property
     def effective_hammer_count(self) -> int:
@@ -173,75 +196,70 @@ class Scenario:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _reject_unknown(what: str, data: dict, known: set[str]) -> None:
+    unknown = sorted(str(k) for k in data if k not in known)
+    if unknown:
+        raise ScenarioError(f"{what} has unknown fields: {', '.join(unknown)}")
+
+
+def _scenario_mapping(data: dict, base_dir: str | None) -> tuple[AddressMapping, str]:
+    """The mapping a scenario names, and the label it defaults to."""
+    spec = data["mapping"]
+    presets = builtin_mappings(default_geometry())
+    if "geometry" in data:
+        if not isinstance(spec, str) or spec not in presets:
+            raise ScenarioError("a top-level geometry applies to preset names only")
+        presets = builtin_mappings(Geometry.from_dict(data["geometry"]))
+    if isinstance(spec, dict):
+        if "geometry" not in spec or "functions" not in spec:
+            raise ScenarioError("inline mapping needs geometry and functions")
+        geometry = Geometry.from_dict(spec["geometry"])
+        return AddressMapping.build(geometry, spec["functions"]), Scenario.label
+    if not isinstance(spec, str):
+        raise ScenarioError(f"mapping must be a name, path, or object, got {spec!r}")
+    if spec in presets:
+        return presets[spec], spec
+    path = spec if os.path.isabs(spec) or base_dir is None else os.path.join(base_dir, spec)
+    return load_mapping(path), os.path.splitext(os.path.basename(path))[0]
+
+
 def scenario_from_dict(data: dict, base_dir: str | None = None) -> Scenario:
     """Build a Scenario from a parsed scenario file.
 
     The mapping may be a preset name, a mapping-file path (relative to the
     scenario file), or an inline geometry+functions object. A top-level
-    geometry object applies to preset names only.
+    geometry object applies to preset names only. Every other field is
+    passed as is to Scenario and HammerParams, which own the defaults and
+    the field checks; unknown fields are rejected.
     """
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be an object")
     if "mapping" not in data:
         raise ScenarioError("scenario is missing the mapping field")
-    spec = data["mapping"]
-    if isinstance(spec, dict):
-        if "geometry" not in spec or "functions" not in spec:
-            raise ScenarioError("inline mapping needs geometry and functions")
-        mapping = AddressMapping.build(
-            Geometry.from_dict(spec["geometry"]), spec["functions"]
-        )
-        label = data.get("label", "inline")
-    elif isinstance(spec, str):
-        geometry = (
-            Geometry.from_dict(data["geometry"]) if "geometry" in data else default_geometry()
-        )
-        try:
-            presets = builtin_mappings(geometry)
-        except Exception:
-            presets = {}
-        if spec in presets:
-            mapping = presets[spec]
-            label = data.get("label", spec)
-        else:
-            path = spec if os.path.isabs(spec) or base_dir is None else os.path.join(base_dir, spec)
-            mapping = load_mapping(path)
-            label = data.get("label", os.path.splitext(os.path.basename(path))[0])
-    else:
-        raise ScenarioError(f"mapping must be a name, path, or object, got {spec!r}")
-    hammer_in = data.get("hammer", {})
-    if not isinstance(hammer_in, dict):
-        raise ScenarioError("hammer must be an object")
-    try:
-        hammer = HammerParams(
-            hc_first=hammer_in.get("hc_first", 50_000),
-            flip_probability=hammer_in.get("flip_probability", 1e-4),
-            blast_radius=hammer_in.get("blast_radius", 1),
-            deterministic_mode=hammer_in.get("deterministic_mode", False),
-            rng_seed=hammer_in.get("rng_seed", 0),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
     if "vm_sizes" not in data:
         raise ScenarioError("scenario is missing vm_sizes")
-    sizes = tuple(parse_size(s) for s in data["vm_sizes"])
-    selection = data.get("aggressor_selection", "all")
-    if isinstance(selection, list):
-        selection = tuple(int(r) for r in selection)
-    return Scenario(
-        mapping=mapping,
-        hammer=hammer,
-        vm_sizes=sizes,
-        mitigation=data.get("mitigation", "none"),
-        guard_global_rows=int(data.get("guard_global_rows", 1)),
-        attacker_vm=data.get("attacker_vm", "vm1"),
-        victim_vm=data.get("victim_vm", "vm0"),
-        hammer_count=data.get("hammer_count"),
-        refresh_every=int(data.get("refresh_every", 100_000)),
-        aggressor_selection=selection,
-        check_pattern=int(data.get("check_pattern", 0xAA)),
-        label=label,
-    )
+    _reject_unknown("scenario", data, _field_names(Scenario) | {"geometry"})
+    hammer = data.get("hammer", {})
+    if not isinstance(hammer, dict):
+        raise ScenarioError("hammer must be an object")
+    _reject_unknown("hammer", hammer, _field_names(HammerParams))
+    if not isinstance(data["vm_sizes"], list):
+        raise ScenarioError(f"vm_sizes must be a list of sizes, got {data['vm_sizes']!r}")
+    mapping, label = _scenario_mapping(data, base_dir)
+    rest = {k: v for k, v in data.items() if k not in ("mapping", "geometry", "hammer")}
+    rest["vm_sizes"] = tuple(parse_size(s) for s in data["vm_sizes"])
+    rest.setdefault("label", label)
+    if isinstance(rest.get("aggressor_selection"), list):
+        rest["aggressor_selection"] = tuple(rest["aggressor_selection"])
+    try:
+        params = HammerParams(**hammer)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    return Scenario(mapping=mapping, hammer=params, **rest)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -260,6 +278,7 @@ def load_scenario(path: str) -> Scenario:
 
 def pack_layout(mapping: AddressMapping, vm_sizes: tuple[int, ...]) -> MemoryLayout:
     """Unmitigated baseline: VMs packed back-to-back from PA 0."""
+    mapping.inverse_columns  # fail fast on non-invertible mappings
     regions = []
     pos = 0
     for i, size in enumerate(vm_sizes):
@@ -492,12 +511,12 @@ def run_matrix(scenarios: list[Scenario]) -> list[AttackReport | dict]:
     for i, scenario in enumerate(scenarios):
         try:
             out.append(run_attack(scenario))
-        except Exception as exc:  # keep the matrix going; error is data here
+        except (ScenarioError, PlanError, MappingError) as exc:  # error is data here
             out.append(
                 {
                     "index": i,
-                    "label": getattr(scenario, "label", "?"),
-                    "mitigation": getattr(scenario, "mitigation", "?"),
+                    "label": scenario.label,
+                    "mitigation": scenario.mitigation,
                     "error": {"type": type(exc).__name__, "message": str(exc)},
                 }
             )
@@ -521,16 +540,13 @@ def matrix_summary(reports: list[AttackReport | dict]) -> dict:
 
 
 def builtin_matrix(
-    hc_first: int = 50_000,
-    deterministic: bool = True,
-    rng_seed: int = 0,
-    flip_probability: float = 1e-4,
+    hc_first: int = HammerParams.hc_first,
+    rng_seed: int = HammerParams.rng_seed,
     hammer_count: int | None = None,
     mitigations: tuple[str, ...] = MITIGATIONS,
-    mapping_names: tuple[str, ...] = ("simple", "bank-xor", "bank-xor-noncontig-row"),
-    vm_size_overrides: dict[str, tuple[int, ...]] | None = None,
 ) -> list[Scenario]:
-    """The default mitigation/mapping grid over the built-in presets.
+    """The default mitigation/mapping grid over the built-in presets, in
+    deterministic flip mode.
 
     VM pairs are sized per mitigation so each planner's behavior is visible:
     8 MiB adjacent VMs for the unmitigated baseline, 16 MiB for subarray-group
@@ -542,33 +558,20 @@ def builtin_matrix(
         "siloz": (16 << 20, 16 << 20),
         "citadel": (256 << 20, 256 << 20),
     }
-    if vm_size_overrides:
-        sizes.update(vm_size_overrides)
-    hammer = HammerParams(
-        hc_first=hc_first,
-        flip_probability=flip_probability,
-        deterministic_mode=deterministic,
-        rng_seed=rng_seed,
-    )
-    scenarios = []
-    for mitigation in mitigations:
-        for name in mapping_names:
-            scenarios.append(
-                Scenario(
-                    mapping=presets[name],
-                    hammer=hammer,
-                    vm_sizes=sizes[mitigation],
-                    mitigation=mitigation,
-                    guard_global_rows=1,
-                    attacker_vm="vm1",
-                    victim_vm="vm0",
-                    hammer_count=hammer_count,
-                    refresh_every=100_000,
-                    aggressor_selection="first",
-                    label=name,
-                )
-            )
-    return scenarios
+    hammer = HammerParams(hc_first=hc_first, deterministic_mode=True, rng_seed=rng_seed)
+    return [
+        Scenario(
+            mapping=mapping,
+            hammer=hammer,
+            vm_sizes=sizes[mitigation],
+            mitigation=mitigation,
+            hammer_count=hammer_count,
+            aggressor_selection="first",
+            label=name,
+        )
+        for mitigation in mitigations
+        for name, mapping in presets.items()
+    ]
 
 
 def load_matrix_scenarios(path: str) -> list[Scenario]:
@@ -588,7 +591,7 @@ def load_matrix_scenarios(path: str) -> list[Scenario]:
             raise ScenarioError(
                 f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}"
             ) from None
-    if not isinstance(data, dict) or "scenarios" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("scenarios"), list):
         raise ScenarioError(f"{path}: expected an object with a scenarios array")
     base = os.path.dirname(os.path.abspath(path))
     return [scenario_from_dict(entry, base) for entry in data["scenarios"]]
@@ -721,7 +724,7 @@ def replay_trace(
     trace: AccessTrace,
     mapping: AddressMapping,
     params: HammerParams,
-    refresh_every: int = 100_000,
+    refresh_every: int = Scenario.refresh_every,
 ) -> tuple[Stats, list[BitflipRecord]]:
     """Drive every trace access through a fresh state; refresh by activations."""
     if refresh_every < 1:

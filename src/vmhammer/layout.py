@@ -40,7 +40,6 @@ __all__ = [
     "plan_citadel",
     "find_aggressors",
     "load_layout",
-    "row_granularity",
     "row_chunk_stride",
     "group_stride",
 ]
@@ -155,11 +154,6 @@ def check_layout(layout: MemoryLayout, geometry: Geometry) -> list[str]:
 # -- footprints ---------------------------------------------------------------
 
 
-def _row_tuple_mask(geometry: Geometry) -> int:
-    """Coordinate-vector mask of everything but the column."""
-    return (1 << geometry.coord_offsets[5]) - 1
-
-
 def _stride_free_of(mapping: AddressMapping, coord_bits: int) -> int:
     """Largest power-of-two stride whose aligned blocks keep constant every
     coordinate-vector bit set in ``coord_bits``: 2**k for the lowest PA bit k
@@ -168,11 +162,6 @@ def _stride_free_of(mapping: AddressMapping, coord_bits: int) -> int:
         if column & coord_bits:
             return 1 << k
     return mapping.geometry.total_bytes
-
-
-def row_granularity(mapping: AddressMapping) -> int:
-    """Largest power-of-two PA stride whose aligned blocks stay in one row tuple."""
-    return _stride_free_of(mapping, _row_tuple_mask(mapping.geometry))
 
 
 def row_chunk_stride(mapping: AddressMapping) -> int:
@@ -238,7 +227,7 @@ def _region_packed_rows(mapping: AddressMapping, start: int, size: int) -> set[i
         raise ValueError(
             f"region [0x{start:x}, 0x{start + size:x}) exceeds the address space"
         )
-    row_tuple = _row_tuple_mask(geo)
+    row_tuple = (1 << geo.coord_offsets[5]) - 1  # every coordinate bit but the column
     images = [column & row_tuple for column in mapping.columns]
     packed: set[int] = set()
     for base, k in _aligned_blocks(start, size):
@@ -298,9 +287,12 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
     disjoint from every other VM's. A VM whose range stays inside a single
     subarray group is reported as contained.
     """
+    mapping.inverse_columns  # fail fast on non-invertible mappings
     geo = mapping.geometry
-    gran = max(row_granularity(mapping), geo.columns)
-    _check_vm_sizes(mapping, vm_sizes, geo.columns)
+    # an invertible mapping has at most log2(columns) low PA bits that feed
+    # only column bits, so no aligned block wider than a row stays in one row
+    gran = geo.columns
+    _check_vm_sizes(mapping, vm_sizes, gran)
     stride = max(group_stride(mapping), gran)
     placed: list[Region] = []
     groups: dict[str, frozenset] = {}
@@ -341,15 +333,12 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
     return SilozPlan(layout, groups, contained)
 
 
-@lru_cache(maxsize=8)
 def _chunk_rows(mapping: AddressMapping) -> np.ndarray:
     """Row index of every aligned row-chunk, in PA order."""
     geo = mapping.geometry
     low = row_chunk_stride(mapping).bit_length() - 1
     offset = geo.coord_offsets[4]
-    rows = gf2.span([column >> offset & (geo.rows - 1) for column in mapping.columns[low:]])
-    rows.setflags(write=False)
-    return rows
+    return gf2.span([column >> offset & (geo.rows - 1) for column in mapping.columns[low:]])
 
 
 def plan_citadel(
@@ -364,6 +353,7 @@ def plan_citadel(
     (the guard rows plus any stragglers of earlier rows) are marked unused;
     guard-row chunks that are not between the VM ranges stay unallocated.
     """
+    mapping.inverse_columns  # fail fast on non-invertible mappings
     geo = mapping.geometry
     if guard_global_rows < 1:
         raise PlanError(

@@ -54,6 +54,11 @@ class MappingError(ValueError):
     """Malformed or non-invertible mapping definition."""
 
 
+def is_integer(value) -> bool:
+    """True for an int; False for bool, str, float and the rest."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _log2(value: int) -> int:
     return value.bit_length() - 1
 
@@ -77,7 +82,7 @@ class Geometry:
     def __post_init__(self) -> None:
         for name in GEOMETRY_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_integer(value):
                 raise MappingError(f"geometry.{name} must be an integer, got {value!r}")
             if value < 1 or value & (value - 1):
                 raise MappingError(
@@ -183,6 +188,8 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Geometry":
+        if not isinstance(data, Mapping):
+            raise MappingError("geometry must be an object")
         missing = [name for name in GEOMETRY_FIELDS if name not in data]
         if missing:
             raise MappingError(f"geometry is missing fields: {', '.join(missing)}")
@@ -218,14 +225,13 @@ class DramCoordinate:
 def _normalize_function(
     kind: str, bits: Iterable[Iterable[int]], width: int, address_width: int
 ) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(bits, (list, tuple)):
+        raise MappingError(f"functions.{kind} must be an array of XOR sets")
     out = []
     for pos, term in enumerate(bits):
-        try:
-            indices = sorted(set(int(b) for b in term))
-        except (TypeError, ValueError):
-            raise MappingError(
-                f"functions.{kind}[{pos}] must be an array of bit indices"
-            ) from None
+        if not isinstance(term, (list, tuple)) or not all(is_integer(b) for b in term):
+            raise MappingError(f"functions.{kind}[{pos}] must be an array of bit indices")
+        indices = sorted({int(b) for b in term})
         if not indices:
             raise MappingError(f"functions.{kind}[{pos}] is an empty XOR set")
         if indices[0] < 0 or indices[-1] >= address_width:
@@ -256,6 +262,8 @@ class AddressMapping:
     def build(
         cls, geometry: Geometry, functions: Mapping[str, Iterable[Iterable[int]]]
     ) -> "AddressMapping":
+        if not isinstance(functions, Mapping):
+            raise MappingError("functions must be an object")
         unknown = [k for k in functions if k not in COORD_KINDS]
         if unknown:
             raise MappingError(f"functions has unknown coordinates: {', '.join(sorted(unknown))}")
@@ -438,10 +446,6 @@ def parse_mapping(text: str) -> AddressMapping:
         raise MappingError("missing top-level field: geometry")
     if "functions" not in data:
         raise MappingError("missing top-level field: functions")
-    if not isinstance(data["geometry"], dict):
-        raise MappingError("geometry must be an object")
-    if not isinstance(data["functions"], dict):
-        raise MappingError("functions must be an object")
     geometry = Geometry.from_dict(data["geometry"])
     return AddressMapping.build(geometry, data["functions"])
 

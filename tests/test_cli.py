@@ -5,8 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vmhammer.cli import main
+
+from oracles import tiny_noncontig
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +23,15 @@ def stdout_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def assert_one_error(err: str) -> dict:
+    """stderr holds exactly one JSON error object and nothing else."""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    payload = json.loads(lines[0])
+    assert list(payload) == ["error"] and set(payload["error"]) == {"type", "message"}
+    return payload["error"]
 
 
 def write_json(path, data) -> str:
@@ -143,6 +156,16 @@ def test_plan_infeasible_is_domain_error(capsys):
     assert json.loads(err)["error"]["type"] == "PlanError"
 
 
+def test_plan_rejects_non_invertible_mapping(capsys, tmp_path, presets):
+    broken = presets["simple"].to_dict()
+    broken["functions"]["bank"] = [[13]]  # PA bit 13 already drives bankgroup bit 0
+    path = write_json(tmp_path / "rank31.json", broken)
+    for mitigation in ("none", "siloz", "citadel"):
+        code, out, err = run_cli(capsys, "plan", mitigation, path, "--sizes", "16MiB,16MiB")
+        assert (code, out) == (2, ""), mitigation
+        assert assert_one_error(err)["type"] == "MappingError", mitigation
+
+
 def test_plan_rejects_empty_sizes(capsys):
     code, out, err = run_cli(capsys, "plan", "siloz", "simple", "--sizes", ",")
     assert code == 2
@@ -188,16 +211,121 @@ def test_attack_overrides(capsys, tmp_path):
     assert sc["hammer_count"] == 40
 
 
+BAD_SCENARIOS = [
+    (reduced_scenario(attacker_vm="vm0", victim_vm="vm0"), "ScenarioError"),
+    (reduced_scenario(hammer_count="51000"), "ScenarioError"),
+    (reduced_scenario(hammer={"hc_first": "100"}), "ScenarioError"),
+    (reduced_scenario(mapping={"geometry": 5, "functions": {}}), "MappingError"),
+    (reduced_scenario(vm_sizes=5), "ScenarioError"),
+    (reduced_scenario(hamer_count=5), "ScenarioError"),
+    (reduced_scenario(hammer={"hc_first": 64, "deterministic_mode": "no"}), "ScenarioError"),
+    (reduced_scenario(hammer_count=True), "ScenarioError"),
+    (reduced_scenario(aggressor_selection=5), "ScenarioError"),
+    (reduced_scenario(aggressor_selection=[1.5]), "ScenarioError"),
+    (reduced_scenario(guard_global_rows="x"), "ScenarioError"),
+    (reduced_scenario(label=5), "ScenarioError"),
+    (reduced_scenario(geometry=tiny_noncontig().geometry.to_dict()), "MappingError"),
+    (
+        reduced_scenario(
+            mapping=tiny_noncontig().to_dict(), geometry=tiny_noncontig().geometry.to_dict()
+        ),
+        "ScenarioError",
+    ),
+]
+
+
 def test_attack_scenario_errors(capsys, tmp_path):
-    path = write_json(
-        tmp_path / "self.json", reduced_scenario(attacker_vm="vm0", victim_vm="vm0")
-    )
-    code, out, err = run_cli(capsys, "attack", path)
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "ScenarioError"
+    for data, error_type in BAD_SCENARIOS:
+        path = write_json(tmp_path / "bad.json", data)
+        code, out, err = run_cli(capsys, "attack", path)
+        assert (code, out) == (2, ""), data
+        assert assert_one_error(err)["type"] == error_type, data
 
     code, out, err = run_cli(capsys, "attack", str(tmp_path / "missing.json"))
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert_one_error(err)
+
+    path = write_json(tmp_path / "matrix.json", {"scenarios": 5})
+    code, out, err = run_cli(capsys, "matrix", path)
+    assert (code, out) == (2, "")
+    assert assert_one_error(err)["type"] == "ScenarioError"
+
+
+def tiny_scenario() -> dict:
+    """Every scenario field set, on the 10-bit tiny_noncontig mapping: a run
+    takes milliseconds and, under citadel, flips guard rows only."""
+    return {
+        "mapping": tiny_noncontig().to_dict(),
+        "vm_sizes": [256, 256],
+        "mitigation": "citadel",
+        "guard_global_rows": 1,
+        "attacker_vm": "vm1",
+        "victim_vm": "vm0",
+        "hammer": {
+            "hc_first": 8, "flip_probability": 0.5, "blast_radius": 1,
+            "deterministic_mode": True, "rng_seed": 0,
+        },
+        "hammer_count": 12,
+        "refresh_every": 100,
+        "aggressor_selection": "all",
+        "check_pattern": 170,
+        "label": "tiny",
+    }
+
+
+def node_paths(node, prefix=()):
+    """Paths to every value of a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from node_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from node_paths(child, prefix + (i,))
+
+
+# small values only, so that no mutation starts a long attack
+FUZZ_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.floats(min_value=-4, max_value=400),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-2, max_value=300),
+    st.lists(st.integers(min_value=-2, max_value=40), max_size=3),
+    st.dictionaries(st.sampled_from(["geometry", "functions", "x"]), st.integers(0, 3), max_size=2),
+)
+
+
+def mutate(data, draw) -> object:
+    """Swap one value, drop one key, or add one unknown key, at any depth."""
+    path = draw(st.sampled_from(list(node_paths(data))))
+    if not path:
+        return draw(FUZZ_VALUES)
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    action = draw(st.sampled_from(["swap", "drop", "add"]))
+    if action == "swap" or not isinstance(parent, dict):
+        parent[path[-1]] = draw(FUZZ_VALUES)
+    elif action == "drop":
+        del parent[path[-1]]
+    else:
+        parent["unknown_field"] = draw(FUZZ_VALUES)
+    return data
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_mutated_scenarios_never_traceback(capsys, tmp_path, data):
+    scenario = mutate(tiny_scenario(), data.draw)
+    for command, payload in (("attack", scenario), ("matrix", {"scenarios": [scenario]})):
+        path = write_json(tmp_path / "fuzz.json", payload)
+        code, out, err = run_cli(capsys, command, path)
+        assert code in (0, 1, 2), (command, scenario)
+        if err:
+            assert_one_error(err)
 
 
 # -- matrix -----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Open-page policy, threshold exactness, and flip confinement."""
 
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from vmhammer import (
     SimState,
     builtin_mappings,
 )
+from vmhammer.dram import InvariantError
 
 from oracles import random_geometry, random_invertible_mapping, tiny_noncontig
 
@@ -329,6 +333,44 @@ def test_hammer_params_validation():
         HammerParams(flip_probability=1.5)
     with pytest.raises(ValueError):
         HammerParams(blast_radius=0)
+    for bad in ({"hc_first": "100"}, {"hc_first": True}, {"hc_first": 64.0},
+                {"blast_radius": None}, {"rng_seed": "0"}, {"flip_probability": "0.5"},
+                {"flip_probability": True}, {"deterministic_mode": "no"},
+                {"deterministic_mode": 1}, {"rng_seed": np.int64(1)}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            HammerParams(**bad)
+    # an integer probability is a number
+    assert HammerParams(flip_probability=1).flip_probability == 1
+
+
+# -- internal invariants ----------------------------------------------------------
+
+
+def test_out_of_reach_flip_raises_invariant_error():
+    state = SimState(tiny_simple(), det_params())
+    aggressor = DramCoordinate(0, 0, 0, 0, 1, 0)
+    for victim_row in (3, 4):  # beyond the blast radius; across the subarray seam
+        with pytest.raises(InvariantError, match="out of reach"):
+            state._record_flip(aggressor, victim_row, column=0, bit=0)
+    assert state.flips == [] and state.contents == {}
+    assert not issubclass(InvariantError, ValueError)
+
+
+def test_invariant_check_survives_optimized_mode():
+    # python -O strips assert statements; the confinement check must stay
+    code = (
+        "from vmhammer import DramCoordinate, HammerParams, SimState, builtin_mappings\n"
+        "from vmhammer.dram import InvariantError\n"
+        "state = SimState(builtin_mappings()['simple'], HammerParams())\n"
+        "try:\n"
+        "    state._record_flip(DramCoordinate(0, 0, 0, 0, 1, 0), 5, column=0, bit=0)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "raised\n", "")
 
 
 def test_simstate_requires_invertible_mapping():

@@ -32,6 +32,7 @@ from vmhammer.harness import (
     toggle_trace,
 )
 from vmhammer.layout import UNUSED, PlanError, classify_pa
+from vmhammer.mapping import MappingError, default_geometry
 
 from oracles import tiny_noncontig
 
@@ -98,6 +99,14 @@ def test_scenario_rejects_bad_fields(presets):
         make_scenario(presets, aggressor_selection="last")
     with pytest.raises(ScenarioError, match="list rows"):
         make_scenario(presets, aggressor_selection=())
+    with pytest.raises(ScenarioError, match="aggressor_selection"):
+        make_scenario(presets, aggressor_selection=(3, True))
+    with pytest.raises(ScenarioError, match="vm_sizes"):
+        make_scenario(presets, vm_sizes=(8 * MIB, "8MiB"))
+    with pytest.raises(ScenarioError, match="hammer_count"):
+        make_scenario(presets, hammer_count=1.0e3)
+    with pytest.raises(ScenarioError, match="victim_vm"):
+        make_scenario(presets, victim_vm=0)
 
 
 def test_effective_hammer_count(presets):
@@ -179,11 +188,36 @@ def test_scenario_from_dict_selection_list():
         (scenario_data(hammer=[1, 2]), "hammer must be an object"),
         (scenario_data(hammer={"hc_first": 0}), "hc_first"),
         ([], "must be an object"),
+        (scenario_data(hammer_count="51000"), "hammer_count must be an integer"),
+        (scenario_data(hammer_count=True), "hammer_count must be an integer"),
+        (scenario_data(hammer={"hc_first": "100"}), "hc_first must be an integer"),
+        (scenario_data(hammer={"deterministic_mode": "no"}), "deterministic_mode"),
+        (scenario_data(hammer={"hc_frist": 5}), "hammer has unknown fields: hc_frist"),
+        (scenario_data(hamer_count=5), "scenario has unknown fields: hamer_count"),
+        (scenario_data(vm_sizes=5), "vm_sizes must be a list"),
+        (scenario_data(aggressor_selection=5), "aggressor_selection"),
+        (scenario_data(aggressor_selection=[1.5]), "aggressor_selection"),
+        (scenario_data(guard_global_rows="x"), "guard_global_rows must be an integer"),
+        (scenario_data(label=5), "label must be a string"),
+        (
+            scenario_data(mapping="twisted.json", geometry=default_geometry().to_dict()),
+            "preset names only",
+        ),
     ],
 )
 def test_scenario_from_dict_rejects(data, message):
     with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(data)
+
+
+def test_scenario_from_dict_geometry_errors():
+    tiny = tiny_noncontig().to_dict()
+    with pytest.raises(MappingError, match="geometry must be an object"):
+        scenario_from_dict(scenario_data(mapping={"geometry": 5, "functions": {}}))
+    with pytest.raises(MappingError, match="presets require"):
+        scenario_from_dict(scenario_data(geometry=tiny["geometry"]))
+    with pytest.raises(ScenarioError, match="preset names only"):
+        scenario_from_dict(scenario_data(mapping=tiny, geometry=tiny["geometry"]))
 
 
 def test_load_scenario_roundtrip(tmp_path, presets):
@@ -402,6 +436,16 @@ def test_run_matrix_grid_and_errors(presets):
     }
 
 
+def test_run_matrix_lets_internal_errors_through(presets, monkeypatch):
+    # only domain errors become error slots; a bug must not look like one
+    def broken(scenario):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(vmhammer.harness, "run_attack", broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        run_matrix([make_scenario(presets)])
+
+
 def test_builtin_matrix_shape(presets):
     scenarios = builtin_matrix(hc_first=64, hammer_count=100)
     assert len(scenarios) == 9
@@ -439,6 +483,9 @@ def test_load_matrix_scenarios(tmp_path):
         load_matrix_scenarios(str(empty))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([1, 2]))
+    with pytest.raises(ScenarioError, match="scenarios array"):
+        load_matrix_scenarios(str(bad))
+    bad.write_text(json.dumps({"scenarios": 5}))
     with pytest.raises(ScenarioError, match="scenarios array"):
         load_matrix_scenarios(str(bad))
 

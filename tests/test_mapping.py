@@ -24,7 +24,7 @@ from vmhammer import (
     parse_mapping,
     validate,
 )
-from vmhammer.layout import group_stride, row_chunk_stride, row_granularity
+from vmhammer.layout import group_stride, row_chunk_stride
 
 from oracles import (
     all_coords,
@@ -338,9 +338,6 @@ def test_translation_wider_than_32_bits(geometry):
 
 
 def test_stride_constants(presets):
-    assert row_granularity(presets["simple"]) == 8192
-    assert row_granularity(presets["bank-xor"]) == 64
-    assert row_granularity(presets["bank-xor-noncontig-row"]) == 64
     for mapping in presets.values():
         assert row_chunk_stride(mapping) == 32768
     assert group_stride(presets["simple"]) == 16 << 20
