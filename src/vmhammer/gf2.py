@@ -62,7 +62,12 @@ def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | N
 
 
 def reduce_basis(vectors: list[int]) -> list[int]:
-    """A basis of the span of vectors: linearly independent, same span."""
+    """A basis of the span of vectors: linearly independent, same span.
+
+    The basis is in descending order with distinct leading bits, so reducing
+    any x by each element in turn (x = min(x, x ^ b)) leaves the least member
+    of x's coset.
+    """
     basis: list[int] = []
     for v in vectors:
         for b in basis:

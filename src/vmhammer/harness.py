@@ -644,6 +644,12 @@ def format_trace(trace: AccessTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_positive(**fields: int) -> None:
+    for name, value in fields.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _check_limit(pas, limit: int | None) -> None:
     if limit is None:
         return
@@ -656,6 +662,7 @@ def _check_limit(pas, limit: int | None) -> None:
 
 def sequential_trace(base_pa: int, count: int, limit: int | None = None) -> AccessTrace:
     """count reads of consecutive byte addresses starting at base_pa."""
+    _check_positive(count=count)
     pas = [base_pa + i for i in range(count)]
     _check_limit(pas, limit)
     return AccessTrace(tuple(("read", pa, None) for pa in pas))
@@ -665,6 +672,7 @@ def strided_trace(
     base_pa: int, stride: int, count: int, limit: int | None = None
 ) -> AccessTrace:
     """count reads spaced stride bytes apart."""
+    _check_positive(count=count)
     pas = [base_pa + i * stride for i in range(count)]
     _check_limit(pas, limit)
     return AccessTrace(tuple(("read", pa, None) for pa in pas))
@@ -683,6 +691,7 @@ def matvec_trace(
     streamed once; the vector is re-read for every matrix row. Per element the
     order is matrix read, then vector read (one read per element).
     """
+    _check_positive(rows=rows, cols=cols)
     vector_base = base_pa + rows * cols * element_size
     entries = []
     for i in range(rows):
@@ -702,6 +711,7 @@ def toggle_trace(
     conflict in one bank under a direct bank mapping but land in different
     banks under an xor mapping, exposing hit-rate differences between the two.
     """
+    _check_positive(count=count)
     pas = [base_pa ^ (mask if i & 1 else 0) for i in range(count)]
     _check_limit(pas, limit)
     return AccessTrace(tuple(("read", pa, None) for pa in pas))

@@ -4,6 +4,8 @@ A layout is a list of disjoint regions, each owned by a VM, by the hypervisor,
 or marked unused. Planners place VMs so that an attacker VM cannot disturb a
 victim VM: plan_siloz gives every VM disjoint (bank tuple, subarray) sets,
 plan_citadel leaves whole guard rows between row-contiguous allocations.
+Both scan one array of per-block ids (group ids for siloz, chunk rows for
+citadel) built once from the mapping's columns.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
@@ -14,7 +16,6 @@ tuples as packed coordinate vectors with the column bits cleared.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -39,7 +40,6 @@ __all__ = [
     "plan_siloz",
     "plan_citadel",
     "find_aggressors",
-    "load_layout",
     "row_chunk_stride",
     "group_stride",
 ]
@@ -246,6 +246,21 @@ def row_footprint(mapping: AddressMapping, region: Region) -> RowFootprint:
 # -- planners -----------------------------------------------------------------
 
 
+def _block_ids(mapping: AddressMapping, block: int, coord_bits: int) -> np.ndarray:
+    """One id per aligned ``block``-byte block, in PA order.
+
+    A block's bytes map, masked to ``coord_bits``, onto one coset of the span
+    of the masked low columns; its id is that coset's least member. Two blocks
+    therefore either share every masked vector or share none.
+    """
+    k = block.bit_length() - 1
+    masked = [column & coord_bits for column in mapping.columns]
+    ids = gf2.span(masked[k:])
+    for vector in gf2.reduce_basis(masked[:k]):
+        np.minimum(ids, ids ^ vector, out=ids)
+    return ids
+
+
 def _check_vm_sizes(mapping: AddressMapping, vm_sizes: list[int], unit: int) -> None:
     geo = mapping.geometry
     if not vm_sizes:
@@ -284,8 +299,10 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
     """Greedy subarray-group isolation: ascending PA, lowest feasible start.
 
     Every VM gets one contiguous PA range whose (bank tuple, subarray) set is
-    disjoint from every other VM's. A VM whose range stays inside a single
-    subarray group is reported as contained.
+    disjoint from every other VM's. The candidate starts are the multiples of
+    the group stride and the ends of VMs already placed; each VM takes the
+    lowest one whose blocks share no group with a placed VM. A VM whose range
+    stays inside a single subarray group is reported as contained.
     """
     mapping.inverse_columns  # fail fast on non-invertible mappings
     geo = mapping.geometry
@@ -294,51 +311,41 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
     gran = geo.columns
     _check_vm_sizes(mapping, vm_sizes, gran)
     stride = max(group_stride(mapping), gran)
+    # every candidate start and every VM end is a multiple of block, so each
+    # candidate range is a run of whole blocks
+    block = min([stride] + [size & -size for size in vm_sizes])
+    in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]
+    group_bits = ((1 << geo.coord_offsets[5]) - 1) & ~in_subarray
+    ids, labels = np.unique(_block_ids(mapping, block, group_bits), return_inverse=True)
+    used = np.zeros(len(ids), dtype=bool)
+    n_blocks = len(labels)
+    candidate = np.zeros(n_blocks + 1, dtype=bool)
+    candidate[:: stride // block] = True
     placed: list[Region] = []
     groups: dict[str, frozenset] = {}
     contained: dict[str, bool] = {}
-    used_groups: set[tuple[BankTuple, int]] = set()
     for i, size in enumerate(vm_sizes):
         owner = f"vm{i}"
-        candidates = set(range(0, geo.total_bytes, stride))
-        for region in placed:
-            end = region.end_pa
-            candidates.add((end + gran - 1) // gran * gran)
-        start = None
-        chosen_groups: frozenset | None = None
-        for cand in sorted(candidates):
-            if cand + size > geo.total_bytes:
-                continue
-            if any(cand < r.end_pa and r.start_pa < cand + size for r in placed):
-                continue
-            fp_groups = RowFootprint(
-                geo, frozenset(_region_packed_rows(mapping, cand, size))
-            ).groups
-            if fp_groups & used_groups:
-                continue
-            start = cand
-            chosen_groups = fp_groups
-            break
-        if start is None:
+        n = size // block
+        # a placed VM's own blocks are used, so no free window overlaps it
+        taken = np.concatenate(([0], np.cumsum(used[labels])))
+        free = candidate[: n_blocks - n + 1] & (taken[n:] == taken[: n_blocks - n + 1])
+        if not free.any():
             raise PlanError(
                 f"cannot place {owner} (0x{size:x} bytes) in a free subarray-group set; "
                 f"group granularity is 0x{stride:x} bytes"
             )
-        region = Region(owner, start, size)
+        first = int(free.argmax())
+        used[labels[first : first + n]] = True
+        candidate[first + n] = True
+        region = Region(owner, first * block, size)
         placed.append(region)
-        used_groups |= chosen_groups
-        groups[owner] = chosen_groups
-        contained[owner] = len({sub for _, sub in chosen_groups}) == 1
+        groups[owner] = RowFootprint(
+            geo, frozenset(_region_packed_rows(mapping, region.start_pa, size))
+        ).groups
+        contained[owner] = len({sub for _, sub in groups[owner]}) == 1
     layout = MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa)))
     return SilozPlan(layout, groups, contained)
-
-
-def _chunk_rows(mapping: AddressMapping) -> np.ndarray:
-    """Row index of every aligned row-chunk, in PA order."""
-    geo = mapping.geometry
-    low = row_chunk_stride(mapping).bit_length() - 1
-    offset = geo.coord_offsets[4]
-    return gf2.span([column >> offset & (geo.rows - 1) for column in mapping.columns[low:]])
 
 
 def plan_citadel(
@@ -367,7 +374,8 @@ def plan_citadel(
             "representable as whole row-aligned chunks"
         )
     _check_vm_sizes(mapping, vm_sizes, stride)
-    rows = _chunk_rows(mapping)
+    offset = geo.coord_offsets[4]
+    rows = _block_ids(mapping, stride, (geo.rows - 1) << offset) >> offset
     n_chunks = len(rows)
     regions: list[Region] = []
     pos = 0
@@ -456,30 +464,3 @@ def _find_aggressors(
             coord = DramCoordinate(ch, rk, bg, bk, row, 0)
             sites.append(AggressorSite(mapping.coord_to_pa(coord), coord, victims))
     return tuple(sites)
-
-
-# -- layout files --------------------------------------------------------------
-
-
-def load_layout(path: str) -> MemoryLayout:
-    """Load a layout file: {"regions": [{owner, start_pa (hex), size}, ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}"
-            ) from None
-    if not isinstance(data, dict) or "regions" not in data:
-        raise ValueError(f"{path}: top level must be an object with a regions array")
-    regions = []
-    for i, entry in enumerate(data["regions"]):
-        try:
-            owner = entry["owner"]
-            start = entry["start_pa"]
-            size = entry["size"]
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"{path}: regions[{i}] missing field {exc}") from None
-        start_pa = int(start, 16) if isinstance(start, str) else int(start)
-        regions.append(Region(str(owner), start_pa, int(size)))
-    return MemoryLayout(tuple(regions))

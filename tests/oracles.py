@@ -12,7 +12,15 @@ import random
 
 import numpy as np
 
-from vmhammer import COORD_KINDS, AddressMapping, Geometry, MemoryLayout
+from vmhammer import (
+    COORD_KINDS,
+    AddressMapping,
+    Geometry,
+    MemoryLayout,
+    PlanError,
+    Region,
+    SilozPlan,
+)
 
 
 def brute_coord(mapping: AddressMapping, pa: int) -> tuple[int, ...]:
@@ -136,16 +144,20 @@ def brute_aggressors(
     return out
 
 
-def brute_chunk_stride(mapping: AddressMapping) -> int:
-    """Largest aligned power-of-two stride whose blocks are row-constant."""
-    rows_by_pa = all_coords(mapping)[:, 4]
+def _brute_constant_stride(values: np.ndarray) -> int:
+    """Largest aligned power-of-two stride whose blocks hold one value."""
     s = 1
-    while 2 * s <= len(rows_by_pa):
-        blocks = rows_by_pa.reshape(-1, 2 * s)
+    while 2 * s <= len(values):
+        blocks = values.reshape(-1, 2 * s)
         if not (blocks == blocks[:, :1]).all():
             break
         s *= 2
     return s
+
+
+def brute_chunk_stride(mapping: AddressMapping) -> int:
+    """Largest aligned power-of-two stride whose blocks are row-constant."""
+    return _brute_constant_stride(all_coords(mapping)[:, 4])
 
 
 def brute_chunk_rows(mapping: AddressMapping) -> np.ndarray:
@@ -181,6 +193,48 @@ def brute_citadel_feasible(
         return False
 
     return rec(0, -1 - guard, 0)
+
+
+def brute_siloz(mapping: AddressMapping, sizes: list[int]) -> SilozPlan:
+    """Greedy siloz placement, one byte-by-byte footprint per candidate start.
+
+    Candidates are the multiples of the group stride (the largest aligned
+    power-of-two stride whose blocks keep the subarray index constant, at
+    least one row span) and the ends of VMs already placed. Each VM takes
+    the lowest candidate that fits, overlaps no placed VM and shares no
+    (bank tuple, subarray) group with one. Sizes must already be valid
+    (positive multiples of the row span, summing to at most the space).
+    """
+    geo = mapping.geometry
+    total = geo.total_bytes
+    subarrays = all_coords(mapping)[:, 4] // geo.rows_per_subarray
+    stride = max(_brute_constant_stride(subarrays), geo.columns)
+    placed: list[Region] = []
+    groups: dict[str, frozenset] = {}
+    contained: dict[str, bool] = {}
+    used: set = set()
+    for i, size in enumerate(sizes):
+        owner = f"vm{i}"
+        candidates = set(range(0, total, stride)) | {r.end_pa for r in placed}
+        for cand in sorted(candidates):
+            if cand + size > total:
+                continue
+            if any(cand < r.end_pa and r.start_pa < cand + size for r in placed):
+                continue
+            found = brute_groups(geo, brute_footprint(mapping, cand, size))
+            if not found & used:
+                break
+        else:
+            raise PlanError(
+                f"cannot place {owner} (0x{size:x} bytes) in a free subarray-group set; "
+                f"group granularity is 0x{stride:x} bytes"
+            )
+        placed.append(Region(owner, cand, size))
+        used |= found
+        groups[owner] = frozenset(found)
+        contained[owner] = len({sub for _, sub in found}) == 1
+    layout = MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa)))
+    return SilozPlan(layout, groups, contained)
 
 
 # -- random instance generators ------------------------------------------------

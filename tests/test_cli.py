@@ -415,6 +415,20 @@ def test_gen_trace_argument_validation(capsys):
     assert code == 2
     assert "overflows" in json.loads(err)["error"]["message"]
 
+    empty = [
+        (("sequential", "--count", "0", "--limit", "0x10"), "count"),
+        (("sequential", "--count", "0"), "count"),
+        (("sequential", "--count", "-3"), "count"),
+        (("strided", "--stride", "8", "--count", "0"), "count"),
+        (("toggle", "--mask", "0x40", "--count", "0"), "count"),
+        (("matvec", "--rows", "0", "--cols", "4"), "rows"),
+        (("matvec", "--rows", "4", "--cols", "-1"), "cols"),
+    ]
+    for args, field in empty:
+        code, out, err = run_cli(capsys, "gen-trace", *args)
+        assert (code, out) == (2, ""), args
+        assert json.loads(err)["error"]["message"].startswith(f"{field} must be >= 1"), args
+
 
 def test_replay_trace_flips_under_hammering(capsys, tmp_path):
     trace_path = tmp_path / "hammer.trace"

@@ -130,7 +130,13 @@ def test_span_is_brute_force_enumeration_in_index_order(vectors):
 def test_reduce_basis_keeps_the_span(vectors):
     basis = reduce_basis(vectors)
     assert len(basis) == rank(vectors, 12)
-    assert set(span(basis).tolist()) == set(span(vectors).tolist())
+    members = span(vectors).tolist()
+    assert set(span(basis).tolist()) == set(members)
+    for x in (0, 1, 0x5A5, 0xFFF):  # reducing in basis order leaves the coset's least member
+        reduced = x
+        for b in basis:
+            reduced = min(reduced, reduced ^ b)
+        assert reduced == min(x ^ s for s in members)
 
 
 @settings(max_examples=200, deadline=None)

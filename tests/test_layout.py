@@ -4,13 +4,14 @@ Planner outputs are re-verified against byte-by-byte footprints from
 oracles.py; worked placements for the full-scale presets are frozen.
 """
 
-import json
 import random
+import time
 
 import pytest
 
 from vmhammer import (
     AddressMapping,
+    Geometry,
     UNALLOCATED,
     UNUSED,
     MemoryLayout,
@@ -24,7 +25,7 @@ from vmhammer import (
     row_footprint,
 )
 from vmhammer.harness import pack_layout
-from vmhammer.layout import load_layout, row_chunk_stride
+from vmhammer.layout import row_chunk_stride
 
 from oracles import (
     brute_aggressors,
@@ -32,6 +33,7 @@ from oracles import (
     brute_citadel_feasible,
     brute_footprint,
     brute_groups,
+    brute_siloz,
     random_geometry,
     random_invertible_mapping,
     random_split_mapping,
@@ -95,15 +97,6 @@ def test_check_layout_reports_violations(geometry):
         )
     )
     assert check_layout(guards, geometry) == []
-
-
-def test_layout_file_roundtrip(tmp_path):
-    layout = MemoryLayout(
-        (Region("vm0", 0, 8 * MIB), Region(UNUSED, 8 * MIB, 8192))
-    )
-    path = tmp_path / "layout.json"
-    path.write_text(json.dumps(layout.to_dict(8)))
-    assert load_layout(str(path)) == layout
 
 
 # -- footprints ---------------------------------------------------------------------
@@ -242,6 +235,82 @@ def test_siloz_disjointness_against_oracle():
             for b in owners:
                 if a < b:
                     assert not (groups[a] & groups[b]), (a, b)
+
+
+def _siloz_outcome(planner, mapping, sizes):
+    try:
+        plan = planner(mapping, sizes)
+    except PlanError as exc:
+        return str(exc)
+    return plan.to_dict(), plan.contained
+
+
+def test_siloz_matches_brute_oracle():
+    # tiny_noncontig's group stride is 256 bytes, yet a second bank group
+    # starts 8 bytes in: later VMs start at earlier VMs' ends, and vm2 of
+    # [24, 40, 8] goes back below vm1
+    cases = [(tiny_noncontig(), [8, 8, 8, 8]), (tiny_noncontig(), [24, 40, 8])]
+    rng = random.Random(0x5110E)
+    while len(cases) < 80:
+        geometry = random_geometry(rng, max_total=1 << 13)
+        make = rng.choice([random_invertible_mapping, random_split_mapping])
+        mapping = make(rng, geometry)
+        total, unit = geometry.total_bytes, geometry.columns
+        # odd multiples of the row span make the planner's block a single row span
+        sizes = [
+            unit * rng.choice([1, 3, 5, rng.randint(1, max(1, total // (2 * unit)))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        if sum(sizes) <= total:
+            cases.append((mapping, sizes))
+    errors = 0
+    for mapping, sizes in cases:
+        expected = _siloz_outcome(brute_siloz, mapping, sizes)
+        errors += isinstance(expected, str)
+        assert _siloz_outcome(plan_siloz, mapping, sizes) == expected, (mapping.geometry, sizes)
+    assert 0 < errors < len(cases)
+
+
+def _reduced_row_mapping(row_bits):
+    """4096 rows of 8 KiB, 512 per subarray, bank = PA27 ^ PA6."""
+    geometry = Geometry(
+        channels=1, ranks=1, bankgroups=4, banks=2,
+        rows=4096, columns=8192, rows_per_subarray=512,
+    )
+    return AddressMapping.build(
+        geometry,
+        {
+            "column": [[b] for b in range(13)],
+            "bankgroup": [[13], [14]],
+            "bank": [[27, 6]],
+            "row": [[b] for b in row_bits],
+        },
+    )
+
+
+def test_siloz_reversed_row_mapping_fails_fast():
+    # row MSBs from PA 15 up shrink the group stride to 32 KiB, and one
+    # 1 MiB VM then covers every subarray of every bank
+    mapping = _reduced_row_mapping(range(26, 14, -1))
+    start = time.perf_counter()
+    with pytest.raises(PlanError) as info:
+        plan_siloz(mapping, [MIB, MIB])
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        "cannot place vm1 (0x100000 bytes) in a free subarray-group set; "
+        "group granularity is 0x8000 bytes"
+    )
+
+    plan = plan_siloz(_reduced_row_mapping(range(15, 27)), [MIB, MIB])
+    assert [(r.owner, r.start_pa) for r in plan.layout.regions] == [
+        ("vm0", 0), ("vm1", 16 * MIB)
+    ]
+    banks = [(0, 0, bg, bk) for bg in range(4) for bk in range(2)]
+    assert plan.groups == {
+        "vm0": frozenset((bt, 0) for bt in banks),
+        "vm1": frozenset((bt, 1) for bt in banks),
+    }
+    assert plan.contained == {"vm0": True, "vm1": True}
 
 
 # -- citadel planner ----------------------------------------------------------------
