@@ -34,6 +34,7 @@ from .layout import (
     Region,
     RowFootprint,
     SilozPlan,
+    boundary_fallback,
     check_layout,
     classify_pa,
     find_aggressors,

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .dram import HammerParams
@@ -242,19 +243,29 @@ def _hex_int(text: str) -> int:
     return int(text, 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing usage text, so main reports
+    them as one JSON error object with exit status 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the result to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=None, dest="rng_seed",
+    hammer = argparse.ArgumentParser(add_help=False, parents=[common])
+    hammer.add_argument("--seed", type=int, default=None, dest="rng_seed",
                         help="RNG seed override")
-    common.add_argument("--deterministic", action="store_const", const=True, default=None,
+    hammer.add_argument("--deterministic", action="store_const", const=True, default=None,
                         dest="deterministic_mode", help="force deterministic flip mode")
-    common.add_argument("--hc-first", type=int, default=None, dest="hc_first",
+    hammer.add_argument("--hc-first", type=int, default=None, dest="hc_first",
                         help="activation threshold override")
-    common.add_argument("--hammer-count", type=int, default=None, dest="hammer_count",
-                        help="activations per aggressor override")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[hammer])
+    scenario.add_argument("--hammer-count", type=int, default=None, dest="hammer_count",
+                          help="activations per aggressor override")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vmhammer",
         description="DRAM address-mapping and RowHammer mitigation workbench",
     )
@@ -280,19 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="guard rows between VMs (citadel)")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("attack", parents=[common], help="run one attack scenario file")
+    p = sub.add_parser("attack", parents=[scenario], help="run one attack scenario file")
     p.add_argument("scenario")
     p.add_argument("--expect-mitigated", action="store_true",
                    help="exit 1 unless the verdict is MITIGATED")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("matrix", parents=[common],
+    p = sub.add_parser("matrix", parents=[scenario],
                        help="run a scenario matrix (default: built-in 3x3 grid)")
     p.add_argument("path", nargs="?", help="scenario matrix file or directory")
     p.add_argument("--table", action="store_true", help="print the verdict grid as text")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("replay-trace", parents=[common], help="replay an access trace")
+    p = sub.add_parser("replay-trace", parents=[hammer], help="replay an access trace")
     p.add_argument("trace")
     p.add_argument("mapping")
     p.add_argument("--refresh-every", type=int, default=None, dest="refresh_every",
@@ -317,13 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # --help and --version print and exit 0
+        return 0
+    except argparse.ArgumentError as exc:
+        _error(exc)
         return USAGE_ERROR
     try:
         return args.func(args)

@@ -8,13 +8,11 @@ when no flip lands in victim-owned memory.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,12 +23,12 @@ from .layout import (
     MemoryLayout,
     PlanError,
     Region,
+    boundary_fallback,
     check_layout,
     classify_pa,
     find_aggressors,
     plan_citadel,
     plan_siloz,
-    row_footprint,
 )
 from .mapping import (
     AddressMapping,
@@ -304,53 +302,7 @@ def _build_layout(scenario: Scenario):
     return layout, siloz_plan
 
 
-# -- aggressor fallback and selection --------------------------------------------
-
-
-def _boundary_fallback(
-    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
-) -> list[AggressorSite]:
-    """Nearest attacker rows to the victim footprint, same subarray preferred.
-
-    Used when the mitigation leaves no attacker row adjacent to a victim row;
-    the attack then hammers across the isolation boundary anyway.
-    """
-    return list(_boundary_fallback_cached(mapping, layout, attacker_vm, victim_vm))
-
-
-@lru_cache(maxsize=64)
-def _boundary_fallback_cached(
-    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
-) -> tuple[AggressorSite, ...]:
-    geo = mapping.geometry
-    attacker_rows = row_footprint(mapping, layout.region_of(attacker_vm)).rows
-    victim_rows = row_footprint(mapping, layout.region_of(victim_vm)).rows
-    victims_by_bt: dict[tuple, list[int]] = {}
-    for ch, rk, bg, bk, row in victim_rows:
-        victims_by_bt.setdefault((ch, rk, bg, bk), []).append(row)
-    for rows in victims_by_bt.values():
-        rows.sort()
-    all_victim_indices = sorted({rt[4] for rt in victim_rows})
-
-    def nearest(candidates: list[int], row: int) -> tuple[int, int]:
-        i = bisect.bisect_left(candidates, row)
-        around = candidates[max(0, i - 1) : i + 1]
-        return min((abs(row - v), v) for v in around)
-
-    ranked = []
-    for ch, rk, bg, bk, row in sorted(attacker_rows):
-        candidates = victims_by_bt.get((ch, rk, bg, bk)) or all_victim_indices
-        dist, vrow = nearest(candidates, row)
-        same_sub = 0 if geo.subarray_of(vrow) == geo.subarray_of(row) else 1
-        ranked.append(((same_sub, dist), (ch, rk, bg, bk, row)))
-    best = min(key for key, _ in ranked)
-    sites = []
-    for key, (ch, rk, bg, bk, row) in ranked:
-        if key != best:
-            continue
-        coord = DramCoordinate(ch, rk, bg, bk, row, 0)
-        sites.append(AggressorSite(mapping.coord_to_pa(coord), coord, ()))
-    return tuple(sites)
+# -- aggressor selection ------------------------------------------------------------
 
 
 def _select_aggressors(
@@ -468,7 +420,7 @@ def run_attack(scenario: Scenario) -> AttackReport:
             raise ScenarioError(
                 "no attacker row is adjacent to the victim; nothing to hammer"
             )
-        sites = _boundary_fallback(
+        sites = boundary_fallback(
             scenario.mapping, layout, scenario.attacker_vm, scenario.victim_vm
         )
         fallback = True
@@ -650,21 +602,18 @@ def _check_positive(**fields: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _check_limit(pas, limit: int | None) -> None:
-    if limit is None:
-        return
-    worst = max(pas)
-    if worst >= limit or min(pas) < 0:
-        raise ValueError(
-            f"trace overflows the region: pa 0x{worst:x} not below 0x{limit:x}"
-        )
+def _check_pas(pas, limit: int | None) -> None:
+    if min(pas) < 0:
+        raise ValueError(f"trace overflows the address space: pa -0x{-min(pas):x} is negative")
+    if limit is not None and max(pas) >= limit:
+        raise ValueError(f"trace overflows the region: pa 0x{max(pas):x} not below 0x{limit:x}")
 
 
 def sequential_trace(base_pa: int, count: int, limit: int | None = None) -> AccessTrace:
     """count reads of consecutive byte addresses starting at base_pa."""
     _check_positive(count=count)
     pas = [base_pa + i for i in range(count)]
-    _check_limit(pas, limit)
+    _check_pas(pas, limit)
     return AccessTrace(tuple(("read", pa, None) for pa in pas))
 
 
@@ -674,7 +623,7 @@ def strided_trace(
     """count reads spaced stride bytes apart."""
     _check_positive(count=count)
     pas = [base_pa + i * stride for i in range(count)]
-    _check_limit(pas, limit)
+    _check_pas(pas, limit)
     return AccessTrace(tuple(("read", pa, None) for pa in pas))
 
 
@@ -698,7 +647,7 @@ def matvec_trace(
         for j in range(cols):
             entries.append(("read", base_pa + (i * cols + j) * element_size, None))
             entries.append(("read", vector_base + j * element_size, None))
-    _check_limit([pa for _, pa, _ in entries], limit)
+    _check_pas([pa for _, pa, _ in entries], limit)
     return AccessTrace(tuple(entries))
 
 
@@ -713,7 +662,7 @@ def toggle_trace(
     """
     _check_positive(count=count)
     pas = [base_pa ^ (mask if i & 1 else 0) for i in range(count)]
-    _check_limit(pas, limit)
+    _check_pas(pas, limit)
     return AccessTrace(tuple(("read", pa, None) for pa in pas))
 
 

@@ -11,13 +11,14 @@ Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
 blocks and enumerating each block's image with ``gf2.span`` over the mapping's
 columns, XORed with the image of the block's base. A footprint keeps the row
-tuples as packed coordinate vectors with the column bits cleared.
+tuples as a sorted array of packed coordinate vectors with the column bits
+cleared; aggressor discovery works on those arrays and caches nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "plan_siloz",
     "plan_citadel",
     "find_aggressors",
+    "boundary_fallback",
     "row_chunk_stride",
     "group_stride",
 ]
@@ -190,19 +192,20 @@ def _aligned_blocks(start: int, size: int) -> list[tuple[int, int]]:
     return blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowFootprint:
-    """Exact set of row tuples a PA region touches, kept as packed coordinate
-    vectors with the column bits cleared."""
+    """Exact set of row tuples a PA region touches: a sorted int64 array of
+    distinct packed coordinate vectors with the column bits cleared, so
+    sorted by row first (the top field)."""
 
     geometry: Geometry
-    packed: frozenset[int]
+    packed: np.ndarray
 
     # cached_property writes the instance dict directly, so it coexists with
-    # frozen; neither property participates in equality or hashing
+    # frozen
     @cached_property
     def rows(self) -> frozenset[RowTuple]:
-        return frozenset(self.geometry.unpack(p)[:5] for p in self.packed)
+        return frozenset(self.geometry.unpack(p)[:5] for p in self.packed.tolist())
 
     @cached_property
     def groups(self) -> frozenset[tuple[BankTuple, int]]:
@@ -210,37 +213,33 @@ class RowFootprint:
         # clearing the in-subarray row bits leaves one vector per group
         in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]
         out = set()
-        for vec in {p & ~in_subarray for p in self.packed}:
+        for vec in set((self.packed & ~in_subarray).tolist()):
             ch, rk, bg, bk, row, _ = geo.unpack(vec)
             out.add(((ch, rk, bg, bk), geo.subarray_of(row)))
         return frozenset(out)
 
     def row_indices(self) -> frozenset[int]:
-        return frozenset(self.geometry.unpack(p)[4] for p in self.packed)
+        return frozenset((self.packed >> self.geometry.coord_offsets[4]).tolist())
 
 
-def _region_packed_rows(mapping: AddressMapping, start: int, size: int) -> set[int]:
+def row_footprint(mapping: AddressMapping, region: Region) -> RowFootprint:
+    """Exact footprint of a region under a validated mapping."""
     geo = mapping.geometry
-    if size <= 0:
-        return set()
-    if start < 0 or start + size > geo.total_bytes:
+    if region.size > 0 and (region.start_pa < 0 or region.end_pa > geo.total_bytes):
         raise ValueError(
-            f"region [0x{start:x}, 0x{start + size:x}) exceeds the address space"
+            f"region [0x{region.start_pa:x}, 0x{region.end_pa:x}) exceeds the address space"
         )
     row_tuple = (1 << geo.coord_offsets[5]) - 1  # every coordinate bit but the column
     images = [column & row_tuple for column in mapping.columns]
-    packed: set[int] = set()
-    for base, k in _aligned_blocks(start, size):
+    parts = [np.zeros(0, dtype=np.int64)]
+    for base, k in _aligned_blocks(region.start_pa, region.size):
         anchor = geo.pack(mapping.pa_to_coord(base)) & row_tuple
-        packed.update((gf2.span(gf2.reduce_basis(images[:k])) ^ anchor).tolist())
-    return packed
-
-
-@lru_cache(maxsize=64)
-def row_footprint(mapping: AddressMapping, region: Region) -> RowFootprint:
-    """Exact footprint of a region under a validated mapping."""
-    packed = _region_packed_rows(mapping, region.start_pa, region.size)
-    return RowFootprint(mapping.geometry, frozenset(packed))
+        parts.append(gf2.span(gf2.reduce_basis(images[:k])) ^ anchor)
+    # sort and drop neighbouring repeats: np.unique is far slower on int64
+    packed = np.sort(np.concatenate(parts))
+    keep = np.ones(len(packed), dtype=bool)
+    keep[1:] = packed[1:] != packed[:-1]
+    return RowFootprint(geo, packed[keep])
 
 
 # -- planners -----------------------------------------------------------------
@@ -340,9 +339,7 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
         candidate[first + n] = True
         region = Region(owner, first * block, size)
         placed.append(region)
-        groups[owner] = RowFootprint(
-            geo, frozenset(_region_packed_rows(mapping, region.start_pa, size))
-        ).groups
+        groups[owner] = row_footprint(mapping, region).groups
         contained[owner] = len({sub for _, sub in groups[owner]}) == 1
     layout = MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa)))
     return SilozPlan(layout, groups, contained)
@@ -428,6 +425,11 @@ class AggressorSite:
         }
 
 
+def _site(mapping: AddressMapping, vec: int, victim_rows: tuple[int, ...]) -> AggressorSite:
+    coord = DramCoordinate(*mapping.geometry.unpack(vec))  # column bits are clear
+    return AggressorSite(mapping.coord_to_pa(coord), coord, victim_rows)
+
+
 def find_aggressors(
     mapping: AddressMapping,
     layout: MemoryLayout,
@@ -440,27 +442,66 @@ def find_aggressors(
     Adjacency requires the same bank tuple and the same subarray, and a row
     distance of 1..blast_radius (a row shared by both VMs is not adjacency).
     Each site carries a representative PA at column 0 of the aggressor row.
+    Sites are in (channel, rank, bankgroup, bank, row) order.
     """
-    return list(_find_aggressors(mapping, layout, attacker_vm, victim_vm, blast_radius))
-
-
-@lru_cache(maxsize=64)
-def _find_aggressors(
-    mapping: AddressMapping,
-    layout: MemoryLayout,
-    attacker_vm: str,
-    victim_vm: str,
-    blast_radius: int,
-) -> tuple[AggressorSite, ...]:
     geo = mapping.geometry
-    attacker_rows = row_footprint(mapping, layout.region_of(attacker_vm)).rows
-    victim_rows = row_footprint(mapping, layout.region_of(victim_vm)).rows
+    attacker = row_footprint(mapping, layout.region_of(attacker_vm)).packed
+    victim = row_footprint(mapping, layout.region_of(victim_vm)).packed
+    offset = geo.coord_offsets[4]
+    # the row is the top field, so adding d << offset moves a vector to row
+    # + d of the same bank tuple; a row pushed out of [0, rows) leaves the
+    # range of victim vectors
+    deltas = [d for d in range(-blast_radius, blast_radius + 1) if d]
+    hit = {d: np.isin(attacker + (d << offset), victim) for d in deltas}
     sites = []
-    for ch, rk, bg, bk, row in sorted(attacker_rows):
-        victims = tuple(
-            v for v in geo.neighbours(row, blast_radius) if (ch, rk, bg, bk, v) in victim_rows
-        )
+    for i in np.flatnonzero(np.any([hit[d] for d in deltas], axis=0)).tolist():
+        vec = int(attacker[i])
+        row = vec >> offset
+        victims = tuple(v for v in geo.neighbours(row, blast_radius) if hit[v - row][i])
         if victims:
-            coord = DramCoordinate(ch, rk, bg, bk, row, 0)
-            sites.append(AggressorSite(mapping.coord_to_pa(coord), coord, victims))
-    return tuple(sites)
+            sites.append(_site(mapping, vec, victims))
+    return sorted(sites, key=lambda site: site.coord)
+
+
+def _nearest(values: np.ndarray, x: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each x, the nearest entry of the sorted ``values`` among those with
+    the same bits above ``shift``, the lower one on a tie; and whether one
+    exists."""
+    i = np.searchsorted(values, x)
+    lo = values[np.maximum(i - 1, 0)]
+    hi = values[np.minimum(i, len(values) - 1)]
+    lo_ok = (i > 0) & (lo >> shift == x >> shift)
+    hi_ok = (i < len(values)) & (hi >> shift == x >> shift)
+    take_lo = lo_ok & (~hi_ok | (x - lo <= hi - x))
+    return np.where(take_lo, lo, hi), lo_ok | hi_ok
+
+
+def boundary_fallback(
+    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
+) -> list[AggressorSite]:
+    """Attacker rows nearest to the victim footprint, same subarray preferred.
+
+    For when no attacker row is adjacent to a victim row. Each attacker row
+    is paired with its nearest victim row in its bank tuple, or in any bank
+    tuple when its own holds none, the lower row on a tie. The rows ranking
+    lowest by (other subarray, row distance) are the sites, in coordinate
+    order and with no victim rows.
+    """
+    geo = mapping.geometry
+    attacker = row_footprint(mapping, layout.region_of(attacker_vm)).packed
+    victim = row_footprint(mapping, layout.region_of(victim_vm)).packed
+    offset, width = geo.coord_offsets[4], geo.coord_width("row")
+    rows = attacker >> offset
+
+    def bank_major(packed: np.ndarray) -> np.ndarray:
+        return (packed & ((1 << offset) - 1)) << width | packed >> offset
+
+    nearest, in_bank = _nearest(np.sort(bank_major(victim)), bank_major(attacker), width)
+    nearest &= geo.rows - 1
+    # the footprint is sorted by row, its top field
+    nearest[~in_bank], _ = _nearest(victim >> offset, rows[~in_bank], width)
+    per = geo.rows_per_subarray
+    other_subarray = (nearest // per != rows // per).astype(np.int64)
+    rank = other_subarray << width | np.abs(rows - nearest)
+    chosen = attacker[rank == rank.min()].tolist()
+    return sorted((_site(mapping, vec, ()) for vec in chosen), key=lambda site: site.coord)

@@ -43,10 +43,9 @@ def coords_of(mapping: AddressMapping, pas: np.ndarray) -> np.ndarray:
     for k, kind in enumerate(COORD_KINDS):
         value = np.zeros(len(pas), dtype=np.int64)
         for bit_index, xor_bits in enumerate(mapping.function(kind)):
-            mask = 0
+            bit = np.zeros(len(pas), dtype=np.int64)
             for b in xor_bits:
-                mask |= 1 << b
-            bit = np.bitwise_count(pas & mask).astype(np.int64) & 1
+                bit ^= (pas >> b) & 1
             value |= bit << bit_index
         out[:, k] = value
     return out
@@ -83,16 +82,22 @@ def brute_valid(mapping: AddressMapping) -> bool:
 def brute_footprint(
     mapping: AddressMapping, start: int, size: int
 ) -> set[tuple[int, int, int, int, int]]:
-    """Row tuples touched by a region, one translation per byte."""
+    """Row tuples touched by a region, one translation per byte.
+
+    The bytes are translated 1 MiB at a time to bound memory.
+    """
     geo = mapping.geometry
-    pas = np.arange(start, start + size, dtype=np.int64)
-    coords = coords_of(mapping, pas)
     extents = (geo.channels, geo.ranks, geo.bankgroups, geo.banks, geo.rows)
-    packed = np.zeros(len(pas), dtype=np.int64)
-    for k, extent in enumerate(extents):
-        packed = packed * extent + coords[:, k]
+    values: set[int] = set()
+    for lo in range(start, start + size, 1 << 20):
+        pas = np.arange(lo, min(lo + (1 << 20), start + size), dtype=np.int64)
+        coords = coords_of(mapping, pas)
+        packed = np.zeros(len(pas), dtype=np.int64)
+        for k, extent in enumerate(extents):
+            packed = packed * extent + coords[:, k]
+        values.update(np.unique(packed).tolist())
     out = set()
-    for value in np.unique(packed).tolist():
+    for value in values:
         parts = []
         for extent in reversed(extents):
             parts.append(value % extent)
@@ -142,6 +147,37 @@ def brute_aggressors(
         if hits:
             out[(ch, rk, bg, bk, row)] = sorted(hits)
     return out
+
+
+def brute_boundary_fallback(
+    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
+) -> list[tuple[int, int, int, int, int]]:
+    """Attacker rows nearest to the victim footprint, same subarray preferred.
+
+    Each attacker row is paired with its nearest victim row in the same bank
+    tuple or, when that bank tuple holds none, in any bank tuple, the lower
+    row on a tie. The rows whose pair ranks lowest by (other subarray, row
+    distance) are returned, sorted.
+    """
+    per = mapping.geometry.rows_per_subarray
+    attacker = brute_footprint(
+        mapping, layout.region_of(attacker_vm).start_pa, layout.region_of(attacker_vm).size
+    )
+    victim = brute_footprint(
+        mapping, layout.region_of(victim_vm).start_pa, layout.region_of(victim_vm).size
+    )
+    victim_rows_by_bank: dict[tuple[int, ...], list[int]] = {}
+    for row_tuple in victim:
+        victim_rows_by_bank.setdefault(row_tuple[:4], []).append(row_tuple[4])
+    every_victim_row = [row_tuple[4] for row_tuple in victim]
+    ranks = {}
+    for row_tuple in attacker:
+        row = row_tuple[4]
+        candidates = victim_rows_by_bank.get(row_tuple[:4], every_victim_row)
+        dist, victim_row = min((abs(row - v), v) for v in candidates)
+        ranks[row_tuple] = (victim_row // per != row // per, dist)
+    best = min(ranks.values())
+    return sorted(rt for rt, rank in ranks.items() if rank == best)
 
 
 def _brute_constant_stride(values: np.ndarray) -> int:

@@ -415,6 +415,14 @@ def test_gen_trace_argument_validation(capsys):
     assert code == 2
     assert "overflows" in json.loads(err)["error"]["message"]
 
+    for args in (
+        ("strided", "--stride", "-8", "--count", "3"),
+        ("sequential", "--base", "-2", "--count", "3"),
+    ):
+        code, out, err = run_cli(capsys, "gen-trace", *args)
+        assert (code, out) == (2, ""), args
+        assert "is negative" in assert_one_error(err)["message"], args
+
     empty = [
         (("sequential", "--count", "0", "--limit", "0x10"), "count"),
         (("sequential", "--count", "0"), "count"),
@@ -468,11 +476,34 @@ def test_output_flag_writes_file(capsys, tmp_path):
 
 
 def test_usage_errors(capsys):
-    assert run_cli(capsys, "no-such-command")[0] == 2
-    assert run_cli(capsys)[0] == 2
+    for argv in (
+        ["no-such-command"],
+        [],
+        ["plan", "siloz", "simple"],  # --sizes is required
+        ["plan", "bogus", "simple", "--sizes", "1MiB"],
+        ["plan", "citadel", "simple", "--sizes", "256MiB", "--guard-rows", "x"],
+        ["validate-map", "simple", "--no-such-flag"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert assert_one_error(err)["type"] == "ArgumentError", argv
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "--version")[0] == 0
-    assert run_cli(capsys, "plan", "siloz", "simple")[0] == 2  # --sizes is required
+
+
+def test_subcommands_reject_flags_they_ignore(capsys, tmp_path):
+    trace_path = tmp_path / "one.trace"
+    trace_path.write_text("R 0x0\n")
+    for argv in (
+        ["translate", "simple", "0x10", "--seed", "4"],
+        ["translate", "simple", "0x10", "--hammer-count", "9"],
+        ["translate", "simple", "0x10", "--deterministic"],
+        ["translate", "simple", "0x10", "--hc-first", "8"],
+        ["replay-trace", str(trace_path), "simple", "--hammer-count", "9"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in assert_one_error(err)["message"], argv
 
 
 def test_module_entry_point():

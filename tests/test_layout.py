@@ -17,6 +17,7 @@ from vmhammer import (
     MemoryLayout,
     PlanError,
     Region,
+    boundary_fallback,
     check_layout,
     classify_pa,
     find_aggressors,
@@ -29,6 +30,7 @@ from vmhammer.layout import row_chunk_stride
 
 from oracles import (
     brute_aggressors,
+    brute_boundary_fallback,
     brute_chunk_stride,
     brute_citadel_feasible,
     brute_footprint,
@@ -448,6 +450,11 @@ def test_find_aggressors_empty_under_citadel(presets):
     assert find_aggressors(mapping, layout, "vm1", "vm0", 1) == []
 
 
+def site_row_tuple(site) -> tuple[int, int, int, int, int]:
+    c = site.coord
+    return (c.channel, c.rank, c.bankgroup, c.bank, c.row)
+
+
 def test_find_aggressors_matches_oracle():
     rng = random.Random(0xA66)
     nonempty = 0
@@ -458,30 +465,57 @@ def test_find_aggressors_matches_oracle():
         total = geometry.total_bytes
         size0 = unit * rng.randint(1, max(1, total // (2 * unit)))
         size1 = unit * rng.randint(1, max(1, (total - size0) // unit))
-        layout = pack_layout(mapping, (size0, size1))
-        blast = rng.randint(1, 2)
-        sites = find_aggressors(mapping, layout, "vm1", "vm0", blast)
-        actual = {
-            (
-                s.coord.channel,
-                s.coord.rank,
-                s.coord.bankgroup,
-                s.coord.bank,
-                s.coord.row,
-            ): list(s.victim_rows)
-            for s in sites
-        }
-        expected = brute_aggressors(mapping, layout, "vm1", "vm0", blast)
-        assert actual == expected
-        if expected:
-            nonempty += 1
-        attacker_rows = brute_footprint(
-            mapping, layout.region_of("vm1").start_pa, layout.region_of("vm1").size
+        blast = rng.randint(1, 3)
+        vm1_below = MemoryLayout((Region("vm1", 0, size1), Region("vm0", size1, size0)))
+        for layout in (pack_layout(mapping, (size0, size1)), vm1_below):
+            sites = find_aggressors(mapping, layout, "vm1", "vm0", blast)
+            actual = {site_row_tuple(s): list(s.victim_rows) for s in sites}
+            expected = brute_aggressors(mapping, layout, "vm1", "vm0", blast)
+            assert actual == expected
+            assert [site_row_tuple(s) for s in sites] == sorted(expected)
+            if expected:
+                nonempty += 1
+            attacker_rows = brute_footprint(
+                mapping, layout.region_of("vm1").start_pa, layout.region_of("vm1").size
+            )
+            for site in sites:
+                coord = mapping.pa_to_coord(site.pa)
+                assert coord == site.coord and coord.column == 0
+                # the row is the attacker's even when its column-0 byte is not
+                assert site_row_tuple(site) in attacker_rows
+    assert nonempty >= 20
+
+
+def check_boundary_fallback(mapping, layout, attacker_vm, victim_vm):
+    sites = boundary_fallback(mapping, layout, attacker_vm, victim_vm)
+    expected = brute_boundary_fallback(mapping, layout, attacker_vm, victim_vm)
+    assert [site_row_tuple(s) for s in sites] == expected
+    for site in sites:
+        assert site.victim_rows == ()
+        assert mapping.pa_to_coord(site.pa) == site.coord and site.coord.column == 0
+    return sites
+
+
+def test_boundary_fallback_matches_oracle(presets):
+    rng = random.Random(0xFA11)
+    for trial in range(60):
+        geometry = random_geometry(rng, max_total=1 << rng.randint(12, 14))
+        maker = random_split_mapping if trial % 2 else random_invertible_mapping
+        mapping = maker(rng, geometry)
+        unit = geometry.columns
+        # two disjoint ranges [a, b) and [c, d), adjacent when b == c
+        a, b, d = sorted(rng.sample(range(geometry.total_bytes // unit + 1), 3))
+        c = rng.randint(b, d - 1)
+        low, high = rng.sample(["vm0", "vm1"], 2)
+        layout = MemoryLayout(
+            (Region(low, a * unit, (b - a) * unit), Region(high, c * unit, (d - c) * unit))
         )
-        for site in sites:
-            coord = mapping.pa_to_coord(site.pa)
-            assert coord == site.coord and coord.column == 0
-            # the row is the attacker's even when its column-0 byte is not
-            row_tuple = (coord.channel, coord.rank, coord.bankgroup, coord.bank, coord.row)
-            assert row_tuple in attacker_rows
-    assert nonempty >= 10
+        check_boundary_fallback(mapping, layout, "vm1", "vm0")
+        check_boundary_fallback(mapping, layout, "vm0", "vm1")
+    # bank 1 holds no victim row, so every attacker row is ranked against
+    # all victim rows: each vm1 row has a vm0 row of the same index
+    layout = MemoryLayout(
+        (Region("vm0", 0, 8 * MIB), Region("vm1", 2048 * MIB, 8 * MIB))
+    )
+    sites = check_boundary_fallback(presets["simple"], layout, "vm1", "vm0")
+    assert len(sites) == 4 * 256 and {s.coord.bank for s in sites} == {1}
