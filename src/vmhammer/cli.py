@@ -29,14 +29,13 @@ from .harness import (
     matrix_summary,
     parse_size,
     parse_trace,
-    pack_layout,
     replay_trace,
     report_to_json,
     run_attack,
     run_matrix,
     synth_trace,
 )
-from .layout import PlanError, check_layout, plan_citadel, plan_siloz
+from .layout import MITIGATIONS, PlanError, plan_layout
 from .mapping import (
     COORD_KINDS,
     AddressMapping,
@@ -132,19 +131,9 @@ def cmd_plan(args) -> int:
     sizes = [parse_size(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise ValueError("--sizes must list at least one VM size")
-    if args.mitigation == "siloz":
-        plan = plan_siloz(mapping, sizes)
-        payload = plan.to_dict(mapping.geometry.pa_digits)
-    elif args.mitigation == "citadel":
-        layout = plan_citadel(mapping, sizes, args.guard_rows)
-        payload = layout.to_dict(mapping.geometry.pa_digits)
-    else:
-        layout = pack_layout(mapping, tuple(sizes))
-        violations = check_layout(layout, mapping.geometry)
-        if violations:
-            raise PlanError("; ".join(violations))
-        payload = layout.to_dict(mapping.geometry.pa_digits)
-    _emit_json(args, payload)
+    layout, siloz_plan = plan_layout(mapping, args.mitigation, sizes, args.guard_rows)
+    plan = layout if siloz_plan is None else siloz_plan
+    _emit_json(args, plan.to_dict(mapping.geometry.pa_digits))
     return 0
 
 
@@ -284,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("plan", parents=[common], help="plan a VM layout")
-    p.add_argument("mitigation", choices=["none", "siloz", "citadel"])
+    p.add_argument("mitigation", choices=MITIGATIONS)
     p.add_argument("mapping")
     p.add_argument("--sizes", required=True, help="comma-separated VM sizes (e.g. 16MiB,16MiB)")
     p.add_argument("--guard-rows", type=int, default=1, dest="guard_rows",

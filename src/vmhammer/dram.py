@@ -1,7 +1,8 @@
 """Open-page DRAM state with activation counting and threshold bitflips.
 
 The model tracks, per bank tuple (channel, rank, bankgroup, bank), the open
-row and per-row activation counts within the current refresh window. Rows
+row and per-row activation counts within the current refresh window. The
+state closes its window itself every ``refresh_every`` activations. Rows
 activated more than ``hc_first`` times in one window probabilistically flip
 bits in neighbouring rows of the same subarray; ``deterministic_mode`` turns
 the first such opportunity into a certain flip for reproducible tests.
@@ -24,6 +25,8 @@ __all__ = [
 ]
 
 BankTuple = tuple[int, int, int, int]
+
+REFRESH_EVERY = 100_000  # default activations per refresh window
 
 
 class InvariantError(Exception):
@@ -126,13 +129,20 @@ class SimState:
 
     The mapping is fixed at construction because flip records carry both the
     victim coordinate and its physical address, which requires the inverse
-    translation during activation.
+    translation during activation. Every ``refresh_every`` activations since
+    the window opened, the state calls its own ``refresh``.
     """
 
-    def __init__(self, mapping: AddressMapping, params: HammerParams) -> None:
+    def __init__(
+        self, mapping: AddressMapping, params: HammerParams, refresh_every: int = REFRESH_EVERY
+    ) -> None:
+        if not is_integer(refresh_every) or refresh_every < 1:
+            raise ValueError(f"refresh_every must be an integer >= 1, got {refresh_every!r}")
         self.mapping = mapping
         self.geometry: Geometry = mapping.geometry
         self.params = params
+        self.refresh_every = refresh_every
+        self._window = 0  # activations since the refresh window opened
         self.open_row: dict[BankTuple, int] = {}
         self.act_count: dict[tuple[BankTuple, int], int] = {}
         self.contents: dict[int, int] = {}  # sparse; unwritten bytes read 0x00
@@ -165,23 +175,28 @@ class SimState:
             return AccessOutcome(hit=hit, value=None)
         return AccessOutcome(hit=hit, value=self.contents.get(pa, 0))
 
-    def activate_row(self, coord: DramCoordinate) -> None:
-        """Unconditional activation, the hammer primitive.
+    def activate_row(self, coord: DramCoordinate, times: int = 1) -> None:
+        """``times`` unconditional activations of one row, the hammer primitive.
 
-        Models a flush+access loop that defeats the row buffer: counts as an
-        access that always misses, re-opening the row even if already open.
+        Models a flush+access loop that defeats the row buffer: each counts as
+        an access that always misses, re-opening the row even if already open.
         """
+        if times < 1:
+            raise ValueError(f"times must be >= 1, got {times}")
         self.geometry.check_coord(coord)
         bt = coord.bank_tuple
-        self.stats.accesses += 1
-        if bt in self.open_row:
-            self.stats.precharges += 1
-        self._activate(coord)
+        for _ in range(times):
+            self.stats.accesses += 1
+            if bt in self.open_row:
+                self.stats.precharges += 1
+            self._activate(coord)
 
     def refresh(self) -> None:
-        """Close the refresh window: clear activation counts and latches."""
+        """Close the refresh window and open a new one: clear activation
+        counts and latches."""
         self.act_count.clear()
         self._det_flipped.clear()
+        self._window = 0
         self.stats.refresh_windows += 1
 
     # -- side-effect-free inspection ----------------------------------------
@@ -215,6 +230,9 @@ class SimState:
         count = self.act_count.get(key, 0) + 1
         self.act_count[key] = count
         self._maybe_flip(coord, count)
+        self._window += 1
+        if self._window == self.refresh_every:
+            self.refresh()
 
     def _maybe_flip(self, coord: DramCoordinate, count: int) -> None:
         if count <= self.params.hc_first:

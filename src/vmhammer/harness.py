@@ -1,9 +1,10 @@
 """Attack scenarios, verdict reports, and trace replay.
 
-run_attack wires the pieces together: build (or plan) a layout, seed a check
-pattern into every row a hammered aggressor can reach, hammer, then classify
-each recorded bitflip by the owning region. The verdict is MITIGATED exactly
-when no flip lands in victim-owned memory.
+run_attack wires the pieces together: plan a layout, seed a check pattern
+into every row a hammered aggressor can reach, hammer, then classify each
+recorded bitflip by the owning region. The verdict is MITIGATED exactly when
+no flip lands in victim-owned memory. The refresh window belongs to SimState:
+both run_attack and replay_trace only pass its period through.
 """
 
 from __future__ import annotations
@@ -17,18 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .dram import BitflipRecord, HammerParams, SimState, Stats
+from .dram import REFRESH_EVERY, BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
+    MITIGATIONS,
     AggressorSite,
     MemoryLayout,
     PlanError,
-    Region,
     boundary_fallback,
-    check_layout,
     classify_pa,
     find_aggressors,
-    plan_citadel,
-    plan_siloz,
+    plan_layout,
+    row_footprint,
 )
 from .mapping import (
     AddressMapping,
@@ -61,7 +61,6 @@ __all__ = [
     "toggle_trace",
     "synth_trace",
     "parse_size",
-    "pack_layout",
     "scenario_from_dict",
     "load_scenario",
     "load_matrix_scenarios",
@@ -72,7 +71,6 @@ __all__ = [
 
 MITIGATED = "MITIGATED"
 NOT_MITIGATED = "NOT_MITIGATED"
-MITIGATIONS = ("none", "siloz", "citadel")
 
 RowTuple = tuple[int, int, int, int, int]
 
@@ -117,7 +115,7 @@ class Scenario:
     attacker_vm: str = "vm1"
     victim_vm: str = "vm0"
     hammer_count: int | None = None  # None means hc_first + 1000
-    refresh_every: int = 100_000
+    refresh_every: int = REFRESH_EVERY
     aggressor_selection: str | tuple[int, ...] = "all"
     check_pattern: int = 0xAA
     label: str = "inline"
@@ -271,37 +269,6 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-# -- layout construction --------------------------------------------------------
-
-
-def pack_layout(mapping: AddressMapping, vm_sizes: tuple[int, ...]) -> MemoryLayout:
-    """Unmitigated baseline: VMs packed back-to-back from PA 0."""
-    mapping.inverse_columns  # fail fast on non-invertible mappings
-    regions = []
-    pos = 0
-    for i, size in enumerate(vm_sizes):
-        regions.append(Region(f"vm{i}", pos, size))
-        pos += size
-    return MemoryLayout(tuple(regions))
-
-
-def _build_layout(scenario: Scenario):
-    siloz_plan = None
-    if scenario.mitigation == "none":
-        layout = pack_layout(scenario.mapping, scenario.vm_sizes)
-    elif scenario.mitigation == "siloz":
-        siloz_plan = plan_siloz(scenario.mapping, list(scenario.vm_sizes))
-        layout = siloz_plan.layout
-    else:
-        layout = plan_citadel(
-            scenario.mapping, list(scenario.vm_sizes), scenario.guard_global_rows
-        )
-    violations = check_layout(layout, scenario.mapping.geometry)
-    if violations:
-        raise ScenarioError("planned layout is malformed: " + "; ".join(violations))
-    return layout, siloz_plan
-
-
 # -- aggressor selection ------------------------------------------------------------
 
 
@@ -405,36 +372,32 @@ def run_attack(scenario: Scenario) -> AttackReport:
     """Plan, seed, hammer, classify. Deterministic for equal scenarios."""
     from . import __version__
 
-    layout, siloz_plan = _build_layout(scenario)
+    mapping = scenario.mapping
+    layout, siloz_plan = plan_layout(
+        mapping, scenario.mitigation, scenario.vm_sizes, scenario.guard_global_rows
+    )
     owners = {f"vm{i}" for i in range(len(scenario.vm_sizes))}
     for vm in (scenario.attacker_vm, scenario.victim_vm):
         if vm not in owners:
             raise ScenarioError(f"{vm!r} is not one of the planned VMs {sorted(owners)}")
     blast = scenario.hammer.blast_radius
-    sites = find_aggressors(
-        scenario.mapping, layout, scenario.attacker_vm, scenario.victim_vm, blast
-    )
+    attacker = row_footprint(mapping, layout.region_of(scenario.attacker_vm))
+    victim = row_footprint(mapping, layout.region_of(scenario.victim_vm))
+    sites = find_aggressors(mapping, attacker, victim, blast)
     fallback = False
     if not sites:
         if scenario.mitigation == "none":
             raise ScenarioError(
                 "no attacker row is adjacent to the victim; nothing to hammer"
             )
-        sites = boundary_fallback(
-            scenario.mapping, layout, scenario.attacker_vm, scenario.victim_vm
-        )
+        sites = boundary_fallback(mapping, attacker, victim)
         fallback = True
     selected = _select_aggressors(sites, scenario.aggressor_selection)
-    state = SimState(scenario.mapping, scenario.hammer)
-    seeded = _reachable_rows(scenario.mapping.geometry, selected, blast)
+    state = SimState(mapping, scenario.hammer, scenario.refresh_every)
+    seeded = _reachable_rows(mapping.geometry, selected, blast)
     seed_pattern(state, seeded, scenario.check_pattern)
-    issued = 0
     for site in selected:
-        for _ in range(scenario.effective_hammer_count):
-            state.activate_row(site.coord)
-            issued += 1
-            if issued % scenario.refresh_every == 0:
-                state.refresh()
+        state.activate_row(site.coord, scenario.effective_hammer_count)
     flips = tuple(state.collect_flips())
     flip_owners = tuple(classify_pa(layout, f.pa) for f in flips)
     histogram: dict[str, int] = {}
@@ -683,18 +646,11 @@ def replay_trace(
     trace: AccessTrace,
     mapping: AddressMapping,
     params: HammerParams,
-    refresh_every: int = Scenario.refresh_every,
+    refresh_every: int = REFRESH_EVERY,
 ) -> tuple[Stats, list[BitflipRecord]]:
-    """Drive every trace access through a fresh state; refresh by activations."""
-    if refresh_every < 1:
-        raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
-    state = SimState(mapping, params)
-    since_refresh = 0
+    """Drive every trace access through a fresh state that closes its refresh
+    window every ``refresh_every`` activations."""
+    state = SimState(mapping, params, refresh_every)
     for kind, pa, data in trace.entries:
-        before = state.stats.activations
         state.access(pa, kind, data)
-        since_refresh += state.stats.activations - before
-        if since_refresh >= refresh_every:
-            state.refresh()
-            since_refresh = 0
     return state.stats, state.collect_flips()

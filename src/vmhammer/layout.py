@@ -5,7 +5,8 @@ or marked unused. Planners place VMs so that an attacker VM cannot disturb a
 victim VM: plan_siloz gives every VM disjoint (bank tuple, subarray) sets,
 plan_citadel leaves whole guard rows between row-contiguous allocations.
 Both scan one array of per-block ids (group ids for siloz, chunk rows for
-citadel) built once from the mapping's columns.
+citadel) built once from the mapping's columns. plan_layout is the one
+dispatch from a mitigation name to its planner.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
@@ -17,18 +18,21 @@ cleared; aggressor discovery works on those arrays and caches nothing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import gf2
+from .dram import InvariantError
 from .mapping import AddressMapping, DramCoordinate, Geometry
 
 __all__ = [
     "UNUSED",
     "HYPERVISOR",
     "UNALLOCATED",
+    "MITIGATIONS",
     "Region",
     "MemoryLayout",
     "RowFootprint",
@@ -38,6 +42,8 @@ __all__ = [
     "check_layout",
     "classify_pa",
     "row_footprint",
+    "pack_layout",
+    "plan_layout",
     "plan_siloz",
     "plan_citadel",
     "find_aggressors",
@@ -49,10 +55,9 @@ __all__ = [
 UNUSED = "unused"
 HYPERVISOR = "hypervisor"
 UNALLOCATED = "unallocated"
-RESERVED_OWNERS = (UNUSED, HYPERVISOR)
+MITIGATIONS = ("none", "siloz", "citadel")
 
 BankTuple = tuple[int, int, int, int]
-RowTuple = tuple[int, int, int, int, int]
 
 
 class PlanError(ValueError):
@@ -83,13 +88,6 @@ class Region:
 @dataclass(frozen=True)
 class MemoryLayout:
     regions: tuple[Region, ...]
-
-    def vm_owners(self) -> list[str]:
-        seen = []
-        for region in self.regions:
-            if region.owner not in RESERVED_OWNERS and region.owner not in seen:
-                seen.append(region.owner)
-        return seen
 
     def region_of(self, owner: str) -> Region:
         for region in self.regions:
@@ -204,10 +202,6 @@ class RowFootprint:
     # cached_property writes the instance dict directly, so it coexists with
     # frozen
     @cached_property
-    def rows(self) -> frozenset[RowTuple]:
-        return frozenset(self.geometry.unpack(p)[:5] for p in self.packed.tolist())
-
-    @cached_property
     def groups(self) -> frozenset[tuple[BankTuple, int]]:
         geo = self.geometry
         # clearing the in-subarray row bits leaves one vector per group
@@ -217,9 +211,6 @@ class RowFootprint:
             ch, rk, bg, bk, row, _ = geo.unpack(vec)
             out.add(((ch, rk, bg, bk), geo.subarray_of(row)))
         return frozenset(out)
-
-    def row_indices(self) -> frozenset[int]:
-        return frozenset((self.packed >> self.geometry.coord_offsets[4]).tolist())
 
 
 def row_footprint(mapping: AddressMapping, region: Region) -> RowFootprint:
@@ -260,7 +251,7 @@ def _block_ids(mapping: AddressMapping, block: int, coord_bits: int) -> np.ndarr
     return ids
 
 
-def _check_vm_sizes(mapping: AddressMapping, vm_sizes: list[int], unit: int) -> None:
+def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int) -> None:
     geo = mapping.geometry
     if not vm_sizes:
         raise PlanError("no VM sizes given")
@@ -294,7 +285,19 @@ class SilozPlan:
         }
 
 
-def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
+def pack_layout(mapping: AddressMapping, vm_sizes: Sequence[int]) -> MemoryLayout:
+    """Unmitigated baseline: VMs packed back-to-back from PA 0."""
+    mapping.inverse_columns  # fail fast on non-invertible mappings
+    _check_vm_sizes(mapping, vm_sizes, mapping.geometry.columns)
+    regions = []
+    pos = 0
+    for i, size in enumerate(vm_sizes):
+        regions.append(Region(f"vm{i}", pos, size))
+        pos += size
+    return MemoryLayout(tuple(regions))
+
+
+def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     """Greedy subarray-group isolation: ascending PA, lowest feasible start.
 
     Every VM gets one contiguous PA range whose (bank tuple, subarray) set is
@@ -346,7 +349,7 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: list[int]) -> SilozPlan:
 
 
 def plan_citadel(
-    mapping: AddressMapping, vm_sizes: list[int], guard_global_rows: int
+    mapping: AddressMapping, vm_sizes: Sequence[int], guard_global_rows: int
 ) -> MemoryLayout:
     """Row-contiguous VM ranges separated by whole unused guard rows.
 
@@ -406,6 +409,31 @@ def plan_citadel(
     return MemoryLayout(tuple(regions))
 
 
+def plan_layout(
+    mapping: AddressMapping, mitigation: str, vm_sizes: Sequence[int], guard_global_rows: int
+) -> tuple[MemoryLayout, SilozPlan | None]:
+    """The layout a mitigation plans for the VMs, and the siloz plan (None
+    for the other mitigations).
+
+    Every planner checks the sizes first, so a malformed layout here is a
+    planner bug.
+    """
+    siloz_plan = None
+    if mitigation == "none":
+        layout = pack_layout(mapping, vm_sizes)
+    elif mitigation == "siloz":
+        siloz_plan = plan_siloz(mapping, vm_sizes)
+        layout = siloz_plan.layout
+    elif mitigation == "citadel":
+        layout = plan_citadel(mapping, vm_sizes, guard_global_rows)
+    else:
+        raise ValueError(f"unknown mitigation {mitigation!r}")
+    violations = check_layout(layout, mapping.geometry)
+    if violations:
+        raise InvariantError("planned layout is malformed: " + "; ".join(violations))
+    return layout, siloz_plan
+
+
 # -- aggressor discovery -------------------------------------------------------
 
 
@@ -432,12 +460,12 @@ def _site(mapping: AddressMapping, vec: int, victim_rows: tuple[int, ...]) -> Ag
 
 def find_aggressors(
     mapping: AddressMapping,
-    layout: MemoryLayout,
-    attacker_vm: str,
-    victim_vm: str,
+    attacker: RowFootprint,
+    victim: RowFootprint,
     blast_radius: int,
 ) -> list[AggressorSite]:
-    """Attacker rows within blast radius of a victim row, exhaustively.
+    """Attacker rows within blast radius of a victim row, exhaustively, from
+    the attacker's and the victim's footprints.
 
     Adjacency requires the same bank tuple and the same subarray, and a row
     distance of 1..blast_radius (a row shared by both VMs is not adjacency).
@@ -445,8 +473,7 @@ def find_aggressors(
     Sites are in (channel, rank, bankgroup, bank, row) order.
     """
     geo = mapping.geometry
-    attacker = row_footprint(mapping, layout.region_of(attacker_vm)).packed
-    victim = row_footprint(mapping, layout.region_of(victim_vm)).packed
+    attacker, victim = attacker.packed, victim.packed
     offset = geo.coord_offsets[4]
     # the row is the top field, so adding d << offset moves a vector to row
     # + d of the same bank tuple; a row pushed out of [0, rows) leaves the
@@ -477,9 +504,10 @@ def _nearest(values: np.ndarray, x: np.ndarray, shift: int) -> tuple[np.ndarray,
 
 
 def boundary_fallback(
-    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
+    mapping: AddressMapping, attacker: RowFootprint, victim: RowFootprint
 ) -> list[AggressorSite]:
-    """Attacker rows nearest to the victim footprint, same subarray preferred.
+    """Attacker rows nearest to the victim footprint, same subarray preferred,
+    from the attacker's and the victim's footprints.
 
     For when no attacker row is adjacent to a victim row. Each attacker row
     is paired with its nearest victim row in its bank tuple, or in any bank
@@ -488,8 +516,7 @@ def boundary_fallback(
     order and with no victim rows.
     """
     geo = mapping.geometry
-    attacker = row_footprint(mapping, layout.region_of(attacker_vm)).packed
-    victim = row_footprint(mapping, layout.region_of(victim_vm)).packed
+    attacker, victim = attacker.packed, victim.packed
     offset, width = geo.coord_offsets[4], geo.coord_width("row")
     rows = attacker >> offset
 

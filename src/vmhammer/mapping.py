@@ -332,12 +332,6 @@ class AddressMapping:
         self.geometry.check_coord(coord)
         return gf2.image(self._inverse_tables, self.geometry.pack(coord))
 
-    def coord_from_parts(
-        self, bank_tuple: tuple[int, int, int, int], row: int, column: int = 0
-    ) -> DramCoordinate:
-        ch, rk, bg, bk = bank_tuple
-        return DramCoordinate(ch, rk, bg, bk, row, column)
-
     def to_dict(self) -> dict:
         functions = {}
         for kind, fn in zip(COORD_KINDS, self.bit_functions):

@@ -15,11 +15,16 @@ import numpy as np
 from vmhammer import (
     COORD_KINDS,
     AddressMapping,
+    DramCoordinate,
     Geometry,
+    HammerParams,
     MemoryLayout,
     PlanError,
     Region,
+    RowFootprint,
     SilozPlan,
+    SimState,
+    row_footprint,
 )
 
 
@@ -106,6 +111,21 @@ def brute_footprint(
     return out
 
 
+def footprint_rows(footprint: RowFootprint) -> frozenset[tuple[int, int, int, int, int]]:
+    """A footprint's row tuples, unpacked one vector at a time."""
+    return frozenset(footprint.geometry.unpack(p)[:5] for p in footprint.packed.tolist())
+
+
+def vm_footprints(
+    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
+) -> tuple[RowFootprint, RowFootprint]:
+    """The attacker's and the victim's footprints, as aggressor discovery takes them."""
+    return (
+        row_footprint(mapping, layout.region_of(attacker_vm)),
+        row_footprint(mapping, layout.region_of(victim_vm)),
+    )
+
+
 def brute_groups(
     geometry: Geometry, rows: set[tuple[int, int, int, int, int]]
 ) -> set[tuple[tuple[int, int, int, int], int]]:
@@ -178,6 +198,50 @@ def brute_boundary_fallback(
         ranks[row_tuple] = (victim_row // per != row // per, dist)
     best = min(ranks.values())
     return sorted(rt for rt, rank in ranks.items() if rank == best)
+
+
+def brute_hammer(
+    mapping: AddressMapping,
+    params: HammerParams,
+    sites: list[tuple[DramCoordinate, int]],
+    every: int,
+) -> SimState:
+    """Hammer each (coordinate, count) site one activation at a time, with a
+    manual refresh after every ``every``-th activation.
+
+    The state's own period is one longer, so its window never closes as
+    long as each manual refresh starts a new one.
+    """
+    state = SimState(mapping, params, every + 1)
+    issued = 0
+    for coord, count in sites:
+        for _ in range(count):
+            state.activate_row(coord)
+            issued += 1
+            if issued % every == 0:
+                state.refresh()
+    return state
+
+
+def brute_replay(
+    mapping: AddressMapping,
+    params: HammerParams,
+    entries: list[tuple[str, int, int | None]],
+    every: int,
+) -> SimState:
+    """Replay (kind, pa, data) accesses, refreshing manually once ``every``
+    activations have accumulated since the last refresh; the state's own
+    period is one longer, as in brute_hammer."""
+    state = SimState(mapping, params, every + 1)
+    since_refresh = 0
+    for kind, pa, data in entries:
+        before = state.stats.activations
+        state.access(pa, kind, data)
+        since_refresh += state.stats.activations - before
+        if since_refresh >= every:
+            state.refresh()
+            since_refresh = 0
+    return state
 
 
 def _brute_constant_stride(values: np.ndarray) -> int:

@@ -15,7 +15,6 @@ from vmhammer.harness import (
     Scenario,
     builtin_matrix,
     matvec_trace,
-    pack_layout,
     replay_trace,
     run_attack,
     run_matrix,
@@ -26,6 +25,7 @@ from vmhammer.layout import (
     PlanError,
     check_layout,
     find_aggressors,
+    pack_layout,
     plan_citadel,
     plan_siloz,
     row_chunk_stride,
@@ -51,6 +51,7 @@ from oracles import (
     random_mapping,
     random_split_mapping,
     tiny_noncontig,
+    vm_footprints,
 )
 
 MIB = 1 << 20
@@ -358,7 +359,7 @@ def test_criterion_7_planner_oracle_equivalence():
         actual = {
             (s.coord.channel, s.coord.rank, s.coord.bankgroup, s.coord.bank,
              s.coord.row): list(s.victim_rows)
-            for s in find_aggressors(mapping, layout, "vm1", "vm0", blast)
+            for s in find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), blast)
         }
         expected = brute_aggressors(mapping, layout, "vm1", "vm0", blast)
         assert actual == expected

@@ -156,6 +156,23 @@ def test_plan_infeasible_is_domain_error(capsys):
     assert json.loads(err)["error"]["type"] == "PlanError"
 
 
+def test_misaligned_sizes_fail_alike_in_plan_and_attack(capsys, tmp_path):
+    """Sizes that are not whole rows are one PlanError from both commands,
+    under every mitigation."""
+    for mitigation in ("none", "siloz", "citadel"):
+        path = write_json(
+            tmp_path / "odd.json",
+            {"mapping": "simple", "vm_sizes": [100, 100], "mitigation": mitigation},
+        )
+        code, out, err = run_cli(capsys, "attack", path)
+        assert (code, out) == (1, ""), mitigation
+        attack_error = assert_one_error(err)
+        code, out, err = run_cli(capsys, "plan", mitigation, "simple", "--sizes", "100,100")
+        assert (code, out) == (1, ""), mitigation
+        assert assert_one_error(err) == attack_error, mitigation
+        assert attack_error["type"] == "PlanError", mitigation
+
+
 def test_plan_rejects_non_invertible_mapping(capsys, tmp_path, presets):
     broken = presets["simple"].to_dict()
     broken["functions"]["bank"] = [[13]]  # PA bit 13 already drives bankgroup bit 0
@@ -453,6 +470,14 @@ def test_replay_trace_flips_under_hammering(capsys, tmp_path):
     assert data["stats"]["activations"] == 40
     flipped_rows = {f["coord"]["row"] for f in data["flips"]}
     assert flipped_rows == {0, 1, 2}  # neighbors of hammered rows 0 and 1
+
+
+def test_replay_trace_rejects_zero_refresh_period(capsys, tmp_path):
+    trace = tmp_path / "one.trace"
+    trace.write_text("R 0x10\n")
+    code, out, err = run_cli(capsys, "replay-trace", str(trace), "simple", "--refresh-every", "0")
+    assert (code, out) == (2, "")
+    assert "refresh_every" in assert_one_error(err)["message"]
 
 
 def test_replay_trace_parse_error(capsys, tmp_path):

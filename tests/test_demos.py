@@ -10,6 +10,26 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# the refresh line needs the state's own window to close every 100
+# activations; the probabilistic line pins the rng draws and their order
+BITFLIP_THRESHOLD_STDOUT = """\
+100 activations: 0 flips
+101 activations: 2 flips in rows [255, 257] (both neighbors of 256)
+
+4 bursts of 100 with refresh between: 0 flips, 4 refresh windows
+
+blast radius 2 at subarray edge row 511: flips in rows [509, 510] (rows 512+ belong to the next subarray)
+
+probabilistic mode, 400 activations past threshold at p=0.05: 35 flips (repeats toggle the same bits back and forth)
+"""
+
+
+def run_demo(demo: pathlib.Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
 
 def test_all_four_demos_found():
     assert len(DEMOS) == 4
@@ -17,8 +37,11 @@ def test_all_four_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    result = run_demo(demo)
     assert result.returncode == 0, result.stderr
+
+
+def test_bitflip_threshold_demo_output():
+    result = run_demo(ROOT / "demos" / "02_bitflip_threshold.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == BITFLIP_THRESHOLD_STDOUT

@@ -18,8 +18,15 @@ from vmhammer import (
     builtin_mappings,
 )
 from vmhammer.dram import InvariantError
+from vmhammer.harness import AccessTrace, replay_trace
 
-from oracles import random_geometry, random_invertible_mapping, tiny_noncontig
+from oracles import (
+    brute_hammer,
+    brute_replay,
+    random_geometry,
+    random_invertible_mapping,
+    tiny_noncontig,
+)
 
 
 def tiny_simple() -> AddressMapping:
@@ -51,9 +58,7 @@ def det_params(hc_first=8, **kwargs) -> HammerParams:
 
 
 def hammer(state: SimState, row: int, count: int, bank=0) -> None:
-    coord = state.mapping.coord_from_parts((0, 0, 0, bank), row)
-    for _ in range(count):
-        state.activate_row(coord)
+    state.activate_row(DramCoordinate(0, 0, 0, bank, row, 0), count)
 
 
 # -- open-page accounting ---------------------------------------------------------
@@ -100,7 +105,7 @@ def test_independent_bank_buffers(presets):
 def test_activate_row_never_hits():
     mapping = tiny_simple()
     state = SimState(mapping, det_params())
-    coord = mapping.coord_from_parts((0, 0, 0, 0), 3)
+    coord = DramCoordinate(0, 0, 0, 0, 3, 0)
     state.activate_row(coord)
     state.activate_row(coord)
     assert state.stats.accesses == 2
@@ -221,6 +226,81 @@ def test_refresh_keeps_rows_open(presets):
     assert state.access(0x1234).hit  # refresh does not close row buffers
 
 
+def test_manual_refresh_starts_a_new_window():
+    state = SimState(tiny_simple(), det_params(hc_first=100), refresh_every=4)
+    hammer(state, 5, 3)
+    state.refresh()
+    hammer(state, 5, 3)
+    assert state.stats.refresh_windows == 1  # six activations, but no full window
+    hammer(state, 5, 1)
+    assert state.stats.refresh_windows == 2  # the fourth since the manual refresh
+
+
+def test_rejects_bad_refresh_period_and_count():
+    for bad in (0, -1, 2.0, "4"):
+        with pytest.raises(ValueError, match="refresh_every"):
+            SimState(tiny_simple(), det_params(), refresh_every=bad)
+    state = SimState(tiny_simple(), det_params())
+    with pytest.raises(ValueError, match="times"):
+        state.activate_row(DramCoordinate(0, 0, 0, 0, 5, 0), 0)
+    assert state.stats.accesses == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_refresh_window_matches_driver_oracles(data):
+    """The state's own refresh window gives the same stats and flips as the
+    drivers that used to keep it: a manual refresh after every ``every``-th
+    hammer activation, and after every ``every`` replay activations."""
+    rng = random.Random(data.draw(st.integers(0, 1 << 16), label="mapping seed"))
+    mapping = random_invertible_mapping(rng, random_geometry(rng, max_total=1 << 12))
+    geo = mapping.geometry
+    params = HammerParams(
+        hc_first=data.draw(st.integers(1, 64), label="hc_first"),
+        flip_probability=data.draw(st.sampled_from([1.0, 0.5, 0.05]), label="p"),
+        blast_radius=data.draw(st.integers(1, 3), label="blast"),
+        deterministic_mode=data.draw(st.booleans(), label="deterministic"),
+        rng_seed=data.draw(st.integers(0, 1 << 16), label="rng seed"),
+    )
+    every = data.draw(st.integers(1, 200), label="every")
+
+    def bank_tuple():
+        return tuple(
+            data.draw(st.integers(0, n - 1))
+            for n in (geo.channels, geo.ranks, geo.bankgroups, geo.banks)
+        )
+
+    sites = []
+    for _ in range(data.draw(st.integers(1, 4), label="sites")):
+        # some sites share a bank tuple, so they close each other's rows
+        shared = sites and data.draw(st.booleans())
+        bt = sites[-1][0].bank_tuple if shared else bank_tuple()
+        coord = DramCoordinate(*bt, data.draw(st.integers(0, geo.rows - 1)), 0)
+        sites.append((coord, data.draw(st.integers(1, 300), label="count")))
+    state = SimState(mapping, params, every)
+    for coord, count in sites:
+        state.activate_row(coord, count)
+    expected = brute_hammer(mapping, params, sites, every)
+    assert state.stats.to_dict() == expected.stats.to_dict()
+    assert state.collect_flips() == expected.collect_flips()
+
+    pool = data.draw(st.lists(st.integers(0, geo.total_bytes - 1), min_size=1, max_size=6))
+    entries = [
+        ("write", pa, byte) if byte is not None else ("read", pa, None)
+        for pa, byte in data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(pool), st.none() | st.integers(0, 0xFF)),
+                max_size=300,
+            ),
+            label="trace",
+        )
+    ]
+    stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params, every)
+    expected = brute_replay(mapping, params, entries, every)
+    assert stats.to_dict() == expected.stats.to_dict()
+    assert flips == expected.collect_flips()
+
+
 # -- confinement -------------------------------------------------------------------
 
 
@@ -267,7 +347,7 @@ def test_flip_records_are_consistent():
         bank = rng.randrange(2)
         bg = rng.randrange(4)
         row = rng.randrange(16)
-        coord = mapping.coord_from_parts((0, 0, bg, bank), row)
+        coord = DramCoordinate(0, 0, bg, bank, row, 0)
         for _ in range(5):
             state.activate_row(coord)
     flips = state.collect_flips()

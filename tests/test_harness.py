@@ -18,7 +18,6 @@ from vmhammer.harness import (
     load_scenario,
     matrix_summary,
     matvec_trace,
-    pack_layout,
     parse_size,
     parse_trace,
     replay_trace,
@@ -31,7 +30,7 @@ from vmhammer.harness import (
     synth_trace,
     toggle_trace,
 )
-from vmhammer.layout import UNUSED, PlanError, classify_pa
+from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout
 from vmhammer.mapping import MappingError, default_geometry
 
 from oracles import tiny_noncontig
@@ -237,11 +236,14 @@ def test_load_scenario_roundtrip(tmp_path, presets):
 
 
 def test_pack_layout_back_to_back(presets):
-    layout = pack_layout(presets["simple"], (4096, 8192))
+    layout = pack_layout(presets["simple"], (8192, 16384))
     assert [(r.owner, r.start_pa, r.size) for r in layout.regions] == [
-        ("vm0", 0, 4096),
-        ("vm1", 4096, 8192),
+        ("vm0", 0, 8192),
+        ("vm1", 8192, 16384),
     ]
+    # sizes are whole rows (multiples of columns), as for the planners
+    with pytest.raises(PlanError, match="multiple of 0x2000"):
+        pack_layout(presets["simple"], (4096, 8192))
 
 
 def test_attack_none_flips_the_victim(presets, geometry):

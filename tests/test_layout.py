@@ -25,8 +25,7 @@ from vmhammer import (
     plan_siloz,
     row_footprint,
 )
-from vmhammer.harness import pack_layout
-from vmhammer.layout import row_chunk_stride
+from vmhammer.layout import pack_layout, row_chunk_stride
 
 from oracles import (
     brute_aggressors,
@@ -36,10 +35,12 @@ from oracles import (
     brute_footprint,
     brute_groups,
     brute_siloz,
+    footprint_rows,
     random_geometry,
     random_invertible_mapping,
     random_split_mapping,
     tiny_noncontig,
+    vm_footprints,
 )
 
 MIB = 1 << 20
@@ -60,7 +61,7 @@ def test_layout_lookup(geometry):
     layout = MemoryLayout(
         (Region("vm0", 0, 8 * MIB), Region("vm1", 8 * MIB, 8 * MIB))
     )
-    assert layout.vm_owners() == ["vm0", "vm1"]
+    assert [region.owner for region in layout.regions] == ["vm0", "vm1"]
     assert layout.region_of("vm1").start_pa == 8 * MIB
     with pytest.raises(KeyError):
         layout.region_of("vm9")
@@ -106,7 +107,7 @@ def test_check_layout_reports_violations(geometry):
 
 def test_footprint_16mib_example(presets, geometry):
     fp = row_footprint(presets["simple"], Region("vm0", 0, 16 * MIB))
-    rows = fp.rows
+    rows = footprint_rows(fp)
     assert len(rows) == 2048
     assert {r[3] for r in rows} == {0}
     assert {r[2] for r in rows} == {0, 1, 2, 3}
@@ -119,11 +120,11 @@ def test_footprint_16mib_example(presets, geometry):
 def test_footprint_single_row_across_bankgroups(presets, geometry):
     # columns * bankgroups bytes: one row in each bankgroup of bank 0
     fp = row_footprint(presets["simple"], Region("x", 0, 8192 * 4))
-    assert fp.rows == frozenset((0, 0, bg, 0, 0) for bg in range(4))
+    assert footprint_rows(fp) == frozenset((0, 0, bg, 0, 0) for bg in range(4))
 
 
 def test_footprint_empty_region(presets):
-    assert row_footprint(presets["simple"], Region("x", 0, 0)).rows == frozenset()
+    assert footprint_rows(row_footprint(presets["simple"], Region("x", 0, 0))) == frozenset()
 
 
 def test_footprint_out_of_bounds(presets, geometry):
@@ -144,7 +145,7 @@ def test_footprint_matches_bytewise_oracle():
             start = rng.randrange(total)
             size = rng.randrange(1, total - start + 1)
             fp = row_footprint(mapping, Region("x", start, size))
-            assert fp.rows == frozenset(brute_footprint(mapping, start, size))
+            assert footprint_rows(fp) == frozenset(brute_footprint(mapping, start, size))
 
 
 def test_chunk_stride_matches_oracle():
@@ -329,8 +330,8 @@ def test_citadel_256mib_example(presets, geometry):
     # vm0 rows 0..8191, guard row 8192, vm1 rows 8193..16384
     fp0 = row_footprint(presets["simple"], regions[0])
     fp1 = row_footprint(presets["simple"], regions[2])
-    assert fp0.row_indices() == frozenset(range(8192))
-    assert fp1.row_indices() == frozenset(range(8193, 16385))
+    assert {rt[4] for rt in footprint_rows(fp0)} == set(range(8192))
+    assert {rt[4] for rt in footprint_rows(fp1)} == set(range(8193, 16385))
     assert classify_pa(layout, 0x10000000) == UNUSED
     # the guard global row's bank-1 chunk lies outside the VM span: unallocated
     assert classify_pa(layout, 0x80000000 + 0x10000000) == UNALLOCATED
@@ -420,7 +421,7 @@ def test_find_aggressors_adjacent_8mib(presets, geometry):
     layout = MemoryLayout(
         (Region("vm0", 0, 8 * MIB), Region("vm1", 8 * MIB, 8 * MIB))
     )
-    sites = find_aggressors(mapping, layout, "vm1", "vm0", 1)
+    sites = find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), 1)
     by_row = {site.coord.row: site for site in sites}
     assert 256 in by_row
     assert by_row[256].victim_rows == (255,)
@@ -441,13 +442,13 @@ def test_find_aggressors_adjacent_8mib(presets, geometry):
 def test_find_aggressors_empty_under_siloz(presets):
     mapping = presets["simple"]
     plan = plan_siloz(mapping, [16 * MIB, 16 * MIB])
-    assert find_aggressors(mapping, plan.layout, "vm1", "vm0", 1) == []
+    assert find_aggressors(mapping, *vm_footprints(mapping, plan.layout, "vm1", "vm0"), 1) == []
 
 
 def test_find_aggressors_empty_under_citadel(presets):
     mapping = presets["simple"]
     layout = plan_citadel(mapping, [256 * MIB, 256 * MIB], 1)
-    assert find_aggressors(mapping, layout, "vm1", "vm0", 1) == []
+    assert find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), 1) == []
 
 
 def site_row_tuple(site) -> tuple[int, int, int, int, int]:
@@ -468,7 +469,7 @@ def test_find_aggressors_matches_oracle():
         blast = rng.randint(1, 3)
         vm1_below = MemoryLayout((Region("vm1", 0, size1), Region("vm0", size1, size0)))
         for layout in (pack_layout(mapping, (size0, size1)), vm1_below):
-            sites = find_aggressors(mapping, layout, "vm1", "vm0", blast)
+            sites = find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), blast)
             actual = {site_row_tuple(s): list(s.victim_rows) for s in sites}
             expected = brute_aggressors(mapping, layout, "vm1", "vm0", blast)
             assert actual == expected
@@ -487,7 +488,7 @@ def test_find_aggressors_matches_oracle():
 
 
 def check_boundary_fallback(mapping, layout, attacker_vm, victim_vm):
-    sites = boundary_fallback(mapping, layout, attacker_vm, victim_vm)
+    sites = boundary_fallback(mapping, *vm_footprints(mapping, layout, attacker_vm, victim_vm))
     expected = brute_boundary_fallback(mapping, layout, attacker_vm, victim_vm)
     assert [site_row_tuple(s) for s in sites] == expected
     for site in sites:

@@ -135,7 +135,7 @@ def test_frozen_translations(presets):
 
 def test_noncontig_inverse_example(presets):
     mapping = presets["bank-xor-noncontig-row"]
-    coord = mapping.coord_from_parts((0, 0, 0, 1), row=0)
+    coord = DramCoordinate(0, 0, 0, 1, 0, 0)
     assert mapping.coord_to_pa(coord) == 0x00200000
 
 
