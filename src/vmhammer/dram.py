@@ -130,22 +130,30 @@ class SimState:
     The mapping is fixed at construction because flip records carry both the
     victim coordinate and its physical address, which requires the inverse
     translation during activation. Every ``refresh_every`` activations since
-    the window opened, the state calls its own ``refresh``.
+    the window opened, the state calls its own ``refresh``. A byte never
+    written or flipped reads ``fill``, the pattern memory was filled with.
     """
 
     def __init__(
-        self, mapping: AddressMapping, params: HammerParams, refresh_every: int = REFRESH_EVERY
+        self,
+        mapping: AddressMapping,
+        params: HammerParams,
+        refresh_every: int = REFRESH_EVERY,
+        fill: int = 0,
     ) -> None:
         if not is_integer(refresh_every) or refresh_every < 1:
             raise ValueError(f"refresh_every must be an integer >= 1, got {refresh_every!r}")
+        if not is_integer(fill) or not 0 <= fill <= 0xFF:
+            raise ValueError(f"fill must be an integer in 0..255, got {fill!r}")
         self.mapping = mapping
         self.geometry: Geometry = mapping.geometry
         self.params = params
         self.refresh_every = refresh_every
+        self.fill = fill
         self._window = 0  # activations since the refresh window opened
         self.open_row: dict[BankTuple, int] = {}
         self.act_count: dict[tuple[BankTuple, int], int] = {}
-        self.contents: dict[int, int] = {}  # sparse; unwritten bytes read 0x00
+        self.contents: dict[int, int] = {}  # sparse; unwritten bytes read fill
         self.flips: list[BitflipRecord] = []
         self.stats = Stats()
         self.rng = random.Random(params.rng_seed)
@@ -173,7 +181,7 @@ class SimState:
         if kind == "write":
             self.contents[pa] = data
             return AccessOutcome(hit=hit, value=None)
-        return AccessOutcome(hit=hit, value=self.contents.get(pa, 0))
+        return AccessOutcome(hit=hit, value=self.contents.get(pa, self.fill))
 
     def activate_row(self, coord: DramCoordinate, times: int = 1) -> None:
         """``times`` unconditional activations of one row, the hammer primitive.
@@ -203,7 +211,7 @@ class SimState:
 
     def read_byte(self, pa: int) -> int:
         self._check_pa(pa)
-        return self.contents.get(pa, 0)
+        return self.contents.get(pa, self.fill)
 
     def write_byte(self, pa: int, value: int) -> None:
         self._check_pa(pa)
@@ -268,7 +276,7 @@ class SimState:
                 f"flip in row {victim_row} is out of reach of aggressor row {aggressor.row}"
             )
         pa = self.mapping.coord_to_pa(victim)
-        old = self.contents.get(pa, 0)
+        old = self.contents.get(pa, self.fill)
         new = old ^ (1 << bit)
         self.contents[pa] = new
         self.flips.append(

@@ -1,10 +1,10 @@
 """Attack scenarios, verdict reports, and trace replay.
 
-run_attack wires the pieces together: plan a layout, seed a check pattern
-into every row a hammered aggressor can reach, hammer, then classify each
-recorded bitflip by the owning region. The verdict is MITIGATED exactly when
-no flip lands in victim-owned memory. The refresh window belongs to SimState:
-both run_attack and replay_trace only pass its period through.
+run_attack wires the pieces together: plan a layout, hammer the selected
+aggressors on a state whose unwritten bytes read the check pattern, then
+classify each recorded bitflip by the owning region. The verdict is MITIGATED
+exactly when no flip lands in victim-owned memory. The refresh window belongs
+to SimState: both run_attack and replay_trace only pass its period through.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import gf2
 from .dram import REFRESH_EVERY, BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
     MITIGATIONS,
@@ -32,7 +29,6 @@ from .layout import (
 )
 from .mapping import (
     AddressMapping,
-    DramCoordinate,
     Geometry,
     MappingError,
     builtin_mappings,
@@ -144,6 +140,10 @@ class Scenario:
             raise ScenarioError(f"hammer_count must be >= 1, got {self.hammer_count}")
         if self.refresh_every < 1:
             raise ScenarioError(f"refresh_every must be >= 1, got {self.refresh_every}")
+        if self.guard_global_rows < 1:
+            raise ScenarioError(
+                f"guard_global_rows must be >= 1, got {self.guard_global_rows}"
+            )
         if not 0 <= self.check_pattern <= 0xFF:
             raise ScenarioError(f"check_pattern must be a byte, got {self.check_pattern}")
         selection = self.aggressor_selection
@@ -168,13 +168,7 @@ class Scenario:
         selection = self.aggressor_selection
         return {
             "mapping": self.mapping.to_dict(),
-            "hammer": {
-                "hc_first": self.hammer.hc_first,
-                "flip_probability": self.hammer.flip_probability,
-                "blast_radius": self.hammer.blast_radius,
-                "deterministic_mode": self.hammer.deterministic_mode,
-                "rng_seed": self.hammer.rng_seed,
-            },
+            "hammer": dataclasses.asdict(self.hammer),
             "mitigation": self.mitigation,
             "guard_global_rows": self.guard_global_rows,
             "vm_sizes": list(self.vm_sizes),
@@ -288,22 +282,11 @@ def _select_aggressors(
     return chosen
 
 
-# -- pattern seeding --------------------------------------------------------------
-
-
-def row_pa_array(mapping: AddressMapping, row_tuple: RowTuple) -> np.ndarray:
-    """Physical addresses of every byte of one row, indexed by column."""
-    ch, rk, bg, bk, row = row_tuple
-    base = mapping.coord_to_pa(DramCoordinate(ch, rk, bg, bk, row, 0))
-    column_bits = mapping.inverse_columns[mapping.geometry.coord_offsets[5] :]
-    return gf2.span(column_bits) ^ base
-
-
 def _reachable_rows(
     geometry: Geometry, sites: list[AggressorSite], blast_radius: int
 ) -> list[RowTuple]:
     """Rows a hammered aggressor can flip: same bank tuple and subarray,
-    within the blast radius. These are the rows worth pattern-seeding."""
+    within the blast radius. The report lists them as its seeded_rows."""
     return sorted(
         {
             site.coord.bank_tuple + (victim,)
@@ -311,14 +294,6 @@ def _reachable_rows(
             for victim in geometry.neighbours(site.coord.row, blast_radius)
         }
     )
-
-
-def seed_pattern(
-    state: SimState, rows: list[RowTuple], pattern: int
-) -> None:
-    for rt in rows:
-        for pa in row_pa_array(state.mapping, rt).tolist():
-            state.write_byte(pa, pattern)
 
 
 # -- the attack itself -------------------------------------------------------------
@@ -369,7 +344,11 @@ def report_to_json(report: AttackReport | dict) -> str:
 
 
 def run_attack(scenario: Scenario) -> AttackReport:
-    """Plan, seed, hammer, classify. Deterministic for equal scenarios."""
+    """Plan, hammer, classify. Deterministic for equal scenarios.
+
+    Every byte reads check_pattern until a flip changes it, so a flip's
+    old_value is the pattern, or the byte as an earlier flip left it.
+    """
     from . import __version__
 
     mapping = scenario.mapping
@@ -393,9 +372,7 @@ def run_attack(scenario: Scenario) -> AttackReport:
         sites = boundary_fallback(mapping, attacker, victim)
         fallback = True
     selected = _select_aggressors(sites, scenario.aggressor_selection)
-    state = SimState(mapping, scenario.hammer, scenario.refresh_every)
-    seeded = _reachable_rows(mapping.geometry, selected, blast)
-    seed_pattern(state, seeded, scenario.check_pattern)
+    state = SimState(mapping, scenario.hammer, scenario.refresh_every, scenario.check_pattern)
     for site in selected:
         state.activate_row(site.coord, scenario.effective_hammer_count)
     flips = tuple(state.collect_flips())
@@ -410,7 +387,7 @@ def run_attack(scenario: Scenario) -> AttackReport:
         siloz_groups=siloz_plan.to_dict() if siloz_plan is not None else None,
         aggressors=tuple(selected),
         boundary_fallback=fallback,
-        seeded_rows=tuple(seeded),
+        seeded_rows=tuple(_reachable_rows(mapping.geometry, selected, blast)),
         flips=flips,
         flip_owners=flip_owners,
         ownership_histogram=histogram,

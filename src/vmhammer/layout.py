@@ -266,6 +266,13 @@ def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int)
         )
 
 
+def _check_guard_rows(guard_global_rows: int) -> None:
+    """At least one guard row; checked under every mitigation, not only the
+    one that places guard rows."""
+    if guard_global_rows < 1:
+        raise PlanError(f"guard_global_rows must be >= 1, got {guard_global_rows}")
+
+
 @dataclass(frozen=True)
 class SilozPlan:
     layout: MemoryLayout
@@ -362,10 +369,7 @@ def plan_citadel(
     """
     mapping.inverse_columns  # fail fast on non-invertible mappings
     geo = mapping.geometry
-    if guard_global_rows < 1:
-        raise PlanError(
-            f"guard_global_rows must be >= 1, got {guard_global_rows}"
-        )
+    _check_guard_rows(guard_global_rows)
     stride = row_chunk_stride(mapping)
     if stride < geo.columns:
         raise PlanError(
@@ -418,6 +422,7 @@ def plan_layout(
     Every planner checks the sizes first, so a malformed layout here is a
     planner bug.
     """
+    _check_guard_rows(guard_global_rows)
     siloz_plan = None
     if mitigation == "none":
         layout = pack_layout(mapping, vm_sizes)

@@ -22,10 +22,14 @@ from vmhammer import (
     PlanError,
     Region,
     RowFootprint,
+    Scenario,
     SilozPlan,
     SimState,
+    boundary_fallback,
+    find_aggressors,
     row_footprint,
 )
+from vmhammer.layout import plan_layout
 
 
 def brute_coord(mapping: AddressMapping, pa: int) -> tuple[int, ...]:
@@ -241,6 +245,50 @@ def brute_replay(
         if since_refresh >= every:
             state.refresh()
             since_refresh = 0
+    return state
+
+
+def brute_row_pas(
+    mapping: AddressMapping, row_tuple: tuple[int, int, int, int, int]
+) -> list[int]:
+    """Physical addresses of every byte of one row, found by translating
+    every PA of the space."""
+    pas = np.arange(mapping.geometry.total_bytes, dtype=np.int64)
+    in_row = (coords_of(mapping, pas)[:, :5] == row_tuple).all(axis=1)
+    return pas[in_row].tolist()
+
+
+def brute_seeded_attack(scenario: Scenario) -> SimState:
+    """The attack with an explicit seeding phase: on a zero-filled state,
+    write the check pattern into every byte of every row a selected
+    aggressor can reach, then hammer each selected aggressor in turn."""
+    mapping = scenario.mapping
+    geo = mapping.geometry
+    blast = scenario.hammer.blast_radius
+    layout, _ = plan_layout(
+        mapping, scenario.mitigation, scenario.vm_sizes, scenario.guard_global_rows
+    )
+    attacker, victim = vm_footprints(mapping, layout, scenario.attacker_vm, scenario.victim_vm)
+    sites = find_aggressors(mapping, attacker, victim, blast) or boundary_fallback(
+        mapping, attacker, victim
+    )
+    selection = scenario.aggressor_selection
+    if selection == "first":
+        sites = sites[:1]
+    elif selection != "all":
+        sites = [s for s in sites if s.coord.row in selection]
+    state = SimState(mapping, scenario.hammer, scenario.refresh_every)
+    for site in sites:
+        row = site.coord.row
+        for victim_row in range(row - blast, row + blast + 1):
+            if victim_row == row or not 0 <= victim_row < geo.rows:
+                continue
+            if victim_row // geo.rows_per_subarray != row // geo.rows_per_subarray:
+                continue
+            for pa in brute_row_pas(mapping, site.coord.bank_tuple + (victim_row,)):
+                state.write_byte(pa, scenario.check_pattern)
+    for site in sites:
+        state.activate_row(site.coord, scenario.effective_hammer_count)
     return state
 
 

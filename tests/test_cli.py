@@ -173,6 +173,18 @@ def test_misaligned_sizes_fail_alike_in_plan_and_attack(capsys, tmp_path):
         assert attack_error["type"] == "PlanError", mitigation
 
 
+def test_plan_rejects_zero_guard_rows_under_every_mitigation(capsys):
+    """Only citadel places guard rows, but no mitigation accepts fewer than one."""
+    for mitigation in ("none", "siloz", "citadel"):
+        code, out, err = run_cli(
+            capsys, "plan", mitigation, "simple", "--sizes", "16MiB,16MiB", "--guard-rows", "0"
+        )
+        assert (code, out) == (1, ""), mitigation
+        assert assert_one_error(err) == {
+            "type": "PlanError", "message": "guard_global_rows must be >= 1, got 0",
+        }, mitigation
+
+
 def test_plan_rejects_non_invertible_mapping(capsys, tmp_path, presets):
     broken = presets["simple"].to_dict()
     broken["functions"]["bank"] = [[13]]  # PA bit 13 already drives bankgroup bit 0
@@ -240,6 +252,11 @@ BAD_SCENARIOS = [
     (reduced_scenario(aggressor_selection=5), "ScenarioError"),
     (reduced_scenario(aggressor_selection=[1.5]), "ScenarioError"),
     (reduced_scenario(guard_global_rows="x"), "ScenarioError"),
+    (reduced_scenario(guard_global_rows=0), "ScenarioError"),
+    (
+        reduced_scenario(mitigation="siloz", vm_sizes=["16MiB", "16MiB"], guard_global_rows=-5),
+        "ScenarioError",
+    ),
     (reduced_scenario(label=5), "ScenarioError"),
     (reduced_scenario(geometry=tiny_noncontig().geometry.to_dict()), "MappingError"),
     (

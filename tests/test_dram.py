@@ -132,6 +132,22 @@ def test_write_then_read(presets):
         state.write_byte(1 << 40, 0)
 
 
+def test_unwritten_bytes_read_the_fill():
+    state = SimState(tiny_simple(), det_params(hc_first=4), fill=0xAA)
+    assert state.read_byte(0x20) == 0xAA
+    assert state.access(0x21).value == 0xAA
+    state.write_byte(0x20, 0x5A)  # row 4, column 0
+    for _ in range(2):  # deterministic mode flips bit 0 of column 0 once per window
+        hammer(state, 5, 5)
+        state.refresh()
+    flips = [(f.pa, f.old_value, f.new_value) for f in state.collect_flips()]
+    assert flips == [(0x20, 0x5A, 0x5B), (0x30, 0xAA, 0xAB), (0x20, 0x5B, 0x5A), (0x30, 0xAB, 0xAA)]
+    assert (state.read_byte(0x20), state.read_byte(0x30)) == (0x5A, 0xAA)
+    for bad in (256, -1, True, "0xAA"):
+        with pytest.raises(ValueError, match="fill"):
+            SimState(tiny_simple(), det_params(), fill=bad)
+
+
 def _snapshot(state: SimState):
     return state.stats.to_dict(), dict(state.open_row)
 

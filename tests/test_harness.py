@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vmhammer
 from vmhammer.dram import HammerParams, SimState
@@ -30,10 +33,17 @@ from vmhammer.harness import (
     synth_trace,
     toggle_trace,
 )
-from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout
+from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout, row_chunk_stride
 from vmhammer.mapping import MappingError, default_geometry
 
-from oracles import tiny_noncontig
+from oracles import (
+    brute_row_pas,
+    brute_seeded_attack,
+    random_geometry,
+    random_invertible_mapping,
+    random_split_mapping,
+    tiny_noncontig,
+)
 
 MIB = 1 << 20
 
@@ -92,6 +102,8 @@ def test_scenario_rejects_bad_fields(presets):
         make_scenario(presets, hammer_count=0)
     with pytest.raises(ScenarioError, match="refresh_every"):
         make_scenario(presets, refresh_every=0)
+    with pytest.raises(ScenarioError, match="guard_global_rows"):
+        make_scenario(presets, guard_global_rows=0)
     with pytest.raises(ScenarioError, match="check_pattern"):
         make_scenario(presets, check_pattern=256)
     with pytest.raises(ScenarioError, match="aggressor_selection"):
@@ -386,28 +398,66 @@ def test_probabilistic_attack_is_seed_deterministic(presets):
 
 
 def test_sweep_observes_exactly_the_recorded_flips():
-    """Reading back seeded rows must agree with the flip log, toggles included."""
-    from vmhammer.harness import row_pa_array, seed_pattern
-
+    """Reading back the filled rows must agree with the flip log, toggles included."""
     mapping = tiny_noncontig()
     params = HammerParams(
         hc_first=3, flip_probability=1.0, deterministic_mode=False, rng_seed=5
     )
-    state = SimState(mapping, params)
+    state = SimState(mapping, params, fill=0xAA)
     aggressor = mapping.pa_to_coord(0)
     bt = aggressor.bank_tuple
     rows = [bt + (aggressor.row + 1,)]  # row 0 has a single in-subarray neighbor
-    seed_pattern(state, rows, 0xAA)
     for _ in range(12):
         state.activate_row(aggressor)
-    observed = {
-        pa: state.read_byte(pa) for rt in rows for pa in row_pa_array(mapping, rt).tolist()
-    }
-    expected = {pa: 0xAA for rt in rows for pa in row_pa_array(mapping, rt).tolist()}
+    observed = {pa: state.read_byte(pa) for rt in rows for pa in brute_row_pas(mapping, rt)}
+    expected = {pa: 0xAA for rt in rows for pa in brute_row_pas(mapping, rt)}
     for flip in state.collect_flips():
         expected[flip.pa] ^= 1 << flip.bit_index
     assert observed == expected
     assert any(byte != 0xAA for byte in observed.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_attack_matches_seeded_oracle(data):
+    """Hammering a state whose unwritten bytes read the check pattern gives
+    the same flips and stats as writing the pattern into every reachable
+    row of a zero-filled state first."""
+    rng = random.Random(data.draw(st.integers(0, 1 << 16), label="mapping seed"))
+    mitigation = data.draw(st.sampled_from(["none", "siloz", "citadel"]), label="mitigation")
+    # citadel needs a row chunk at least a row wide, which split mappings keep
+    split = mitigation == "citadel" or data.draw(st.booleans(), label="split")
+    make = random_split_mapping if split else random_invertible_mapping
+    mapping = make(rng, random_geometry(rng, max_total=1 << 12))
+    unit = mapping.geometry.columns
+    if mitigation == "citadel":
+        unit = row_chunk_stride(mapping)
+    scenario = Scenario(
+        mapping=mapping,
+        hammer=HammerParams(
+            hc_first=data.draw(st.integers(1, 64), label="hc_first"),
+            flip_probability=data.draw(st.sampled_from([1.0, 0.5, 0.05]), label="p"),
+            blast_radius=data.draw(st.integers(1, 3), label="blast"),
+            deterministic_mode=data.draw(st.booleans(), label="deterministic"),
+            rng_seed=data.draw(st.integers(0, 1 << 16), label="rng seed"),
+        ),
+        vm_sizes=tuple(
+            data.draw(st.integers(1, mapping.geometry.total_bytes // (2 * unit))) * unit
+            for _ in range(2)
+        ),
+        mitigation=mitigation,
+        hammer_count=data.draw(st.integers(1, 200), label="hammer_count"),
+        refresh_every=data.draw(st.integers(1, 200), label="refresh_every"),
+        aggressor_selection=data.draw(st.sampled_from(["all", "first"]), label="selection"),
+        check_pattern=data.draw(st.integers(0, 0xFF), label="check_pattern"),
+    )
+    try:
+        report = run_attack(scenario)
+    except (ScenarioError, PlanError):
+        return  # nothing planned, or nothing to hammer
+    expected = brute_seeded_attack(scenario)
+    assert list(report.flips) == expected.collect_flips()
+    assert report.stats.to_dict() == expected.stats.to_dict()
 
 
 # -- matrix runs ------------------------------------------------------------------
