@@ -6,6 +6,9 @@ state closes its window itself every ``refresh_every`` activations. Rows
 activated more than ``hc_first`` times in one window probabilistically flip
 bits in neighbouring rows of the same subarray; ``deterministic_mode`` turns
 the first such opportunity into a certain flip for reproducible tests.
+
+``activate_row`` counts runs of activations that cannot flip in bulk and steps
+the rest one at a time, so its results equal those of single activations.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ class SimState:
         """One memory access under the open-page policy."""
         if kind not in ("read", "write"):
             raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
-        if kind == "write" and (data is None or not 0 <= data <= 0xFF):
-            raise ValueError(f"write needs a byte value, got {data!r}")
+        if kind == "write" and (not is_integer(data) or not 0 <= data <= 0xFF):
+            raise ValueError(f"write needs a byte value as data, got {data!r}")
         coord = self.mapping.pa_to_coord(pa)
         bt = coord.bank_tuple
         self.stats.accesses += 1
@@ -188,16 +191,43 @@ class SimState:
 
         Models a flush+access loop that defeats the row buffer: each counts as
         an access that always misses, re-opening the row even if already open.
+        Runs that cannot flip (the row's count at or below ``hc_first``, or past
+        it in deterministic mode, where its neighbours stay latched until the
+        refresh) are counted in bulk; the rest step through ``_activate``, so
+        the result, random draws included, equals ``times`` single activations.
         """
-        if times < 1:
-            raise ValueError(f"times must be >= 1, got {times}")
+        if not is_integer(times) or times < 1:
+            raise ValueError(f"times must be an integer >= 1, got {times!r}")
         self.geometry.check_coord(coord)
         bt = coord.bank_tuple
-        for _ in range(times):
-            self.stats.accesses += 1
-            if bt in self.open_row:
-                self.stats.precharges += 1
-            self._activate(coord)
+        key = (bt, coord.row)
+        hc_first = self.params.hc_first
+        stats = self.stats
+        remaining = times
+        while remaining:
+            count = self.act_count.get(key, 0)
+            if count < hc_first:
+                quiet = hc_first - count
+            elif count > hc_first and self.params.deterministic_mode:
+                quiet = remaining  # neighbours latched: only the refresh ends the run
+            else:  # the activation may flip
+                stats.accesses += 1
+                if bt in self.open_row:
+                    stats.precharges += 1
+                self._activate(coord)
+                remaining -= 1
+                continue
+            step = min(remaining, self.refresh_every - self._window, quiet)
+            stats.accesses += step
+            stats.precharges += step if bt in self.open_row else step - 1
+            stats.activations += step
+            stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + step
+            self.open_row[bt] = coord.row
+            self.act_count[key] = count + step
+            self._window += step
+            if self._window == self.refresh_every:
+                self.refresh()
+            remaining -= step
 
     def refresh(self) -> None:
         """Close the refresh window and open a new one: clear activation
@@ -215,8 +245,8 @@ class SimState:
 
     def write_byte(self, pa: int, value: int) -> None:
         self._check_pa(pa)
-        if not 0 <= value <= 0xFF:
-            raise ValueError(f"byte value out of range: {value!r}")
+        if not is_integer(value) or not 0 <= value <= 0xFF:
+            raise ValueError(f"value must be an integer in 0..255, got {value!r}")
         self.contents[pa] = value
 
     def collect_flips(self) -> list[BitflipRecord]:
@@ -225,6 +255,8 @@ class SimState:
     # -- internals -----------------------------------------------------------
 
     def _check_pa(self, pa: int) -> None:
+        if not is_integer(pa):
+            raise ValueError(f"pa must be an integer, got {pa!r}")
         total = self.geometry.total_bytes
         if not 0 <= pa < total:
             raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")

@@ -204,6 +204,16 @@ def brute_boundary_fallback(
     return sorted(rt for rt, rank in ranks.items() if rank == best)
 
 
+def brute_activate(state: SimState, coord: DramCoordinate) -> None:
+    """One hammer activation stepped by hand, without ``activate_row``'s bulk
+    counting: an access that misses, a precharge if the bank has a row open,
+    then the activation itself."""
+    state.stats.accesses += 1
+    if coord.bank_tuple in state.open_row:
+        state.stats.precharges += 1
+    state._activate(coord)
+
+
 def brute_hammer(
     mapping: AddressMapping,
     params: HammerParams,
@@ -220,7 +230,7 @@ def brute_hammer(
     issued = 0
     for coord, count in sites:
         for _ in range(count):
-            state.activate_row(coord)
+            brute_activate(state, coord)
             issued += 1
             if issued % every == 0:
                 state.refresh()
@@ -261,7 +271,8 @@ def brute_row_pas(
 def brute_seeded_attack(scenario: Scenario) -> SimState:
     """The attack with an explicit seeding phase: on a zero-filled state,
     write the check pattern into every byte of every row a selected
-    aggressor can reach, then hammer each selected aggressor in turn."""
+    aggressor can reach, then hammer each selected aggressor in turn, one
+    activation at a time."""
     mapping = scenario.mapping
     geo = mapping.geometry
     blast = scenario.hammer.blast_radius
@@ -288,7 +299,8 @@ def brute_seeded_attack(scenario: Scenario) -> SimState:
             for pa in brute_row_pas(mapping, site.coord.bank_tuple + (victim_row,)):
                 state.write_byte(pa, scenario.check_pattern)
     for site in sites:
-        state.activate_row(site.coord, scenario.effective_hammer_count)
+        for _ in range(scenario.effective_hammer_count):
+            brute_activate(state, site.coord)
     return state
 
 

@@ -149,7 +149,7 @@ def test_unwritten_bytes_read_the_fill():
 
 
 def _snapshot(state: SimState):
-    return state.stats.to_dict(), dict(state.open_row)
+    return state.stats.to_dict(), dict(state.open_row), dict(state.contents)
 
 
 def test_rejected_activation_leaves_state_unchanged(presets):
@@ -167,6 +167,39 @@ def test_rejected_write_leaves_state_unchanged(presets):
     before = _snapshot(state)
     with pytest.raises(ValueError):
         state.access(0x8000, "write", None)  # another row of the open bank
+    assert _snapshot(state) == before
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda s: s.activate_row(DramCoordinate(0, 0, 0, 0, 5, 0), True), "times"),
+        (lambda s: s.activate_row(DramCoordinate(0, 0, 0, 0, 5, 0), 2.5), "times"),
+        (lambda s: s.write_byte(0x20, 1.5), "value"),
+        (lambda s: s.write_byte(0x20, True), "value"),
+        (lambda s: s.write_byte(1.5, 1), "pa"),
+        (lambda s: s.read_byte(1.5), "pa"),
+        (lambda s: s.access(0x20, "write", True), "data"),
+        (lambda s: s.access(0x20, "write", 1.5), "data"),
+    ],
+    ids=[
+        "activate_row-bool",
+        "activate_row-float",
+        "write_byte-float-value",
+        "write_byte-bool-value",
+        "write_byte-float-pa",
+        "read_byte-float-pa",
+        "access-bool-data",
+        "access-float-data",
+    ],
+)
+def test_non_integer_input_leaves_state_unchanged(call, argument):
+    state = SimState(tiny_simple(), det_params(hc_first=4), fill=0xAA)
+    hammer(state, 5, 6)
+    state.write_byte(0x21, 0x5A)
+    before = _snapshot(state)
+    with pytest.raises(ValueError, match=argument):
+        call(state)
     assert _snapshot(state) == before
 
 
@@ -267,18 +300,20 @@ def test_rejects_bad_refresh_period_and_count():
 def test_refresh_window_matches_driver_oracles(data):
     """The state's own refresh window gives the same stats and flips as the
     drivers that used to keep it: a manual refresh after every ``every``-th
-    hammer activation, and after every ``every`` replay activations."""
+    hammer activation, stepped one at a time, and after every ``every``
+    replay activations. Hammer runs span several windows, and hc_first may
+    be at or above the refresh period, where no flip is possible."""
     rng = random.Random(data.draw(st.integers(0, 1 << 16), label="mapping seed"))
     mapping = random_invertible_mapping(rng, random_geometry(rng, max_total=1 << 12))
     geo = mapping.geometry
+    every = data.draw(st.integers(1, 200), label="every")
     params = HammerParams(
-        hc_first=data.draw(st.integers(1, 64), label="hc_first"),
+        hc_first=data.draw(st.integers(1, 64) | st.integers(every, every + 2), label="hc_first"),
         flip_probability=data.draw(st.sampled_from([1.0, 0.5, 0.05]), label="p"),
         blast_radius=data.draw(st.integers(1, 3), label="blast"),
         deterministic_mode=data.draw(st.booleans(), label="deterministic"),
         rng_seed=data.draw(st.integers(0, 1 << 16), label="rng seed"),
     )
-    every = data.draw(st.integers(1, 200), label="every")
 
     def bank_tuple():
         return tuple(
@@ -287,12 +322,16 @@ def test_refresh_window_matches_driver_oracles(data):
         )
 
     sites = []
-    for _ in range(data.draw(st.integers(1, 4), label="sites")):
-        # some sites share a bank tuple, so they close each other's rows
-        shared = sites and data.draw(st.booleans())
-        bt = sites[-1][0].bank_tuple if shared else bank_tuple()
-        coord = DramCoordinate(*bt, data.draw(st.integers(0, geo.rows - 1)), 0)
-        sites.append((coord, data.draw(st.integers(1, 300), label="count")))
+    for _ in range(data.draw(st.integers(1, 5), label="sites")):
+        # some sites share a bank tuple, so they close each other's rows, and
+        # some hammer the previous row again, carrying its count over
+        reuse = sites and data.draw(st.sampled_from(["row", "bank", None]))
+        if reuse == "row":
+            coord = sites[-1][0]
+        else:
+            bt = sites[-1][0].bank_tuple if reuse == "bank" else bank_tuple()
+            coord = DramCoordinate(*bt, data.draw(st.integers(0, geo.rows - 1)), 0)
+        sites.append((coord, data.draw(st.integers(1, 4 * every + 3), label="count")))
     state = SimState(mapping, params, every)
     for coord, count in sites:
         state.activate_row(coord, count)
@@ -315,6 +354,42 @@ def test_refresh_window_matches_driver_oracles(data):
     expected = brute_replay(mapping, params, entries, every)
     assert stats.to_dict() == expected.stats.to_dict()
     assert flips == expected.collect_flips()
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+@pytest.mark.parametrize(
+    "hc_first, every, sites",
+    [
+        (10, 10, [(5, 1000)]),  # hc_first == refresh_every: no flip is possible
+        (12, 10, [(5, 95), (9, 7)]),  # hc_first above refresh_every
+        (3, 7, [(5, 50)]),  # one call spanning seven windows and part of an eighth
+        (2, 10, [(5, 35)]),  # the latch re-arms after each refresh inside the call
+        (4, 100, [(5, 6), (9, 6), (5, 6), (5, 3)]),  # rows 5 and 9 share a bank tuple
+    ],
+)
+def test_bulk_hammer_edge_cases(hc_first, every, sites, deterministic):
+    params = HammerParams(
+        hc_first=hc_first, flip_probability=0.5, deterministic_mode=deterministic, rng_seed=3
+    )
+    sites = [(DramCoordinate(0, 0, 0, 0, row, 0), count) for row, count in sites]
+    state = SimState(tiny_simple(), params, every)
+    for coord, count in sites:
+        state.activate_row(coord, count)
+    expected = brute_hammer(tiny_simple(), params, sites, every)
+    assert state.stats.to_dict() == expected.stats.to_dict()
+    assert state.collect_flips() == expected.collect_flips()
+    activations = sum(count for _, count in sites)
+    assert state.stats.refresh_windows == activations // every
+    assert state.stats.precharges == activations - 1  # one bank, closed only at first
+    if hc_first >= every:
+        assert state.collect_flips() == []
+
+
+def test_deterministic_latch_rearms_inside_one_call():
+    state = SimState(tiny_simple(), det_params(hc_first=2), refresh_every=10)
+    hammer(state, 5, 35)  # windows of 10, 10, 10 and 5 all pass hc_first
+    assert [f.coord.row for f in state.collect_flips()] == [4, 6] * 4
+    assert state.stats.refresh_windows == 3
 
 
 # -- confinement -------------------------------------------------------------------
