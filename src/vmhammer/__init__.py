@@ -23,7 +23,7 @@ from .mapping import (
     parse_mapping,
     validate,
 )
-from .dram import AccessOutcome, BitflipRecord, HammerParams, SimState, Stats
+from .dram import BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
     HYPERVISOR,
     UNALLOCATED,

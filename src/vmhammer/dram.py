@@ -7,8 +7,12 @@ activated more than ``hc_first`` times in one window probabilistically flip
 bits in neighbouring rows of the same subarray; ``deterministic_mode`` turns
 the first such opportunity into a certain flip for reproducible tests.
 
-``activate_row`` counts runs of activations that cannot flip in bulk and steps
-the rest one at a time, so its results equal those of single activations.
+``_activate(coord, n)`` is the one routine that counts activations: a
+row-buffer miss in ``access`` is one, and the hammer primitive
+``activate_row`` splits its run into steps that ``_activate`` counts at once.
+A step ends at the refresh window's end and, in probabilistic mode, at the
+first activation that may flip, so its result equals that of single
+activations, random draws included.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "HammerParams",
     "Stats",
     "BitflipRecord",
-    "AccessOutcome",
     "SimState",
 ]
 
@@ -121,12 +124,6 @@ class BitflipRecord:
         }
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
-    hit: bool
-    value: int | None
-
-
 class SimState:
     """Mutable DRAM state bound to one validated address mapping.
 
@@ -165,69 +162,50 @@ class SimState:
 
     # -- memory access path -------------------------------------------------
 
-    def access(self, pa: int, kind: str = "read", data: int | None = None) -> AccessOutcome:
-        """One memory access under the open-page policy."""
+    def access(self, pa: int, kind: str = "read", data: int | None = None) -> bool:
+        """One memory access under the open-page policy; True on a row-buffer
+        hit. A miss is one activation through ``_activate``. The byte read or
+        written is in ``read_byte``."""
         if kind not in ("read", "write"):
             raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
         if kind == "write" and (not is_integer(data) or not 0 <= data <= 0xFF):
             raise ValueError(f"write needs a byte value as data, got {data!r}")
         coord = self.mapping.pa_to_coord(pa)
-        bt = coord.bank_tuple
-        self.stats.accesses += 1
-        hit = self.open_row.get(bt) == coord.row
+        hit = self.open_row.get(coord.bank_tuple) == coord.row
         if hit:
+            self.stats.accesses += 1
             self.stats.row_buffer_hits += 1
         else:
-            if bt in self.open_row:
-                self.stats.precharges += 1
             self._activate(coord)
         if kind == "write":
             self.contents[pa] = data
-            return AccessOutcome(hit=hit, value=None)
-        return AccessOutcome(hit=hit, value=self.contents.get(pa, self.fill))
+        return hit
 
     def activate_row(self, coord: DramCoordinate, times: int = 1) -> None:
         """``times`` unconditional activations of one row, the hammer primitive.
 
         Models a flush+access loop that defeats the row buffer: each counts as
         an access that always misses, re-opening the row even if already open.
-        Runs that cannot flip (the row's count at or below ``hc_first``, or past
-        it in deterministic mode, where its neighbours stay latched until the
-        refresh) are counted in bulk; the rest step through ``_activate``, so
-        the result, random draws included, equals ``times`` single activations.
+        The run goes to ``_activate`` in steps. A step never crosses the end of
+        the refresh window. In probabilistic mode it also ends at the first
+        activation that may flip, the one taking the row's count past
+        ``hc_first``, so each activation that may flip is the last of its step
+        and gets its own random draws. In deterministic mode the crossing
+        latches every neighbour until the refresh, whichever activation of the
+        step it falls on, so the step runs to the window's end.
         """
         if not is_integer(times) or times < 1:
             raise ValueError(f"times must be an integer >= 1, got {times!r}")
         self.geometry.check_coord(coord)
-        bt = coord.bank_tuple
-        key = (bt, coord.row)
-        hc_first = self.params.hc_first
-        stats = self.stats
-        remaining = times
-        while remaining:
-            count = self.act_count.get(key, 0)
-            if count < hc_first:
-                quiet = hc_first - count
-            elif count > hc_first and self.params.deterministic_mode:
-                quiet = remaining  # neighbours latched: only the refresh ends the run
-            else:  # the activation may flip
-                stats.accesses += 1
-                if bt in self.open_row:
-                    stats.precharges += 1
-                self._activate(coord)
-                remaining -= 1
-                continue
-            step = min(remaining, self.refresh_every - self._window, quiet)
-            stats.accesses += step
-            stats.precharges += step if bt in self.open_row else step - 1
-            stats.activations += step
-            stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + step
-            self.open_row[bt] = coord.row
-            self.act_count[key] = count + step
-            self._window += step
-            if self._window == self.refresh_every:
-                self.refresh()
-            remaining -= step
+        key = (coord.bank_tuple, coord.row)
+        first_flip = self.params.hc_first + 1
+        deterministic = self.params.deterministic_mode
+        while times:
+            step = min(times, self.refresh_every - self._window)
+            if not deterministic:
+                step = min(step, max(1, first_flip - self.act_count.get(key, 0)))
+            self._activate(coord, step)
+            times -= step
 
     def refresh(self) -> None:
         """Close the refresh window and open a new one: clear activation
@@ -240,11 +218,11 @@ class SimState:
     # -- side-effect-free inspection ----------------------------------------
 
     def read_byte(self, pa: int) -> int:
-        self._check_pa(pa)
+        self.geometry.check_pa(pa)
         return self.contents.get(pa, self.fill)
 
     def write_byte(self, pa: int, value: int) -> None:
-        self._check_pa(pa)
+        self.geometry.check_pa(pa)
         if not is_integer(value) or not 0 <= value <= 0xFF:
             raise ValueError(f"value must be an integer in 0..255, got {value!r}")
         self.contents[pa] = value
@@ -254,23 +232,25 @@ class SimState:
 
     # -- internals -----------------------------------------------------------
 
-    def _check_pa(self, pa: int) -> None:
-        if not is_integer(pa):
-            raise ValueError(f"pa must be an integer, got {pa!r}")
-        total = self.geometry.total_bytes
-        if not 0 <= pa < total:
-            raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")
-
-    def _activate(self, coord: DramCoordinate) -> None:
+    def _activate(self, coord: DramCoordinate, n: int = 1) -> None:
+        """``n`` back-to-back activations of one row, the only code that counts
+        one. Each is an access that misses and precharges the bank's open row;
+        the first finds the bank closed when no row is open. The flip check
+        runs once, at the row's new count, and the refresh when the window
+        fills, so a caller keeps ``n`` within the window and, in probabilistic
+        mode, ends it at the first activation that may flip."""
         bt = coord.bank_tuple
+        stats = self.stats
+        stats.accesses += n
+        stats.activations += n
+        stats.precharges += n if bt in self.open_row else n - 1
+        stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + n
         self.open_row[bt] = coord.row
-        self.stats.activations += 1
-        self.stats.per_bank_activations[bt] = self.stats.per_bank_activations.get(bt, 0) + 1
         key = (bt, coord.row)
-        count = self.act_count.get(key, 0) + 1
+        count = self.act_count.get(key, 0) + n
         self.act_count[key] = count
         self._maybe_flip(coord, count)
-        self._window += 1
+        self._window += n
         if self._window == self.refresh_every:
             self.refresh()
 

@@ -154,6 +154,14 @@ class Geometry:
             if not 0 <= value < extent:
                 raise ValueError(f"{kind} {value} outside [0, {extent})")
 
+    def check_pa(self, pa: int) -> None:
+        """Raise ValueError unless pa is an integer inside the address space."""
+        if not is_integer(pa):
+            raise ValueError(f"pa must be an integer, got {pa!r}")
+        total = self.total_bytes
+        if not 0 <= pa < total:
+            raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")
+
     def pack(self, coord: "DramCoordinate") -> int:
         """Packed coordinate vector of an in-range coordinate."""
         vec = 0
@@ -293,16 +301,10 @@ class AddressMapping:
 
     @cached_property
     def _inverse_rows(self) -> tuple[int, ...]:
-        width = self.geometry.address_width
-        rows = self.matrix_rows
-        if len(rows) != width:
-            raise MappingError(
-                f"mapping has {len(rows)} output bits, address width is {width}"
-            )
-        _, inverse, _ = gf2.analyze(list(rows), width)
-        if inverse is None:
-            raise MappingError("mapping is not invertible; validate() it first")
-        return tuple(inverse)
+        report = validate(self)
+        if not report.valid:
+            raise MappingError(f"mapping is not invertible: {report.error}")
+        return report.inverse_rows
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
@@ -323,9 +325,7 @@ class AddressMapping:
         return gf2.image_tables(self.inverse_columns)
 
     def pa_to_coord(self, pa: int) -> DramCoordinate:
-        total = self.geometry.total_bytes
-        if not 0 <= pa < total:
-            raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")
+        self.geometry.check_pa(pa)
         return DramCoordinate(*self.geometry.unpack(gf2.image(self._forward_tables, pa)))
 
     def coord_to_pa(self, coord: DramCoordinate) -> int:

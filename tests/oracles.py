@@ -205,13 +205,37 @@ def brute_boundary_fallback(
 
 
 def brute_activate(state: SimState, coord: DramCoordinate) -> None:
-    """One hammer activation stepped by hand, without ``activate_row``'s bulk
-    counting: an access that misses, a precharge if the bank has a row open,
-    then the activation itself."""
-    state.stats.accesses += 1
-    if coord.bank_tuple in state.open_row:
-        state.stats.precharges += 1
-    state._activate(coord)
+    """One hammer activation stepped by hand, sharing no counting code with
+    ``SimState``: an access that misses, a precharge if the bank has a row
+    open, the activation, the flip check at the row's new count, then the
+    refresh once the state's window fills."""
+    bt = coord.bank_tuple
+    stats = state.stats
+    stats.accesses += 1
+    if bt in state.open_row:
+        stats.precharges += 1
+    state.open_row[bt] = coord.row
+    stats.activations += 1
+    stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + 1
+    key = (bt, coord.row)
+    state.act_count[key] = state.act_count.get(key, 0) + 1
+    state._maybe_flip(coord, state.act_count[key])
+    state._window += 1
+    if state._window == state.refresh_every:
+        state.refresh()
+
+
+def brute_access(state: SimState, pa: int, kind: str, data: int | None) -> None:
+    """One open-page access stepped by hand: a hit when the bank's open row
+    is the address's row, else one activation through ``brute_activate``."""
+    coord = state.mapping.pa_to_coord(pa)
+    if state.open_row.get(coord.bank_tuple) == coord.row:
+        state.stats.accesses += 1
+        state.stats.row_buffer_hits += 1
+    else:
+        brute_activate(state, coord)
+    if kind == "write":
+        state.contents[pa] = data
 
 
 def brute_hammer(
@@ -243,14 +267,14 @@ def brute_replay(
     entries: list[tuple[str, int, int | None]],
     every: int,
 ) -> SimState:
-    """Replay (kind, pa, data) accesses, refreshing manually once ``every``
-    activations have accumulated since the last refresh; the state's own
-    period is one longer, as in brute_hammer."""
+    """Replay (kind, pa, data) accesses through ``brute_access``, refreshing
+    manually once ``every`` activations have accumulated since the last
+    refresh; the state's own period is one longer, as in brute_hammer."""
     state = SimState(mapping, params, every + 1)
     since_refresh = 0
     for kind, pa, data in entries:
         before = state.stats.activations
-        state.access(pa, kind, data)
+        brute_access(state, pa, kind, data)
         since_refresh += state.stats.activations - before
         if since_refresh >= every:
             state.refresh()

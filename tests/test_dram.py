@@ -14,6 +14,7 @@ from vmhammer import (
     DramCoordinate,
     Geometry,
     HammerParams,
+    MappingError,
     SimState,
     builtin_mappings,
 )
@@ -21,6 +22,8 @@ from vmhammer.dram import InvariantError
 from vmhammer.harness import AccessTrace, replay_trace
 
 from oracles import (
+    brute_access,
+    brute_activate,
     brute_hammer,
     brute_replay,
     random_geometry,
@@ -66,7 +69,7 @@ def hammer(state: SimState, row: int, count: int, bank=0) -> None:
 
 def test_repeated_access_hits(presets):
     state = SimState(presets["simple"], det_params())
-    outcomes = [state.access(0x1234).hit for _ in range(5)]
+    outcomes = [state.access(0x1234) for _ in range(5)]
     assert outcomes == [False, True, True, True, True]
     assert state.stats.accesses == 5
     assert state.stats.row_buffer_hits == 4
@@ -77,7 +80,7 @@ def test_repeated_access_hits(presets):
 def test_same_row_different_column_hits(presets):
     state = SimState(presets["simple"], det_params())
     state.access(0x0000)
-    assert state.access(0x0ABC).hit  # same row, different column
+    assert state.access(0x0ABC)  # same row, different column
     assert state.stats.activations == 1
 
 
@@ -85,7 +88,7 @@ def test_row_conflict_always_misses(presets):
     # rows 0 and 1 of the same bank under the direct mapping (bit 15 toggles row)
     state = SimState(presets["simple"], det_params())
     for i in range(6):
-        assert not state.access(0x8000 * (i & 1)).hit
+        assert not state.access(0x8000 * (i & 1))
     assert state.stats.accesses == 6
     assert state.stats.row_buffer_hits == 0
     assert state.stats.activations == 6
@@ -95,7 +98,7 @@ def test_row_conflict_always_misses(presets):
 def test_independent_bank_buffers(presets):
     # 0x2000 differs in bankgroup bit 13 only
     state = SimState(presets["simple"], det_params())
-    hits = [state.access(pa).hit for pa in (0x0, 0x2000, 0x0, 0x2000)]
+    hits = [state.access(pa) for pa in (0x0, 0x2000, 0x0, 0x2000)]
     assert hits == [False, False, True, True]
     assert state.stats.activations == 2
     assert state.stats.precharges == 0
@@ -121,9 +124,9 @@ def test_write_then_read(presets):
     assert state.read_byte(0x42) == 0x5A
     assert state.read_byte(0x43) == 0  # fill constant
     assert state.stats.accesses == before  # byte access bypasses DRAM counters
-    out = state.access(0x42, "write", 0xA5)
-    assert not out.hit  # first DRAM access in this state
-    assert state.access(0x42).value == 0xA5
+    assert not state.access(0x42, "write", 0xA5)  # first DRAM access in this state
+    assert state.access(0x42)
+    assert state.read_byte(0x42) == 0xA5
     with pytest.raises(ValueError):
         state.access(0x42, "write")
     with pytest.raises(ValueError):
@@ -135,7 +138,8 @@ def test_write_then_read(presets):
 def test_unwritten_bytes_read_the_fill():
     state = SimState(tiny_simple(), det_params(hc_first=4), fill=0xAA)
     assert state.read_byte(0x20) == 0xAA
-    assert state.access(0x21).value == 0xAA
+    assert not state.access(0x21)
+    assert state.read_byte(0x21) == 0xAA
     state.write_byte(0x20, 0x5A)  # row 4, column 0
     for _ in range(2):  # deterministic mode flips bit 0 of column 0 once per window
         hammer(state, 5, 5)
@@ -181,6 +185,10 @@ def test_rejected_write_leaves_state_unchanged(presets):
         (lambda s: s.read_byte(1.5), "pa"),
         (lambda s: s.access(0x20, "write", True), "data"),
         (lambda s: s.access(0x20, "write", 1.5), "data"),
+        (lambda s: s.access(True), "pa"),
+        (lambda s: s.access(1.5), "pa"),
+        (lambda s: s.access("0x10"), "pa"),
+        (lambda s: s.mapping.pa_to_coord(True), "pa"),
     ],
     ids=[
         "activate_row-bool",
@@ -191,6 +199,10 @@ def test_rejected_write_leaves_state_unchanged(presets):
         "read_byte-float-pa",
         "access-bool-data",
         "access-float-data",
+        "access-bool-pa",
+        "access-float-pa",
+        "access-str-pa",
+        "pa_to_coord-bool-pa",
     ],
 )
 def test_non_integer_input_leaves_state_unchanged(call, argument):
@@ -272,7 +284,7 @@ def test_refresh_keeps_rows_open(presets):
     state = SimState(presets["simple"], det_params())
     state.access(0x1234)
     state.refresh()
-    assert state.access(0x1234).hit  # refresh does not close row buffers
+    assert state.access(0x1234)  # refresh does not close row buffers
 
 
 def test_manual_refresh_starts_a_new_window():
@@ -302,7 +314,9 @@ def test_refresh_window_matches_driver_oracles(data):
     drivers that used to keep it: a manual refresh after every ``every``-th
     hammer activation, stepped one at a time, and after every ``every``
     replay activations. Hammer runs span several windows, and hc_first may
-    be at or above the refresh period, where no flip is possible."""
+    be at or above the refresh period, where no flip is possible. Last, one
+    state interleaves both kinds of call, against the hand-stepped oracles
+    at the state's own period."""
     rng = random.Random(data.draw(st.integers(0, 1 << 16), label="mapping seed"))
     mapping = random_invertible_mapping(rng, random_geometry(rng, max_total=1 << 12))
     geo = mapping.geometry
@@ -340,6 +354,7 @@ def test_refresh_window_matches_driver_oracles(data):
     assert state.collect_flips() == expected.collect_flips()
 
     pool = data.draw(st.lists(st.integers(0, geo.total_bytes - 1), min_size=1, max_size=6))
+    pool += [mapping.coord_to_pa(coord) for coord, _ in sites]  # the hammered rows
     entries = [
         ("write", pa, byte) if byte is not None else ("read", pa, None)
         for pa, byte in data.draw(
@@ -355,6 +370,24 @@ def test_refresh_window_matches_driver_oracles(data):
     assert stats.to_dict() == expected.stats.to_dict()
     assert flips == expected.collect_flips()
 
+    # one state takes hammer runs and accesses in any order, on shared banks
+    ops = data.draw(st.permutations(sites + entries), label="interleaving")
+    state = SimState(mapping, params, every)
+    expected = SimState(mapping, params, every)
+    for op in ops:
+        if len(op) == 2:
+            coord, count = op
+            state.activate_row(coord, count)
+            for _ in range(count):
+                brute_activate(expected, coord)
+        else:
+            kind, pa, byte = op
+            state.access(pa, kind, byte)
+            brute_access(expected, pa, kind, byte)
+    assert state.stats.to_dict() == expected.stats.to_dict()
+    assert state.collect_flips() == expected.collect_flips()
+    assert state.contents == expected.contents
+
 
 @pytest.mark.parametrize("deterministic", [True, False])
 @pytest.mark.parametrize(
@@ -365,6 +398,8 @@ def test_refresh_window_matches_driver_oracles(data):
         (3, 7, [(5, 50)]),  # one call spanning seven windows and part of an eighth
         (2, 10, [(5, 35)]),  # the latch re-arms after each refresh inside the call
         (4, 100, [(5, 6), (9, 6), (5, 6), (5, 3)]),  # rows 5 and 9 share a bank tuple
+        (4, 100, [(5, 6), (7, 6)]),  # the second crossing finds shared victim 6 latched
+        (4, 5, [(5, 12)]),  # the hc_first + 1-th activation ends each full window
     ],
 )
 def test_bulk_hammer_edge_cases(hc_first, every, sites, deterministic):
@@ -557,7 +592,7 @@ def test_simstate_requires_invertible_mapping():
             "column": [[0], [1], [2]],
         },
     )
-    with pytest.raises(Exception):
+    with pytest.raises(MappingError, match="not invertible: rank 7 of 8"):
         SimState(broken, det_params())
 
 
