@@ -3,14 +3,14 @@
 Run as: python3 demos/03_mitigation_matrix.py
 """
 
-from vmhammer.harness import builtin_matrix, matrix_summary, run_matrix
+from vmhammer.harness import builtin_matrix, matrix_summary, run_matrix, with_overrides
 
 MARKS = {"MITIGATED": "mitigated", "NOT_MITIGATED": "FLIPPED", "ERROR": "error"}
 
 
 def main():
     # reduced threshold keeps the demo fast; verdicts match the full scale
-    scenarios = builtin_matrix(hc_first=100)
+    scenarios = [with_overrides(sc, hc_first=100) for sc in builtin_matrix()]
     reports = run_matrix(scenarios)
 
     print("verdict grid (attacker vm1 hammering toward victim vm0):\n")

@@ -25,7 +25,6 @@ from .mapping import (
 )
 from .dram import BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
-    HYPERVISOR,
     UNALLOCATED,
     UNUSED,
     AggressorSite,

@@ -5,6 +5,10 @@ domain-negative results (invalid mapping, infeasible plan, NOT_MITIGATED
 under --expect-mitigated, matrix slots with errors), 2 for usage, IO, and
 parse errors. Successful commands print JSON (or the documented matrix table)
 on stdout; errors print a machine-readable object on stderr.
+
+A mapping argument goes through harness.resolve_mapping and the hammer flags
+through harness.with_overrides, as scenario files do. Each gen-trace kind is
+a sub-parser that takes only its own flags.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import NoReturn
 
@@ -31,36 +34,17 @@ from .harness import (
     parse_trace,
     replay_trace,
     report_to_json,
+    resolve_mapping,
     run_attack,
     run_matrix,
     synth_trace,
+    with_overrides,
 )
 from .layout import MITIGATIONS, PlanError, plan_layout
-from .mapping import (
-    COORD_KINDS,
-    AddressMapping,
-    DramCoordinate,
-    MappingError,
-    builtin_mappings,
-    default_geometry,
-    load_mapping,
-    validate,
-)
+from .mapping import DramCoordinate, MappingError, validate
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
-
-
-def _resolve_mapping(spec: str) -> AddressMapping:
-    """A mapping argument is a preset name or a mapping-file path."""
-    presets = builtin_mappings(default_geometry())
-    if spec in presets:
-        return presets[spec]
-    if os.path.exists(spec):
-        return load_mapping(spec)
-    raise MappingError(
-        f"{spec!r} is neither a preset ({', '.join(sorted(presets))}) nor a file"
-    )
 
 
 def _emit(args, text: str) -> None:
@@ -81,6 +65,8 @@ def _error(exc: Exception) -> None:
 
 
 HAMMER_FIELDS = tuple(f.name for f in dataclasses.fields(HammerParams))
+OVERRIDE_FIELDS = HAMMER_FIELDS + ("hammer_count",)
+TRACE_FIELDS = ("base_pa", "limit", "count", "stride", "rows", "cols", "mask")
 
 
 def _given(args, names) -> dict:
@@ -88,24 +74,18 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
-def _scenario_overrides(scenario, args):
-    """Apply global CLI overrides on top of a loaded scenario."""
-    hammer = dataclasses.replace(scenario.hammer, **_given(args, HAMMER_FIELDS))
-    return dataclasses.replace(scenario, hammer=hammer, **_given(args, ("hammer_count",)))
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_validate_map(args) -> int:
-    mapping = _resolve_mapping(args.mapping)
+    mapping, _ = resolve_mapping(args.mapping)
     report = validate(mapping)
     _emit_json(args, report.to_dict())
     return 0 if report.valid else DOMAIN_ERROR
 
 
 def cmd_translate(args) -> int:
-    mapping = _resolve_mapping(args.mapping)
+    mapping, _ = resolve_mapping(args.mapping)
     geo = mapping.geometry
     digits = geo.pa_digits
     if ":" in args.address:
@@ -127,7 +107,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    mapping = _resolve_mapping(args.mapping)
+    mapping, _ = resolve_mapping(args.mapping)
     sizes = [parse_size(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise ValueError("--sizes must list at least one VM size")
@@ -138,8 +118,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    scenario = load_scenario(args.scenario)
-    scenario = _scenario_overrides(scenario, args)
+    scenario = with_overrides(load_scenario(args.scenario), **_given(args, OVERRIDE_FIELDS))
     report = run_attack(scenario)
     _emit(args, report_to_json(report))
     if args.expect_mitigated and report.verdict != "MITIGATED":
@@ -165,12 +144,9 @@ def _render_table(summary: dict) -> str:
 
 
 def cmd_matrix(args) -> int:
-    if args.path:
-        scenarios = load_matrix_scenarios(args.path)
-        scenarios = [_scenario_overrides(s, args) for s in scenarios]
-    else:
-        scenarios = builtin_matrix(**_given(args, ("hc_first", "rng_seed", "hammer_count")))
-    reports = run_matrix(scenarios)
+    scenarios = load_matrix_scenarios(args.path) if args.path else builtin_matrix()
+    overrides = _given(args, OVERRIDE_FIELDS)
+    reports = run_matrix([with_overrides(s, **overrides) for s in scenarios])
     summary = matrix_summary(reports)
     if args.table:
         _emit(args, _render_table(summary))
@@ -187,7 +163,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_replay_trace(args) -> int:
-    mapping = _resolve_mapping(args.mapping)
+    mapping, _ = resolve_mapping(args.mapping)
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = parse_trace(fh.read())
     params = HammerParams(**_given(args, HAMMER_FIELDS))
@@ -205,23 +181,8 @@ def cmd_replay_trace(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
-    kwargs: dict = {"limit": args.limit}
-    if args.kind == "sequential":
-        kwargs.update(base_pa=args.base, count=args.count)
-    elif args.kind == "strided":
-        if args.stride is None:
-            raise ValueError("strided traces need --stride")
-        kwargs.update(base_pa=args.base, stride=args.stride, count=args.count)
-    elif args.kind == "matvec":
-        if args.rows is None or args.cols is None:
-            raise ValueError("matvec traces need --rows and --cols")
-        kwargs.update(rows=args.rows, cols=args.cols, base_pa=args.base)
-    else:  # toggle
-        if args.mask is None:
-            raise ValueError("toggle traces need --mask")
-        kwargs.update(base_pa=args.base, mask=args.mask, count=args.count)
-    trace = synth_trace(args.kind, **kwargs)
-    _emit(args, format_trace(trace))
+    # a kind's sub-parser sets only the fields that kind takes
+    _emit(args, format_trace(synth_trace(args.kind, **_given(args, TRACE_FIELDS))))
     return 0
 
 
@@ -301,17 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blast-radius", type=int, default=None, dest="blast_radius")
     p.set_defaults(func=cmd_replay_trace)
 
-    p = sub.add_parser("gen-trace", parents=[common], help="synthesize an access trace")
-    p.add_argument("kind", choices=["sequential", "strided", "matvec", "toggle"])
-    p.add_argument("--base", type=_hex_int, default=0)
-    p.add_argument("--count", type=int, default=1024)
-    p.add_argument("--stride", type=_hex_int, default=None)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--mask", type=_hex_int, default=None)
-    p.add_argument("--limit", type=_hex_int, default=None,
-                   help="reject traces reaching past this address")
+    trace = argparse.ArgumentParser(add_help=False, parents=[common])
+    trace.add_argument("--base", type=_hex_int, default=0, dest="base_pa", metavar="BASE")
+    trace.add_argument("--limit", type=_hex_int, default=None,
+                       help="reject traces reaching past this address")
+    counted = argparse.ArgumentParser(add_help=False, parents=[trace])
+    counted.add_argument("--count", type=int, default=1024)
+    p = sub.add_parser("gen-trace", help="synthesize an access trace")
     p.set_defaults(func=cmd_gen_trace)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("sequential", parents=[counted])
+    k = kinds.add_parser("strided", parents=[counted])
+    k.add_argument("--stride", type=_hex_int, required=True)
+    k = kinds.add_parser("matvec", parents=[trace])
+    k.add_argument("--rows", type=int, required=True)
+    k.add_argument("--cols", type=int, required=True)
+    k = kinds.add_parser("toggle", parents=[counted])
+    k.add_argument("--mask", type=_hex_int, required=True)
 
     return parser
 

@@ -271,14 +271,7 @@ class SimState:
 
     def _record_flip(self, aggressor: DramCoordinate, victim_row: int, column: int, bit: int) -> None:
         geo = self.geometry
-        victim = DramCoordinate(
-            aggressor.channel,
-            aggressor.rank,
-            aggressor.bankgroup,
-            aggressor.bank,
-            victim_row,
-            column,
-        )
+        victim = aggressor._replace(row=victim_row, column=column)
         # Confinement: same subarray, within blast radius (the bank tuple is
         # the aggressor's by construction).
         if abs(victim_row - aggressor.row) > self.params.blast_radius or (

@@ -5,6 +5,11 @@ aggressors on a state whose unwritten bytes read the check pattern, then
 classify each recorded bitflip by the owning region. The verdict is MITIGATED
 exactly when no flip lands in victim-owned memory. The refresh window belongs
 to SimState: both run_attack and replay_trace only pass its period through.
+
+resolve_mapping is the one place a mapping spec (preset name, file path or
+inline object) becomes an AddressMapping, for scenario files and the command
+line alike; with_overrides is the one way to change a scenario's fields,
+hammer parameters included.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .mapping import (
     Geometry,
     MappingError,
     builtin_mappings,
-    default_geometry,
     is_integer,
     load_mapping,
 )
@@ -57,6 +61,8 @@ __all__ = [
     "toggle_trace",
     "synth_trace",
     "parse_size",
+    "resolve_mapping",
+    "with_overrides",
     "scenario_from_dict",
     "load_scenario",
     "load_matrix_scenarios",
@@ -136,6 +142,10 @@ class Scenario:
             raise ScenarioError("vm_sizes must name at least one VM")
         if self.attacker_vm == self.victim_vm:
             raise ScenarioError("attacker_vm and victim_vm must differ")
+        owners = sorted(f"vm{i}" for i in range(len(self.vm_sizes)))
+        for vm in (self.attacker_vm, self.victim_vm):
+            if vm not in owners:
+                raise ScenarioError(f"{vm!r} is not one of the planned VMs {owners}")
         if self.hammer_count is not None and self.hammer_count < 1:
             raise ScenarioError(f"hammer_count must be >= 1, got {self.hammer_count}")
         if self.refresh_every < 1:
@@ -196,14 +206,16 @@ def _reject_unknown(what: str, data: dict, known: set[str]) -> None:
         raise ScenarioError(f"{what} has unknown fields: {', '.join(unknown)}")
 
 
-def _scenario_mapping(data: dict, base_dir: str | None) -> tuple[AddressMapping, str]:
-    """The mapping a scenario names, and the label it defaults to."""
-    spec = data["mapping"]
-    presets = builtin_mappings(default_geometry())
-    if "geometry" in data:
-        if not isinstance(spec, str) or spec not in presets:
-            raise ScenarioError("a top-level geometry applies to preset names only")
-        presets = builtin_mappings(Geometry.from_dict(data["geometry"]))
+def resolve_mapping(
+    spec, base_dir: str | None = None, geometry: Geometry | None = None
+) -> tuple[AddressMapping, str]:
+    """The mapping a spec names, and the label a scenario takes from it.
+
+    A spec is a preset name, built on ``geometry`` (default: the default
+    geometry), an inline {"geometry", "functions"} object, or a mapping-file
+    path, relative to ``base_dir`` (default: the working directory). The
+    label is the preset name, the file's stem, or Scenario's default label.
+    """
     if isinstance(spec, dict):
         if "geometry" not in spec or "functions" not in spec:
             raise ScenarioError("inline mapping needs geometry and functions")
@@ -211,10 +223,24 @@ def _scenario_mapping(data: dict, base_dir: str | None) -> tuple[AddressMapping,
         return AddressMapping.build(geometry, spec["functions"]), Scenario.label
     if not isinstance(spec, str):
         raise ScenarioError(f"mapping must be a name, path, or object, got {spec!r}")
+    presets = builtin_mappings(geometry)
     if spec in presets:
         return presets[spec], spec
-    path = spec if os.path.isabs(spec) or base_dir is None else os.path.join(base_dir, spec)
+    path = os.path.join(base_dir or "", spec)
+    if not os.path.exists(path):
+        raise MappingError(
+            f"{spec!r} is neither a preset ({', '.join(sorted(presets))}) nor a file"
+        )
     return load_mapping(path), os.path.splitext(os.path.basename(path))[0]
+
+
+def with_overrides(scenario: Scenario, **fields) -> Scenario:
+    """A copy of scenario with the given HammerParams and Scenario fields
+    replaced."""
+    hammer = {name: fields.pop(name) for name in _field_names(HammerParams) & fields.keys()}
+    return dataclasses.replace(
+        scenario, hammer=dataclasses.replace(scenario.hammer, **hammer), **fields
+    )
 
 
 def scenario_from_dict(data: dict, base_dir: str | None = None) -> Scenario:
@@ -239,7 +265,12 @@ def scenario_from_dict(data: dict, base_dir: str | None = None) -> Scenario:
     _reject_unknown("hammer", hammer, _field_names(HammerParams))
     if not isinstance(data["vm_sizes"], list):
         raise ScenarioError(f"vm_sizes must be a list of sizes, got {data['vm_sizes']!r}")
-    mapping, label = _scenario_mapping(data, base_dir)
+    spec, geometry = data["mapping"], None
+    if "geometry" in data:
+        if not isinstance(spec, str) or spec not in builtin_mappings():
+            raise ScenarioError("a top-level geometry applies to preset names only")
+        geometry = Geometry.from_dict(data["geometry"])
+    mapping, label = resolve_mapping(spec, base_dir, geometry)
     rest = {k: v for k, v in data.items() if k not in ("mapping", "geometry", "hammer")}
     rest["vm_sizes"] = tuple(parse_size(s) for s in data["vm_sizes"])
     rest.setdefault("label", label)
@@ -252,15 +283,18 @@ def scenario_from_dict(data: dict, base_dir: str | None = None) -> Scenario:
     return Scenario(mapping=mapping, hammer=params, **rest)
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(
                 f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}"
             ) from None
-    return scenario_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_dict(_read_json(path), os.path.dirname(os.path.abspath(path)))
 
 
 # -- aggressor selection ------------------------------------------------------------
@@ -338,9 +372,8 @@ class AttackReport:
         return out
 
 
-def report_to_json(report: AttackReport | dict) -> str:
-    data = report.to_dict() if isinstance(report, AttackReport) else report
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def report_to_json(report: AttackReport) -> str:
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def run_attack(scenario: Scenario) -> AttackReport:
@@ -355,10 +388,6 @@ def run_attack(scenario: Scenario) -> AttackReport:
     layout, siloz_plan = plan_layout(
         mapping, scenario.mitigation, scenario.vm_sizes, scenario.guard_global_rows
     )
-    owners = {f"vm{i}" for i in range(len(scenario.vm_sizes))}
-    for vm in (scenario.attacker_vm, scenario.victim_vm):
-        if vm not in owners:
-            raise ScenarioError(f"{vm!r} is not one of the planned VMs {sorted(owners)}")
     blast = scenario.hammer.blast_radius
     attacker = row_footprint(mapping, layout.region_of(scenario.attacker_vm))
     victim = row_footprint(mapping, layout.region_of(scenario.victim_vm))
@@ -431,37 +460,31 @@ def matrix_summary(reports: list[AttackReport | dict]) -> dict:
     return grid
 
 
-def builtin_matrix(
-    hc_first: int = HammerParams.hc_first,
-    rng_seed: int = HammerParams.rng_seed,
-    hammer_count: int | None = None,
-    mitigations: tuple[str, ...] = MITIGATIONS,
-) -> list[Scenario]:
+def builtin_matrix() -> list[Scenario]:
     """The default mitigation/mapping grid over the built-in presets, in
-    deterministic flip mode.
+    deterministic flip mode; with_overrides changes its hammer settings.
 
     VM pairs are sized per mitigation so each planner's behavior is visible:
     8 MiB adjacent VMs for the unmitigated baseline, 16 MiB for subarray-group
     isolation, 256 MiB with one guard row for guard-row isolation.
     """
-    presets = builtin_mappings(default_geometry())
+    presets = builtin_mappings()
     sizes: dict[str, tuple[int, ...]] = {
         "none": (8 << 20, 8 << 20),
         "siloz": (16 << 20, 16 << 20),
         "citadel": (256 << 20, 256 << 20),
     }
-    hammer = HammerParams(hc_first=hc_first, deterministic_mode=True, rng_seed=rng_seed)
+    hammer = HammerParams(deterministic_mode=True)
     return [
         Scenario(
             mapping=mapping,
             hammer=hammer,
             vm_sizes=sizes[mitigation],
             mitigation=mitigation,
-            hammer_count=hammer_count,
             aggressor_selection="first",
             label=name,
         )
-        for mitigation in mitigations
+        for mitigation in MITIGATIONS
         for name, mapping in presets.items()
     ]
 
@@ -476,13 +499,7 @@ def load_matrix_scenarios(path: str) -> list[Scenario]:
         if not scenarios:
             raise ScenarioError(f"{path}: no *.json scenario files")
         return scenarios
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}"
-            ) from None
+    data = _read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("scenarios"), list):
         raise ScenarioError(f"{path}: expected an object with a scenarios array")
     base = os.path.dirname(os.path.abspath(path))

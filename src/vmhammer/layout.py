@@ -1,12 +1,12 @@
 """VM memory layouts over physical address space, and mitigation planners.
 
-A layout is a list of disjoint regions, each owned by a VM, by the hypervisor,
-or marked unused. Planners place VMs so that an attacker VM cannot disturb a
-victim VM: plan_siloz gives every VM disjoint (bank tuple, subarray) sets,
-plan_citadel leaves whole guard rows between row-contiguous allocations.
-Both scan one array of per-block ids (group ids for siloz, chunk rows for
-citadel) built once from the mapping's columns. plan_layout is the one
-dispatch from a mitigation name to its planner.
+A layout is a list of disjoint regions, each owned by a VM or marked unused.
+Planners place VMs so that an attacker VM cannot disturb a victim VM:
+plan_siloz gives every VM disjoint (bank tuple, subarray) sets, plan_citadel
+leaves whole guard rows between row-contiguous allocations. Both scan one
+array of per-block ids (group ids for siloz, chunk rows for citadel) built
+once from the mapping's columns. plan_layout is the one dispatch from a
+mitigation name to its planner.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
@@ -30,7 +30,6 @@ from .mapping import AddressMapping, DramCoordinate, Geometry
 
 __all__ = [
     "UNUSED",
-    "HYPERVISOR",
     "UNALLOCATED",
     "MITIGATIONS",
     "Region",
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 UNUSED = "unused"
-HYPERVISOR = "hypervisor"
 UNALLOCATED = "unallocated"
 MITIGATIONS = ("none", "siloz", "citadel")
 
@@ -100,7 +98,7 @@ class MemoryLayout:
 
 
 def classify_pa(layout: MemoryLayout, pa: int) -> str:
-    """Owner of the byte at pa: a VM id, unused, hypervisor, or unallocated."""
+    """Owner of the byte at pa: a VM id, unused, or unallocated."""
     for region in layout.regions:
         if region.contains(pa):
             return region.owner
@@ -459,7 +457,7 @@ class AggressorSite:
 
 
 def _site(mapping: AddressMapping, vec: int, victim_rows: tuple[int, ...]) -> AggressorSite:
-    coord = DramCoordinate(*mapping.geometry.unpack(vec))  # column bits are clear
+    coord = mapping.geometry.unpack(vec)  # column bits are clear
     return AggressorSite(mapping.coord_to_pa(coord), coord, victim_rows)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import gf2
 
@@ -63,6 +63,30 @@ def _log2(value: int) -> int:
     return value.bit_length() - 1
 
 
+class DramCoordinate(NamedTuple):
+    """One byte's place in DRAM, a tuple in COORD_KINDS order."""
+
+    channel: int
+    rank: int
+    bankgroup: int
+    bank: int
+    row: int
+    column: int
+
+    @property
+    def bank_tuple(self) -> tuple[int, int, int, int]:
+        return self[:4]
+
+    def subarray(self, geometry: Geometry) -> int:
+        return geometry.subarray_of(self.row)
+
+    def to_dict(self, geometry: Geometry | None = None) -> dict:
+        out = self._asdict()
+        if geometry is not None:
+            out["subarray"] = self.subarray(geometry)
+        return out
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Power-of-two extents of one DRAM configuration.
@@ -98,7 +122,9 @@ class Geometry:
                 f"geometry spans {self.address_width} address bits, at most 63 are supported"
             )
 
-    @property
+    # cached_property writes the instance dict directly, so it coexists with
+    # frozen; cached values take no part in equality or hashing
+    @cached_property
     def total_bytes(self) -> int:
         return (
             self.channels
@@ -126,8 +152,6 @@ class Geometry:
         """Hex digits needed to print any physical address."""
         return max(1, (self.address_width + 3) // 4)
 
-    # cached_property writes the instance dict directly, so it coexists with
-    # frozen; cached values take no part in equality or hashing
     @cached_property
     def extents(self) -> tuple[int, ...]:
         """Extent of each coordinate, in COORD_KINDS order."""
@@ -147,10 +171,12 @@ class Geometry:
     def coord_width(self, kind: str) -> int:
         return _log2(self.extent(kind))
 
-    def check_coord(self, coord: "DramCoordinate") -> None:
-        """Raise ValueError unless every field of coord is inside its extent."""
-        for kind, extent in zip(COORD_KINDS, self.extents):
-            value = getattr(coord, kind)
+    def check_coord(self, coord: DramCoordinate) -> None:
+        """Raise ValueError unless every field of coord is an integer inside
+        its extent."""
+        for kind, value, extent in zip(COORD_KINDS, coord, self.extents):
+            if not is_integer(value):
+                raise ValueError(f"{kind} must be an integer, got {value!r}")
             if not 0 <= value < extent:
                 raise ValueError(f"{kind} {value} outside [0, {extent})")
 
@@ -162,20 +188,20 @@ class Geometry:
         if not 0 <= pa < total:
             raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")
 
-    def pack(self, coord: "DramCoordinate") -> int:
+    def pack(self, coord: DramCoordinate) -> int:
         """Packed coordinate vector of an in-range coordinate."""
         vec = 0
-        for kind, offset in zip(COORD_KINDS, self.coord_offsets):
-            vec |= getattr(coord, kind) << offset
+        for value, offset in zip(coord, self.coord_offsets):
+            vec |= value << offset
         return vec
 
     @cached_property
     def _fields(self) -> tuple[tuple[int, int], ...]:
         return tuple((offset, extent - 1) for offset, extent in zip(self.coord_offsets, self.extents))
 
-    def unpack(self, vec: int) -> tuple[int, ...]:
-        """Coordinate fields, in COORD_KINDS order, of a packed vector."""
-        return tuple([(vec >> offset) & mask for offset, mask in self._fields])
+    def unpack(self, vec: int) -> DramCoordinate:
+        """The coordinate of a packed vector."""
+        return DramCoordinate._make([(vec >> offset) & mask for offset, mask in self._fields])
 
     def subarray_of(self, row: int) -> int:
         return row // self.rows_per_subarray
@@ -205,29 +231,6 @@ class Geometry:
         if extra:
             raise MappingError(f"geometry has unknown fields: {', '.join(extra)}")
         return cls(**{name: data[name] for name in GEOMETRY_FIELDS})
-
-
-@dataclass(frozen=True, order=True)
-class DramCoordinate:
-    channel: int
-    rank: int
-    bankgroup: int
-    bank: int
-    row: int
-    column: int
-
-    @property
-    def bank_tuple(self) -> tuple[int, int, int, int]:
-        return (self.channel, self.rank, self.bankgroup, self.bank)
-
-    def subarray(self, geometry: Geometry) -> int:
-        return geometry.subarray_of(self.row)
-
-    def to_dict(self, geometry: Geometry | None = None) -> dict:
-        out = {kind: getattr(self, kind) for kind in COORD_KINDS}
-        if geometry is not None:
-            out["subarray"] = self.subarray(geometry)
-        return out
 
 
 def _normalize_function(
@@ -326,7 +329,7 @@ class AddressMapping:
 
     def pa_to_coord(self, pa: int) -> DramCoordinate:
         self.geometry.check_pa(pa)
-        return DramCoordinate(*self.geometry.unpack(gf2.image(self._forward_tables, pa)))
+        return self.geometry.unpack(gf2.image(self._forward_tables, pa))
 
     def coord_to_pa(self, coord: DramCoordinate) -> int:
         self.geometry.check_coord(coord)

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vmhammer.cli import main
+from vmhammer.harness import load_scenario
+from vmhammer.mapping import validate
 
 from oracles import tiny_noncontig
 
@@ -201,6 +203,41 @@ def test_plan_rejects_empty_sizes(capsys):
     assert "at least one" in json.loads(err)["error"]["message"]
 
 
+def test_cli_and_scenario_files_resolve_mappings_alike(capsys, tmp_path, presets):
+    """The command line and scenario files take one mapping path: a preset
+    and a mapping file resolve to equal mappings, an unknown name fails with
+    the same error."""
+    expected = presets["bank-xor"]
+    trace = tmp_path / "hammer.trace"
+    trace.write_text("R 0x0\nR 0x8000\n" * 20)  # rows 0 and 1 of one bank
+    hammer = ["--hc-first", "8", "--deterministic"]
+    _, replayed = stdout_json(capsys, "replay-trace", str(trace), "bank-xor", *hammer)
+    assert replayed["flips"]
+    scenario = tmp_path / "scenario.json"
+    for spec in ("bank-xor", write_json(tmp_path / "custom.json", expected.to_dict())):
+        write_json(scenario, reduced_scenario(mapping=spec))
+        assert load_scenario(str(scenario)).mapping == expected
+        assert stdout_json(capsys, "validate-map", spec) == (0, validate(expected).to_dict())
+        assert stdout_json(capsys, "replay-trace", str(trace), spec, *hammer) == (0, replayed)
+
+    write_json(scenario, reduced_scenario(mapping="nope"))
+    errors = []
+    for argv in (
+        ["validate-map", "nope"],
+        ["replay-trace", str(trace), "nope"],
+        ["attack", str(scenario)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        errors.append(assert_one_error(err))
+    assert errors == [errors[0]] * 3
+    assert errors[0] == {
+        "type": "MappingError",
+        "message": "'nope' is neither a preset (bank-xor, bank-xor-noncontig-row, simple)"
+        " nor a file",
+    }
+
+
 # -- attack ---------------------------------------------------------------------
 
 
@@ -265,6 +302,13 @@ BAD_SCENARIOS = [
         ),
         "ScenarioError",
     ),
+    (
+        reduced_scenario(
+            vm_sizes=["2GiB", "4GiB"], mitigation="citadel", attacker_vm="vm7"
+        ),
+        "ScenarioError",
+    ),
+    (reduced_scenario(mapping="missing.json"), "MappingError"),
 ]
 
 
@@ -438,9 +482,16 @@ def test_gen_and_replay_trace_roundtrip(capsys, tmp_path):
 
 
 def test_gen_trace_argument_validation(capsys):
-    code, out, err = run_cli(capsys, "gen-trace", "strided", "--count", "4")
-    assert code == 2
-    assert "--stride" in json.loads(err)["error"]["message"]
+    for args, flag in (
+        (("strided", "--count", "4"), "--stride"),
+        (("matvec", "--rows", "4"), "--cols"),
+        (("toggle", "--count", "4"), "--mask"),
+    ):
+        code, out, err = run_cli(capsys, "gen-trace", *args)
+        assert (code, out) == (2, ""), args
+        error = assert_one_error(err)
+        assert error["type"] == "ArgumentError", args
+        assert flag in error["message"], args
 
     code, out, err = run_cli(
         capsys, "gen-trace", "toggle", "--mask", "0x40", "--count", "4",
@@ -542,6 +593,10 @@ def test_subcommands_reject_flags_they_ignore(capsys, tmp_path):
         ["translate", "simple", "0x10", "--deterministic"],
         ["translate", "simple", "0x10", "--hc-first", "8"],
         ["replay-trace", str(trace_path), "simple", "--hammer-count", "9"],
+        ["gen-trace", "matvec", "--rows", "2", "--cols", "2", "--count", "5"],
+        ["gen-trace", "sequential", "--stride", "8"],
+        ["gen-trace", "strided", "--stride", "8", "--mask", "1"],
+        ["gen-trace", "toggle", "--mask", "1", "--rows", "2"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -189,6 +189,10 @@ def test_rejected_write_leaves_state_unchanged(presets):
         (lambda s: s.access(1.5), "pa"),
         (lambda s: s.access("0x10"), "pa"),
         (lambda s: s.mapping.pa_to_coord(True), "pa"),
+        (lambda s: s.activate_row(DramCoordinate(0, 0, 0, 0, 1.5, 0), 3), "row"),
+        (lambda s: s.activate_row(DramCoordinate(0, 0, 0, 0, True, 0), 3), "row"),
+        (lambda s: s.activate_row(DramCoordinate(0, 0, 0, 0, "1", 0), 3), "row"),
+        (lambda s: s.mapping.coord_to_pa(DramCoordinate(0, 0, 0, 0, 1.5, 0)), "row"),
     ],
     ids=[
         "activate_row-bool",
@@ -203,6 +207,10 @@ def test_rejected_write_leaves_state_unchanged(presets):
         "access-float-pa",
         "access-str-pa",
         "pa_to_coord-bool-pa",
+        "activate_row-float-row",
+        "activate_row-bool-row",
+        "activate_row-str-row",
+        "coord_to_pa-float-row",
     ],
 )
 def test_non_integer_input_leaves_state_unchanged(call, argument):

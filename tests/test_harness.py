@@ -32,6 +32,7 @@ from vmhammer.harness import (
     strided_trace,
     synth_trace,
     toggle_trace,
+    with_overrides,
 )
 from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout, row_chunk_stride
 from vmhammer.mapping import MappingError, default_geometry
@@ -499,7 +500,7 @@ def test_run_matrix_lets_internal_errors_through(presets, monkeypatch):
 
 
 def test_builtin_matrix_shape(presets):
-    scenarios = builtin_matrix(hc_first=64, hammer_count=100)
+    scenarios = [with_overrides(sc, hc_first=64, hammer_count=100) for sc in builtin_matrix()]
     assert len(scenarios) == 9
     assert [sc.mitigation for sc in scenarios] == ["none"] * 3 + ["siloz"] * 3 + ["citadel"] * 3
     assert [sc.label for sc in scenarios[:3]] == [
