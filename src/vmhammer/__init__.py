@@ -56,7 +56,6 @@ from .harness import (
     run_matrix,
     sequential_trace,
     strided_trace,
-    synth_trace,
     toggle_trace,
 )
 

@@ -8,7 +8,7 @@ on stdout; errors print a machine-readable object on stderr.
 
 A mapping argument goes through harness.resolve_mapping and the hammer flags
 through harness.with_overrides, as scenario files do. Each gen-trace kind is
-a sub-parser that takes only its own flags.
+a sub-parser that binds its synthesizer and takes only its own flags.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .harness import (
     load_matrix_scenarios,
     load_scenario,
     matrix_summary,
+    matvec_trace,
     parse_size,
     parse_trace,
     replay_trace,
@@ -37,7 +38,9 @@ from .harness import (
     resolve_mapping,
     run_attack,
     run_matrix,
-    synth_trace,
+    sequential_trace,
+    strided_trace,
+    toggle_trace,
     with_overrides,
 )
 from .layout import MITIGATIONS, PlanError, plan_layout
@@ -181,8 +184,8 @@ def cmd_replay_trace(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
-    # a kind's sub-parser sets only the fields that kind takes
-    _emit(args, format_trace(synth_trace(args.kind, **_given(args, TRACE_FIELDS))))
+    # a kind's sub-parser binds its synthesizer and sets only the fields it takes
+    _emit(args, format_trace(args.synth(**_given(args, TRACE_FIELDS))))
     return 0
 
 
@@ -271,14 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-trace", help="synthesize an access trace")
     p.set_defaults(func=cmd_gen_trace)
     kinds = p.add_subparsers(dest="kind", required=True)
-    kinds.add_parser("sequential", parents=[counted])
+    kinds.add_parser("sequential", parents=[counted]).set_defaults(synth=sequential_trace)
     k = kinds.add_parser("strided", parents=[counted])
     k.add_argument("--stride", type=_hex_int, required=True)
+    k.set_defaults(synth=strided_trace)
     k = kinds.add_parser("matvec", parents=[trace])
     k.add_argument("--rows", type=int, required=True)
     k.add_argument("--cols", type=int, required=True)
+    k.set_defaults(synth=matvec_trace)
     k = kinds.add_parser("toggle", parents=[counted])
     k.add_argument("--mask", type=_hex_int, required=True)
+    k.set_defaults(synth=toggle_trace)
 
     return parser
 

@@ -13,13 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["rank", "analyze", "reduce_basis", "span", "image_tables", "image"]
-
-
-def rank(rows: list[int], width: int) -> int:
-    """Rank of the matrix over GF(2)."""
-    r, _, _ = analyze(rows, width)
-    return r
+__all__ = ["analyze", "reduce_basis", "span", "image_tables", "image"]
 
 
 def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | None]:

@@ -59,7 +59,6 @@ __all__ = [
     "strided_trace",
     "matvec_trace",
     "toggle_trace",
-    "synth_trace",
     "parse_size",
     "resolve_mapping",
     "with_overrides",
@@ -413,7 +412,9 @@ def run_attack(scenario: Scenario) -> AttackReport:
     return AttackReport(
         scenario=scenario,
         layout=layout,
-        siloz_groups=siloz_plan.to_dict() if siloz_plan is not None else None,
+        siloz_groups=(
+            siloz_plan.to_dict(mapping.geometry.pa_digits) if siloz_plan is not None else None
+        ),
         aggressors=tuple(selected),
         boundary_fallback=fallback,
         seeded_rows=tuple(_reachable_rows(mapping.geometry, selected, blast)),
@@ -520,7 +521,10 @@ class AccessTrace:
 
 
 def parse_trace(text: str) -> AccessTrace:
-    """Parse trace lines: 'R <hex-pa>' or 'W <hex-pa> <hex-byte>', # comments."""
+    """Parse trace lines: 'R <hex-pa>' or 'W <hex-pa> <hex-byte>', # comments.
+
+    A negative PA is a malformed entry, as the synthesizers refuse one too.
+    """
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -530,16 +534,19 @@ def parse_trace(text: str) -> AccessTrace:
         kind = parts[0].upper()
         try:
             if kind == "R" and len(parts) == 2:
-                entries.append(("read", int(parts[1], 16), None))
+                entry = ("read", int(parts[1], 16), None)
             elif kind == "W" and len(parts) == 3:
                 data = int(parts[2], 16)
                 if not 0 <= data <= 0xFF:
                     raise ValueError
-                entries.append(("write", int(parts[1], 16), data))
+                entry = ("write", int(parts[1], 16), data)
             else:
+                raise ValueError
+            if entry[1] < 0:
                 raise ValueError
         except ValueError:
             raise TraceError(f"line {lineno}: malformed trace entry {raw.strip()!r}") from None
+        entries.append(entry)
     return AccessTrace(tuple(entries))
 
 
@@ -559,19 +566,20 @@ def _check_positive(**fields: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _check_pas(pas, limit: int | None) -> None:
+def _reads(pas: list[int], limit: int | None) -> AccessTrace:
+    """A read of each address in pas, after checking that none is negative
+    and, given a limit, that all lie below it."""
     if min(pas) < 0:
         raise ValueError(f"trace overflows the address space: pa -0x{-min(pas):x} is negative")
     if limit is not None and max(pas) >= limit:
         raise ValueError(f"trace overflows the region: pa 0x{max(pas):x} not below 0x{limit:x}")
+    return AccessTrace(tuple([("read", pa, None) for pa in pas]))
 
 
 def sequential_trace(base_pa: int, count: int, limit: int | None = None) -> AccessTrace:
     """count reads of consecutive byte addresses starting at base_pa."""
     _check_positive(count=count)
-    pas = [base_pa + i for i in range(count)]
-    _check_pas(pas, limit)
-    return AccessTrace(tuple(("read", pa, None) for pa in pas))
+    return _reads(list(range(base_pa, base_pa + count)), limit)
 
 
 def strided_trace(
@@ -579,33 +587,22 @@ def strided_trace(
 ) -> AccessTrace:
     """count reads spaced stride bytes apart."""
     _check_positive(count=count)
-    pas = [base_pa + i * stride for i in range(count)]
-    _check_pas(pas, limit)
-    return AccessTrace(tuple(("read", pa, None) for pa in pas))
+    return _reads([base_pa + i * stride for i in range(count)], limit)
 
 
-def matvec_trace(
-    rows: int,
-    cols: int,
-    base_pa: int,
-    element_size: int = 8,
-    limit: int | None = None,
-) -> AccessTrace:
-    """Read pattern of a row-major matrix-vector product.
+def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -> AccessTrace:
+    """Read pattern of a row-major matrix-vector product of 8-byte elements.
 
     The matrix lives at base_pa, the vector directly after it. The matrix is
     streamed once; the vector is re-read for every matrix row. Per element the
     order is matrix read, then vector read (one read per element).
     """
     _check_positive(rows=rows, cols=cols)
-    vector_base = base_pa + rows * cols * element_size
-    entries = []
-    for i in range(rows):
-        for j in range(cols):
-            entries.append(("read", base_pa + (i * cols + j) * element_size, None))
-            entries.append(("read", vector_base + j * element_size, None))
-    _check_pas([pa for _, pa, _ in entries], limit)
-    return AccessTrace(tuple(entries))
+    vector_base = base_pa + rows * cols * 8
+    pas = [0] * (2 * rows * cols)
+    pas[0::2] = range(base_pa, vector_base, 8)
+    pas[1::2] = list(range(vector_base, vector_base + cols * 8, 8)) * rows
+    return _reads(pas, limit)
 
 
 def toggle_trace(
@@ -618,22 +615,7 @@ def toggle_trace(
     banks under an xor mapping, exposing hit-rate differences between the two.
     """
     _check_positive(count=count)
-    pas = [base_pa ^ (mask if i & 1 else 0) for i in range(count)]
-    _check_pas(pas, limit)
-    return AccessTrace(tuple(("read", pa, None) for pa in pas))
-
-
-def synth_trace(kind: str, limit: int | None = None, **kwargs) -> AccessTrace:
-    """Dispatcher over the trace synthesizers by kind name."""
-    makers = {
-        "sequential": sequential_trace,
-        "strided": strided_trace,
-        "matvec": matvec_trace,
-        "toggle": toggle_trace,
-    }
-    if kind not in makers:
-        raise ValueError(f"unknown trace kind {kind!r}; pick from {sorted(makers)}")
-    return makers[kind](limit=limit, **kwargs)
+    return _reads([base_pa ^ (mask if i & 1 else 0) for i in range(count)], limit)
 
 
 def replay_trace(

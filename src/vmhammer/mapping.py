@@ -186,7 +186,7 @@ class Geometry:
             raise ValueError(f"pa must be an integer, got {pa!r}")
         total = self.total_bytes
         if not 0 <= pa < total:
-            raise ValueError(f"pa 0x{pa:x} outside [0, 0x{total:x})")
+            raise ValueError(f"pa {hex(pa)} outside [0, {hex(total)})")
 
     def pack(self, coord: DramCoordinate) -> int:
         """Packed coordinate vector of an in-range coordinate."""
@@ -393,39 +393,23 @@ def validate(mapping: AddressMapping) -> ValidationReport:
     """
     width = mapping.geometry.address_width
     rows = mapping.matrix_rows
+    rank = inverse = witness = error = None
     if len(rows) != width:
-        return ValidationReport(
-            valid=False,
-            address_width=width,
-            output_bits=len(rows),
-            rank=None,
-            error=f"{len(rows)} output bits do not cover the {width}-bit address space",
-            witness=None,
-            inverse_rows=None,
-        )
-    rank, inverse, dependency = gf2.analyze(list(rows), width)
-    if inverse is None:
-        labels = _bit_labels(mapping)
-        witness = tuple(
-            labels[p] for p in range(len(rows)) if dependency is not None and (dependency >> p) & 1
-        )
-        return ValidationReport(
-            valid=False,
-            address_width=width,
-            output_bits=len(rows),
-            rank=rank,
-            error=f"rank {rank} of {width}: output bits are linearly dependent",
-            witness=witness or None,
-            inverse_rows=None,
-        )
+        error = f"{len(rows)} output bits do not cover the {width}-bit address space"
+    else:
+        rank, inverse, dependency = gf2.analyze(list(rows), width)
+        if inverse is None:  # then dependency is set: square and rank-deficient
+            labels = _bit_labels(mapping)
+            witness = tuple(labels[p] for p in range(width) if dependency >> p & 1)
+            error = f"rank {rank} of {width}: output bits are linearly dependent"
     return ValidationReport(
-        valid=True,
+        valid=error is None,
         address_width=width,
         output_bits=len(rows),
         rank=rank,
-        error=None,
-        witness=None,
-        inverse_rows=tuple(inverse),
+        error=error,
+        witness=witness,
+        inverse_rows=None if inverse is None else tuple(inverse),
     )
 
 

@@ -576,6 +576,8 @@ def test_usage_errors(capsys):
         ["plan", "bogus", "simple", "--sizes", "1MiB"],
         ["plan", "citadel", "simple", "--sizes", "256MiB", "--guard-rows", "x"],
         ["validate-map", "simple", "--no-such-flag"],
+        ["gen-trace", "zigzag"],
+        ["gen-trace"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

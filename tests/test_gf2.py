@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmhammer.gf2 import analyze, image, image_tables, rank, reduce_basis, span
+from vmhammer.gf2 import analyze, image, image_tables, reduce_basis, span
 
 
 def span_size(rows):
@@ -42,11 +42,11 @@ def matmul(a_rows, b_rows):
 
 
 def test_rank_known_cases():
-    assert rank([], 4) == 0
-    assert rank([0b0001, 0b0010, 0b0100, 0b1000], 4) == 4
-    assert rank([0b0001, 0b0001], 4) == 1
-    assert rank([0b011, 0b101, 0b110], 3) == 2  # third row = xor of first two
-    assert rank([0], 4) == 0
+    assert analyze([], 4)[0] == 0
+    assert analyze([0b0001, 0b0010, 0b0100, 0b1000], 4)[0] == 4
+    assert analyze([0b0001, 0b0001], 4)[0] == 1
+    assert analyze([0b011, 0b101, 0b110], 3)[0] == 2  # third row = xor of first two
+    assert analyze([0], 4)[0] == 0
 
 
 def test_analyze_identity():
@@ -74,7 +74,7 @@ def test_analyze_reports_dependency_witness():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 8) - 1), max_size=10))
 def test_rank_matches_span_enumeration(rows):
-    assert 2 ** rank(rows, 8) == span_size(rows)
+    assert 2 ** analyze(rows, 8)[0] == span_size(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,7 +129,7 @@ def test_span_is_brute_force_enumeration_in_index_order(vectors):
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=12))
 def test_reduce_basis_keeps_the_span(vectors):
     basis = reduce_basis(vectors)
-    assert len(basis) == rank(vectors, 12)
+    assert len(basis) == analyze(vectors, 12)[0]
     members = span(vectors).tolist()
     assert set(span(basis).tolist()) == set(members)
     for x in (0, 1, 0x5A5, 0xFFF):  # reducing in basis order leaves the coset's least member

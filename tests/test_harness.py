@@ -30,12 +30,11 @@ from vmhammer.harness import (
     scenario_from_dict,
     sequential_trace,
     strided_trace,
-    synth_trace,
     toggle_trace,
     with_overrides,
 )
 from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout, row_chunk_stride
-from vmhammer.mapping import MappingError, default_geometry
+from vmhammer.mapping import AddressMapping, Geometry, MappingError, default_geometry
 
 from oracles import (
     brute_row_pas,
@@ -382,6 +381,19 @@ def test_report_dict_shape(presets):
     assert json.loads(text) == json.loads(json.dumps(data))
 
 
+def test_siloz_report_prints_its_layout_at_the_geometry_width():
+    geometry = Geometry(1, 1, 2, 2, 64, 16, 8)  # 4 KiB: 3 hex digits
+    mapping = AddressMapping.build(geometry, {
+        "channel": [], "rank": [], "bankgroup": [[5]], "bank": [[4]],
+        "row": [[6], [7], [8], [9], [10], [11]], "column": [[0], [1], [2], [3]],
+    })
+    sc = Scenario(mapping=mapping, hammer=reduced_hammer(), mitigation="siloz",
+                  vm_sizes=(256, 256))
+    data = run_attack(sc).to_dict()
+    assert data["layout"]["regions"][1]["start_pa"] == "0x200"
+    assert data["siloz"]["layout"] == data["layout"]
+
+
 def test_report_is_deterministic(presets):
     sc = make_scenario(presets, mitigation="siloz", vm_sizes=(16 * MIB, 16 * MIB))
     assert report_to_json(run_attack(sc)) == report_to_json(run_attack(sc))
@@ -567,6 +579,8 @@ def test_parse_trace_forms():
         ("W 0x10 0x100", 1),
         ("R zz", 1),
         ("R 0x1 0x2", 1),
+        ("R -0x10", 1),
+        ("# x\nW -0x4 0x01", 2),
     ],
 )
 def test_parse_trace_rejects_with_line_number(text, lineno):
@@ -581,7 +595,7 @@ def test_format_trace_roundtrip():
     assert parse_trace(text) == trace
 
 
-def test_synth_trace_shapes():
+def test_trace_synthesizer_shapes():
     assert [pa for _, pa, _ in sequential_trace(0x40, 4).entries] == [0x40, 0x41, 0x42, 0x43]
     assert [pa for _, pa, _ in strided_trace(0, 0x8000, 3).entries] == [0, 0x8000, 0x10000]
     assert [pa for _, pa, _ in toggle_trace(0x100, 0x8040, 4).entries] == [
@@ -594,6 +608,13 @@ def test_matvec_trace_frozen_order():
     # 2x2 matrix at 0x0, 8-byte elements, vector at 0x20: matrix/vector interleave
     pas = [pa for _, pa, _ in matvec_trace(2, 2, 0x0).entries]
     assert pas == [0x00, 0x20, 0x08, 0x28, 0x10, 0x20, 0x18, 0x28]
+    rows, cols, base = 3, 5, 0x100
+    vector = base + rows * cols * 8
+    expected = []
+    for i in range(rows):
+        for j in range(cols):
+            expected += [base + (i * cols + j) * 8, vector + j * 8]
+    assert [pa for _, pa, _ in matvec_trace(rows, cols, base).entries] == expected
 
 
 def test_trace_limit_enforcement():
@@ -603,14 +624,7 @@ def test_trace_limit_enforcement():
     with pytest.raises(ValueError, match="overflows"):
         strided_trace(-8, 8, 2, limit=100)
     with pytest.raises(ValueError, match="overflows"):
-        synth_trace("matvec", rows=2, cols=2, base_pa=0, limit=0x28)
-
-
-def test_synth_trace_dispatch():
-    assert synth_trace("matvec", rows=2, cols=2, base_pa=0) == matvec_trace(2, 2, 0)
-    assert synth_trace("toggle", base_pa=0, mask=1, count=2) == toggle_trace(0, 1, 2)
-    with pytest.raises(ValueError, match="unknown trace kind"):
-        synth_trace("zigzag", base_pa=0)
+        matvec_trace(2, 2, 0, limit=0x28)
 
 
 def test_replay_same_row_hits(presets):
@@ -656,7 +670,7 @@ def test_replay_rejects_bad_refresh(presets):
 
 
 def test_replay_is_deterministic(presets):
-    trace = synth_trace("strided", base_pa=0, stride=0x8000, count=200)
+    trace = strided_trace(0, 0x8000, 200)
     runs = [
         replay_trace(trace, presets["bank-xor"], reduced_hammer(hc_first=8))
         for _ in range(2)

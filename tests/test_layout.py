@@ -25,7 +25,7 @@ from vmhammer import (
     plan_siloz,
     row_footprint,
 )
-from vmhammer.layout import pack_layout, row_chunk_stride
+from vmhammer.layout import pack_layout, plan_layout, row_chunk_stride
 
 from oracles import (
     brute_aggressors,
@@ -345,6 +345,11 @@ def test_citadel_rejects_zero_guard(presets):
 def test_citadel_rejects_misaligned_sizes(presets):
     with pytest.raises(PlanError):
         plan_citadel(presets["simple"], [256 * MIB + 8192], 1)
+
+
+def test_plan_layout_rejects_unknown_mitigation(presets):
+    with pytest.raises(ValueError, match="unknown mitigation 'bogus'"):
+        plan_layout(presets["simple"], "bogus", [MIB], 1)
 
 
 def test_citadel_needs_row_chunks_at_least_one_row():

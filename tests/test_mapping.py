@@ -140,9 +140,9 @@ def test_noncontig_inverse_example(presets):
 
 def test_translation_rejects_out_of_range(presets):
     mapping = presets["simple"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pa 0x100000000 outside \[0, 0x100000000\)$"):
         mapping.pa_to_coord(1 << 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pa -0x1 outside \[0, 0x100000000\)$"):
         mapping.pa_to_coord(-1)
     with pytest.raises(ValueError):
         mapping.coord_to_pa(DramCoordinate(0, 0, 0, 2, 0, 0))
@@ -160,6 +160,8 @@ def test_build_rejects_structural_errors(geometry):
         AddressMapping.build(geometry, {**funcs, "bank": [[]]})
     with pytest.raises(MappingError):
         AddressMapping.build(geometry, {**funcs, "bank": []})  # wrong arity
+    with pytest.raises(MappingError, match="functions.bank must be an array of XOR sets"):
+        AddressMapping.build(geometry, {**funcs, "bank": 6})
     with pytest.raises(MappingError):
         AddressMapping.build(geometry, {**funcs, "wat": [[0]]})
     without_row = {k: v for k, v in funcs.items() if k != "row"}
@@ -178,6 +180,19 @@ def test_parse_mapping_reports_json_position():
     with pytest.raises(MappingError) as err:
         parse_mapping("{\n  broken\n}")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "top level must be an object"),
+        ('{"functions": {}}', "missing top-level field: geometry"),
+        ('{"geometry": {}}', "missing top-level field: functions"),
+    ],
+)
+def test_parse_mapping_rejects_bad_structure(text, message):
+    with pytest.raises(MappingError, match=f"^{message}$"):
+        parse_mapping(text)
 
 
 def test_parse_mapping_roundtrip(presets, tmp_path):
@@ -227,6 +242,16 @@ def test_validation_report_dict(presets):
     assert data["rank"] == 32
     assert len(data["inverse_rows"]) == 32
     assert all(r.startswith("0x") for r in data["inverse_rows"])
+    # only a directly constructed mapping can miss output bits
+    simple = presets["simple"]
+    short = AddressMapping(simple.geometry, simple.bit_functions[:4] + ((), ()))
+    assert validate(short).to_dict() == {
+        "valid": False,
+        "address_width": 32,
+        "output_bits": 3,
+        "rank": None,
+        "error": "3 output bits do not cover the 32-bit address space",
+    }
 
 
 def test_tiny_noncontig_exhaustive():
