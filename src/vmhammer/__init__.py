@@ -31,7 +31,6 @@ from .layout import (
     MemoryLayout,
     PlanError,
     Region,
-    RowFootprint,
     SilozPlan,
     boundary_fallback,
     check_layout,

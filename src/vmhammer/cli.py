@@ -168,7 +168,7 @@ def cmd_matrix(args) -> int:
 def cmd_replay_trace(args) -> int:
     mapping, _ = resolve_mapping(args.mapping)
     with open(args.trace, "r", encoding="utf-8") as fh:
-        trace = parse_trace(fh.read())
+        trace = parse_trace(fh.read(), mapping.geometry.total_bytes)
     params = HammerParams(**_given(args, HAMMER_FIELDS))
     stats, flips = replay_trace(trace, mapping, params, **_given(args, ("refresh_every",)))
     geo = mapping.geometry
@@ -289,9 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # built once per process; each parse_args starts afresh
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit:  # --help and --version print and exit 0
         return 0
     except argparse.ArgumentError as exc:

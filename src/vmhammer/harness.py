@@ -290,6 +290,8 @@ def _read_json(path: str):
             raise ScenarioError(
                 f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise ScenarioError(f"{path}: JSON is nested too deeply") from None
 
 
 def load_scenario(path: str) -> Scenario:
@@ -520,10 +522,11 @@ class AccessTrace:
         return len(self.entries)
 
 
-def parse_trace(text: str) -> AccessTrace:
+def parse_trace(text: str, limit: int | None = None) -> AccessTrace:
     """Parse trace lines: 'R <hex-pa>' or 'W <hex-pa> <hex-byte>', # comments.
 
-    A negative PA is a malformed entry, as the synthesizers refuse one too.
+    A negative PA is a malformed entry, as the synthesizers refuse one too;
+    a PA at or past ``limit``, when one is given, is rejected with its line.
     """
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -546,6 +549,8 @@ def parse_trace(text: str) -> AccessTrace:
                 raise ValueError
         except ValueError:
             raise TraceError(f"line {lineno}: malformed trace entry {raw.strip()!r}") from None
+        if limit is not None and entry[1] >= limit:
+            raise TraceError(f"line {lineno}: pa 0x{entry[1]:x} not below 0x{limit:x}")
         entries.append(entry)
     return AccessTrace(tuple(entries))
 

@@ -5,22 +5,23 @@ Planners place VMs so that an attacker VM cannot disturb a victim VM:
 plan_siloz gives every VM disjoint (bank tuple, subarray) sets, plan_citadel
 leaves whole guard rows between row-contiguous allocations. Both scan one
 array of per-block ids (group ids for siloz, chunk rows for citadel) built
-once from the mapping's columns. plan_layout is the one dispatch from a
-mitigation name to its planner.
+once from the mapping's columns. plan_siloz reports each VM's groups from
+the blocks it reserved: every member of their id cosets, unpacked to (bank
+tuple, subarray). plan_layout is the one dispatch from a mitigation name to
+its planner.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
 blocks and enumerating each block's image with ``gf2.span`` over the mapping's
-columns, XORed with the image of the block's base. A footprint keeps the row
-tuples as a sorted array of packed coordinate vectors with the column bits
-cleared; aggressor discovery works on those arrays and caches nothing.
+columns, XORed with the image of the block's base. A footprint is a sorted
+int64 array of distinct packed coordinate vectors with the column bits
+cleared; aggressor discovery takes two of them and caches nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "MITIGATIONS",
     "Region",
     "MemoryLayout",
-    "RowFootprint",
     "SilozPlan",
     "AggressorSite",
     "PlanError",
@@ -188,31 +188,10 @@ def _aligned_blocks(start: int, size: int) -> list[tuple[int, int]]:
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
-class RowFootprint:
-    """Exact set of row tuples a PA region touches: a sorted int64 array of
-    distinct packed coordinate vectors with the column bits cleared, so
-    sorted by row first (the top field)."""
-
-    geometry: Geometry
-    packed: np.ndarray
-
-    # cached_property writes the instance dict directly, so it coexists with
-    # frozen
-    @cached_property
-    def groups(self) -> frozenset[tuple[BankTuple, int]]:
-        geo = self.geometry
-        # clearing the in-subarray row bits leaves one vector per group
-        in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]
-        out = set()
-        for vec in set((self.packed & ~in_subarray).tolist()):
-            ch, rk, bg, bk, row, _ = geo.unpack(vec)
-            out.add(((ch, rk, bg, bk), geo.subarray_of(row)))
-        return frozenset(out)
-
-
-def row_footprint(mapping: AddressMapping, region: Region) -> RowFootprint:
-    """Exact footprint of a region under a validated mapping."""
+def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
+    """Exact set of row tuples a region touches under a validated mapping: a
+    sorted int64 array of distinct packed coordinate vectors with the column
+    bits cleared, so sorted by row first (the top field)."""
     geo = mapping.geometry
     if region.size > 0 and (region.start_pa < 0 or region.end_pa > geo.total_bytes):
         raise ValueError(
@@ -228,25 +207,29 @@ def row_footprint(mapping: AddressMapping, region: Region) -> RowFootprint:
     packed = np.sort(np.concatenate(parts))
     keep = np.ones(len(packed), dtype=bool)
     keep[1:] = packed[1:] != packed[:-1]
-    return RowFootprint(geo, packed[keep])
+    return packed[keep]
 
 
 # -- planners -----------------------------------------------------------------
 
 
-def _block_ids(mapping: AddressMapping, block: int, coord_bits: int) -> np.ndarray:
-    """One id per aligned ``block``-byte block, in PA order.
+def _block_ids(
+    mapping: AddressMapping, block: int, coord_bits: int
+) -> tuple[np.ndarray, list[int]]:
+    """One id per aligned ``block``-byte block, in PA order, and the reduced
+    basis of the masked low columns.
 
     A block's bytes map, masked to ``coord_bits``, onto one coset of the span
-    of the masked low columns; its id is that coset's least member. Two blocks
-    therefore either share every masked vector or share none.
+    of that basis; its id is that coset's least member. Two blocks therefore
+    either share every masked vector or share none.
     """
     k = block.bit_length() - 1
     masked = [column & coord_bits for column in mapping.columns]
+    basis = gf2.reduce_basis(masked[:k])
     ids = gf2.span(masked[k:])
-    for vector in gf2.reduce_basis(masked[:k]):
+    for vector in basis:
         np.minimum(ids, ids ^ vector, out=ids)
-    return ids
+    return ids, basis
 
 
 def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int) -> None:
@@ -308,8 +291,9 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     Every VM gets one contiguous PA range whose (bank tuple, subarray) set is
     disjoint from every other VM's. The candidate starts are the multiples of
     the group stride and the ends of VMs already placed; each VM takes the
-    lowest one whose blocks share no group with a placed VM. A VM whose range
-    stays inside a single subarray group is reported as contained.
+    lowest one whose blocks share no group with a placed VM, and its groups
+    are those of exactly these blocks. A VM whose range stays inside a single
+    subarray group is reported as contained.
     """
     mapping.inverse_columns  # fail fast on non-invertible mappings
     geo = mapping.geometry
@@ -323,7 +307,9 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     block = min([stride] + [size & -size for size in vm_sizes])
     in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]
     group_bits = ((1 << geo.coord_offsets[5]) - 1) & ~in_subarray
-    ids, labels = np.unique(_block_ids(mapping, block, group_bits), return_inverse=True)
+    block_ids, basis = _block_ids(mapping, block, group_bits)
+    ids, labels = np.unique(block_ids, return_inverse=True)
+    coset = gf2.span(basis)
     used = np.zeros(len(ids), dtype=bool)
     n_blocks = len(labels)
     candidate = np.zeros(n_blocks + 1, dtype=bool)
@@ -343,11 +329,14 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
                 f"group granularity is 0x{stride:x} bytes"
             )
         first = int(free.argmax())
-        used[labels[first : first + n]] = True
+        reserved = np.zeros_like(used)
+        reserved[labels[first : first + n]] = True
+        used |= reserved
         candidate[first + n] = True
-        region = Region(owner, first * block, size)
-        placed.append(region)
-        groups[owner] = row_footprint(mapping, region).groups
+        placed.append(Region(owner, first * block, size))
+        # every member of the reserved blocks' cosets, as (bank tuple, subarray)
+        coords = map(geo.unpack, (ids[reserved][:, None] ^ coset).ravel().tolist())
+        groups[owner] = frozenset((c.bank_tuple, c.subarray(geo)) for c in coords)
         contained[owner] = len({sub for _, sub in groups[owner]}) == 1
     layout = MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa)))
     return SilozPlan(layout, groups, contained)
@@ -377,7 +366,8 @@ def plan_citadel(
         )
     _check_vm_sizes(mapping, vm_sizes, stride)
     offset = geo.coord_offsets[4]
-    rows = _block_ids(mapping, stride, (geo.rows - 1) << offset) >> offset
+    chunk_ids, _ = _block_ids(mapping, stride, (geo.rows - 1) << offset)
+    rows = chunk_ids >> offset
     n_chunks = len(rows)
     regions: list[Region] = []
     pos = 0
@@ -463,8 +453,8 @@ def _site(mapping: AddressMapping, vec: int, victim_rows: tuple[int, ...]) -> Ag
 
 def find_aggressors(
     mapping: AddressMapping,
-    attacker: RowFootprint,
-    victim: RowFootprint,
+    attacker: np.ndarray,
+    victim: np.ndarray,
     blast_radius: int,
 ) -> list[AggressorSite]:
     """Attacker rows within blast radius of a victim row, exhaustively, from
@@ -476,7 +466,6 @@ def find_aggressors(
     Sites are in (channel, rank, bankgroup, bank, row) order.
     """
     geo = mapping.geometry
-    attacker, victim = attacker.packed, victim.packed
     offset = geo.coord_offsets[4]
     # the row is the top field, so adding d << offset moves a vector to row
     # + d of the same bank tuple; a row pushed out of [0, rows) leaves the
@@ -507,7 +496,7 @@ def _nearest(values: np.ndarray, x: np.ndarray, shift: int) -> tuple[np.ndarray,
 
 
 def boundary_fallback(
-    mapping: AddressMapping, attacker: RowFootprint, victim: RowFootprint
+    mapping: AddressMapping, attacker: np.ndarray, victim: np.ndarray
 ) -> list[AggressorSite]:
     """Attacker rows nearest to the victim footprint, same subarray preferred,
     from the attacker's and the victim's footprints.
@@ -519,7 +508,6 @@ def boundary_fallback(
     order and with no victim rows.
     """
     geo = mapping.geometry
-    attacker, victim = attacker.packed, victim.packed
     offset, width = geo.coord_offsets[4], geo.coord_width("row")
     rows = attacker >> offset
 

@@ -421,6 +421,8 @@ def parse_mapping(text: str) -> AddressMapping:
         raise MappingError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise MappingError("JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise MappingError("top level must be an object")
     if "geometry" not in data:

@@ -21,7 +21,6 @@ from vmhammer import (
     MemoryLayout,
     PlanError,
     Region,
-    RowFootprint,
     Scenario,
     SilozPlan,
     SimState,
@@ -115,14 +114,16 @@ def brute_footprint(
     return out
 
 
-def footprint_rows(footprint: RowFootprint) -> frozenset[tuple[int, int, int, int, int]]:
+def footprint_rows(
+    geometry: Geometry, packed: np.ndarray
+) -> frozenset[tuple[int, int, int, int, int]]:
     """A footprint's row tuples, unpacked one vector at a time."""
-    return frozenset(footprint.geometry.unpack(p)[:5] for p in footprint.packed.tolist())
+    return frozenset(geometry.unpack(p)[:5] for p in packed.tolist())
 
 
 def vm_footprints(
     mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
-) -> tuple[RowFootprint, RowFootprint]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The attacker's and the victim's footprints, as aggressor discovery takes them."""
     return (
         row_footprint(mapping, layout.region_of(attacker_vm)),

@@ -406,6 +406,24 @@ def test_mutated_scenarios_never_traceback(capsys, tmp_path, data):
             assert_one_error(err)
 
 
+def test_deeply_nested_json_is_one_error(capsys, tmp_path):
+    # json recurses once per bracket, so this depth overflows the interpreter stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    scenario = write_json(tmp_path / "scenario.json", reduced_scenario(mapping=str(deep)))
+    for argv, error_type in (
+        (["validate-map", str(deep)], "MappingError"),
+        (["attack", str(deep)], "ScenarioError"),
+        (["matrix", str(deep)], "ScenarioError"),
+        (["attack", scenario], "MappingError"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        error = assert_one_error(err)
+        assert error["type"] == error_type, argv
+        assert "nested too deeply" in error["message"], argv
+
+
 # -- matrix -----------------------------------------------------------------------
 
 
@@ -458,6 +476,28 @@ def test_matrix_builtin_grid_table(capsys):
     assert lines[0].split() == ["mitigation", "simple", "bank-xor", "bank-xor-noncontig-row"]
     assert [line.split()[0] for line in lines[1:]] == ["none", "siloz", "citadel"]
     assert out.count("✓") == 9 and "✗" not in out
+
+
+def test_main_calls_in_one_process_are_independent(capsys):
+    # the parser is built once per process; flags of one call leak into no other.
+    # The two tables read alike, so the JSON pair, whose reports name hc_first
+    # and the flip mode, is what shows a leak.
+    argvs = (
+        ["matrix", "--table", "--hc-first", "200", "--deterministic"],
+        ["matrix", "--table"],
+        ["matrix", "--hc-first", "200", "--deterministic"],
+        ["matrix"],
+    )
+    first_runs = [
+        subprocess.run([sys.executable, "-m", "vmhammer", *argv], capture_output=True, text=True)
+        for argv in argvs
+    ]
+    for argv, first in zip(argvs, first_runs):
+        assert run_cli(capsys, *argv) == (first.returncode, first.stdout, first.stderr), argv
+    assert first_runs[2].stdout != first_runs[3].stdout
+    code, out, err = run_cli(capsys, "matrix", "--hc-first", "x")
+    assert (code, out) == (2, "")
+    assert assert_one_error(err)["type"] == "ArgumentError"
 
 
 # -- traces -----------------------------------------------------------------------
@@ -550,10 +590,12 @@ def test_replay_trace_rejects_zero_refresh_period(capsys, tmp_path):
 
 def test_replay_trace_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.trace"
-    bad.write_text("R 0x10\nQ 0x20\n")
-    code, out, err = run_cli(capsys, "replay-trace", str(bad), "simple")
-    assert code == 2
-    assert "line 2" in json.loads(err)["error"]["message"]
+    for text in ("R 0x10\nQ 0x20\n", "R 0x10\nR 0x100000000\n"):  # past the 4 GiB space
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "replay-trace", str(bad), "simple")
+        assert (code, out) == (2, ""), text
+        error = assert_one_error(err)
+        assert error["type"] == "TraceError" and "line 2" in error["message"], text
 
 
 # -- shared plumbing -----------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script and every python example in README.md runs to completion
+against the package in src/."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,10 +26,10 @@ probabilistic mode, 400 activations past threshold at p=0.05: 35 flips (repeats 
 """
 
 
-def run_demo(demo: pathlib.Path) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
 
 
@@ -37,11 +39,19 @@ def test_all_four_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    result = run_demo(demo)
+    result = run_python(str(demo))
     assert result.returncode == 0, result.stderr
 
 
 def test_bitflip_threshold_demo_output():
-    result = run_demo(ROOT / "demos" / "02_bitflip_threshold.py")
+    result = run_python(str(ROOT / "demos" / "02_bitflip_threshold.py"))
     assert result.returncode == 0, result.stderr
     assert result.stdout == BITFLIP_THRESHOLD_STDOUT
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        result = run_python("-c", block)
+        assert result.returncode == 0, block + result.stderr

@@ -581,11 +581,12 @@ def test_parse_trace_forms():
         ("R 0x1 0x2", 1),
         ("R -0x10", 1),
         ("# x\nW -0x4 0x01", 2),
+        ("R 0x10\nR 0x100000000", 2),  # at the limit
     ],
 )
 def test_parse_trace_rejects_with_line_number(text, lineno):
     with pytest.raises(TraceError, match=f"line {lineno}"):
-        parse_trace(text)
+        parse_trace(text, limit=1 << 32)
 
 
 def test_format_trace_roundtrip():

@@ -107,24 +107,22 @@ def test_check_layout_reports_violations(geometry):
 
 def test_footprint_16mib_example(presets, geometry):
     fp = row_footprint(presets["simple"], Region("vm0", 0, 16 * MIB))
-    rows = footprint_rows(fp)
+    rows = footprint_rows(geometry, fp)
     assert len(rows) == 2048
     assert {r[3] for r in rows} == {0}
     assert {r[2] for r in rows} == {0, 1, 2, 3}
     assert {r[4] for r in rows} == set(range(512))
-    assert fp.groups == frozenset(
-        ((0, 0, bg, 0), 0) for bg in range(4)
-    )
+    assert brute_groups(geometry, rows) == {((0, 0, bg, 0), 0) for bg in range(4)}
 
 
 def test_footprint_single_row_across_bankgroups(presets, geometry):
     # columns * bankgroups bytes: one row in each bankgroup of bank 0
     fp = row_footprint(presets["simple"], Region("x", 0, 8192 * 4))
-    assert footprint_rows(fp) == frozenset((0, 0, bg, 0, 0) for bg in range(4))
+    assert footprint_rows(geometry, fp) == frozenset((0, 0, bg, 0, 0) for bg in range(4))
 
 
 def test_footprint_empty_region(presets):
-    assert footprint_rows(row_footprint(presets["simple"], Region("x", 0, 0))) == frozenset()
+    assert row_footprint(presets["simple"], Region("x", 0, 0)).size == 0
 
 
 def test_footprint_out_of_bounds(presets, geometry):
@@ -145,7 +143,9 @@ def test_footprint_matches_bytewise_oracle():
             start = rng.randrange(total)
             size = rng.randrange(1, total - start + 1)
             fp = row_footprint(mapping, Region("x", start, size))
-            assert footprint_rows(fp) == frozenset(brute_footprint(mapping, start, size))
+            assert footprint_rows(mapping.geometry, fp) == frozenset(
+                brute_footprint(mapping, start, size)
+            )
 
 
 def test_chunk_stride_matches_oracle():
@@ -330,8 +330,8 @@ def test_citadel_256mib_example(presets, geometry):
     # vm0 rows 0..8191, guard row 8192, vm1 rows 8193..16384
     fp0 = row_footprint(presets["simple"], regions[0])
     fp1 = row_footprint(presets["simple"], regions[2])
-    assert {rt[4] for rt in footprint_rows(fp0)} == set(range(8192))
-    assert {rt[4] for rt in footprint_rows(fp1)} == set(range(8193, 16385))
+    assert {rt[4] for rt in footprint_rows(geometry, fp0)} == set(range(8192))
+    assert {rt[4] for rt in footprint_rows(geometry, fp1)} == set(range(8193, 16385))
     assert classify_pa(layout, 0x10000000) == UNUSED
     # the guard global row's bank-1 chunk lies outside the VM span: unallocated
     assert classify_pa(layout, 0x80000000 + 0x10000000) == UNALLOCATED
