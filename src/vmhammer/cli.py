@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except PlanError as exc:
         _error(exc)
         return DOMAIN_ERROR
+    except MemoryError as exc:  # a failed list allocation carries no message
+        _error(MemoryError(str(exc) or "out of memory"))
+        return USAGE_ERROR
     except (MappingError, ScenarioError, TraceError, ValueError, OSError) as exc:
         _error(exc)
         return USAGE_ERROR

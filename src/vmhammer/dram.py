@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .mapping import AddressMapping, DramCoordinate, Geometry, is_integer
+from .mapping import AddressMapping, DramCoordinate, Geometry, check_int
 
 __all__ = [
     "InvariantError",
@@ -55,10 +55,9 @@ class HammerParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("hc_first", "blast_radius", "rng_seed"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int("hc_first", self.hc_first, 1)
+        check_int("blast_radius", self.blast_radius, 1)
+        check_int("rng_seed", self.rng_seed)
         prob = self.flip_probability
         if isinstance(prob, bool) or not isinstance(prob, (int, float)):
             raise ValueError(f"flip_probability must be a number, got {prob!r}")
@@ -66,14 +65,8 @@ class HammerParams:
             raise ValueError(
                 f"deterministic_mode must be true or false, got {self.deterministic_mode!r}"
             )
-        if self.hc_first < 1:
-            raise ValueError(f"hc_first must be >= 1, got {self.hc_first}")
-        if not 0.0 < self.flip_probability <= 1.0:
-            raise ValueError(
-                f"flip_probability must be in (0, 1], got {self.flip_probability}"
-            )
-        if self.blast_radius < 1:
-            raise ValueError(f"blast_radius must be >= 1, got {self.blast_radius}")
+        if not 0.0 < prob <= 1.0:
+            raise ValueError(f"flip_probability must be in (0, 1], got {prob}")
 
 
 @dataclass
@@ -141,10 +134,8 @@ class SimState:
         refresh_every: int = REFRESH_EVERY,
         fill: int = 0,
     ) -> None:
-        if not is_integer(refresh_every) or refresh_every < 1:
-            raise ValueError(f"refresh_every must be an integer >= 1, got {refresh_every!r}")
-        if not is_integer(fill) or not 0 <= fill <= 0xFF:
-            raise ValueError(f"fill must be an integer in 0..255, got {fill!r}")
+        check_int("refresh_every", refresh_every, 1)
+        check_int("fill", fill, 0, 256)
         self.mapping = mapping
         self.geometry: Geometry = mapping.geometry
         self.params = params
@@ -168,8 +159,8 @@ class SimState:
         written is in ``read_byte``."""
         if kind not in ("read", "write"):
             raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
-        if kind == "write" and (not is_integer(data) or not 0 <= data <= 0xFF):
-            raise ValueError(f"write needs a byte value as data, got {data!r}")
+        if kind == "write":
+            check_int("data", data, 0, 256)
         coord = self.mapping.pa_to_coord(pa)
         hit = self.open_row.get(coord.bank_tuple) == coord.row
         if hit:
@@ -194,8 +185,7 @@ class SimState:
         latches every neighbour until the refresh, whichever activation of the
         step it falls on, so the step runs to the window's end.
         """
-        if not is_integer(times) or times < 1:
-            raise ValueError(f"times must be an integer >= 1, got {times!r}")
+        check_int("times", times, 1)
         self.geometry.check_coord(coord)
         key = (coord.bank_tuple, coord.row)
         first_flip = self.params.hc_first + 1
@@ -223,8 +213,7 @@ class SimState:
 
     def write_byte(self, pa: int, value: int) -> None:
         self.geometry.check_pa(pa)
-        if not is_integer(value) or not 0 <= value <= 0xFF:
-            raise ValueError(f"value must be an integer in 0..255, got {value!r}")
+        check_int("value", value, 0, 256)
         self.contents[pa] = value
 
     def collect_flips(self) -> list[BitflipRecord]:

@@ -37,6 +37,7 @@ from .mapping import (
     Geometry,
     MappingError,
     builtin_mappings,
+    check_int,
     is_integer,
     load_mapping,
 )
@@ -126,13 +127,11 @@ class Scenario:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ScenarioError(f"{name} must be a string, got {value!r}")
-        integers = ("guard_global_rows", "refresh_every", "check_pattern")
+        check_int("guard_global_rows", self.guard_global_rows, 1, error=ScenarioError)
+        check_int("refresh_every", self.refresh_every, 1, error=ScenarioError)
+        check_int("check_pattern", self.check_pattern, 0, 256, error=ScenarioError)
         if self.hammer_count is not None:
-            integers += ("hammer_count",)
-        for name in integers:
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+            check_int("hammer_count", self.hammer_count, 1, error=ScenarioError)
         if not _is_int_sequence(self.vm_sizes):
             raise ScenarioError(f"vm_sizes must be a list of integers, got {self.vm_sizes!r}")
         if self.mitigation not in MITIGATIONS:
@@ -145,16 +144,6 @@ class Scenario:
         for vm in (self.attacker_vm, self.victim_vm):
             if vm not in owners:
                 raise ScenarioError(f"{vm!r} is not one of the planned VMs {owners}")
-        if self.hammer_count is not None and self.hammer_count < 1:
-            raise ScenarioError(f"hammer_count must be >= 1, got {self.hammer_count}")
-        if self.refresh_every < 1:
-            raise ScenarioError(f"refresh_every must be >= 1, got {self.refresh_every}")
-        if self.guard_global_rows < 1:
-            raise ScenarioError(
-                f"guard_global_rows must be >= 1, got {self.guard_global_rows}"
-            )
-        if not 0 <= self.check_pattern <= 0xFF:
-            raise ScenarioError(f"check_pattern must be a byte, got {self.check_pattern}")
         selection = self.aggressor_selection
         if isinstance(selection, str):
             valid = selection in ("all", "first")
@@ -540,13 +529,11 @@ def parse_trace(text: str, limit: int | None = None) -> AccessTrace:
                 entry = ("read", int(parts[1], 16), None)
             elif kind == "W" and len(parts) == 3:
                 data = int(parts[2], 16)
-                if not 0 <= data <= 0xFF:
-                    raise ValueError
+                check_int("data", data, 0, 256)
                 entry = ("write", int(parts[1], 16), data)
             else:
                 raise ValueError
-            if entry[1] < 0:
-                raise ValueError
+            check_int("pa", entry[1], 0)
         except ValueError:
             raise TraceError(f"line {lineno}: malformed trace entry {raw.strip()!r}") from None
         if limit is not None and entry[1] >= limit:
@@ -565,12 +552,6 @@ def format_trace(trace: AccessTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_positive(**fields: int) -> None:
-    for name, value in fields.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def _reads(pas: list[int], limit: int | None) -> AccessTrace:
     """A read of each address in pas, after checking that none is negative
     and, given a limit, that all lie below it."""
@@ -583,7 +564,8 @@ def _reads(pas: list[int], limit: int | None) -> AccessTrace:
 
 def sequential_trace(base_pa: int, count: int, limit: int | None = None) -> AccessTrace:
     """count reads of consecutive byte addresses starting at base_pa."""
-    _check_positive(count=count)
+    check_int("base_pa", base_pa)
+    check_int("count", count, 1)
     return _reads(list(range(base_pa, base_pa + count)), limit)
 
 
@@ -591,7 +573,9 @@ def strided_trace(
     base_pa: int, stride: int, count: int, limit: int | None = None
 ) -> AccessTrace:
     """count reads spaced stride bytes apart."""
-    _check_positive(count=count)
+    check_int("base_pa", base_pa)
+    check_int("stride", stride)
+    check_int("count", count, 1)
     return _reads([base_pa + i * stride for i in range(count)], limit)
 
 
@@ -602,7 +586,9 @@ def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -
     streamed once; the vector is re-read for every matrix row. Per element the
     order is matrix read, then vector read (one read per element).
     """
-    _check_positive(rows=rows, cols=cols)
+    check_int("rows", rows, 1)
+    check_int("cols", cols, 1)
+    check_int("base_pa", base_pa)
     vector_base = base_pa + rows * cols * 8
     pas = [0] * (2 * rows * cols)
     pas[0::2] = range(base_pa, vector_base, 8)
@@ -619,7 +605,9 @@ def toggle_trace(
     conflict in one bank under a direct bank mapping but land in different
     banks under an xor mapping, exposing hit-rate differences between the two.
     """
-    _check_positive(count=count)
+    check_int("base_pa", base_pa)
+    check_int("mask", mask)
+    check_int("count", count, 1)
     return _reads([base_pa ^ (mask if i & 1 else 0) for i in range(count)], limit)
 
 

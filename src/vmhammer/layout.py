@@ -3,12 +3,12 @@
 A layout is a list of disjoint regions, each owned by a VM or marked unused.
 Planners place VMs so that an attacker VM cannot disturb a victim VM:
 plan_siloz gives every VM disjoint (bank tuple, subarray) sets, plan_citadel
-leaves whole guard rows between row-contiguous allocations. Both scan one
-array of per-block ids (group ids for siloz, chunk rows for citadel) built
-once from the mapping's columns. plan_siloz reports each VM's groups from
-the blocks it reserved: every member of their id cosets, unpacked to (bank
-tuple, subarray). plan_layout is the one dispatch from a mitigation name to
-its planner.
+leaves whole guard rows between row-contiguous allocations. Both read one
+array of per-block ids built from the mapping's columns: plan_siloz places
+a VM in one pass, plan_citadel steps one chunk on past each chunk-row
+window that is not contiguous. plan_siloz reports the groups of the blocks
+it reserved, every member of their id cosets as (bank tuple, subarray).
+plan_layout is the one dispatch from a mitigation name to its planner.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gf2
 from .dram import InvariantError
-from .mapping import AddressMapping, DramCoordinate, Geometry
+from .mapping import AddressMapping, DramCoordinate, Geometry, check_int
 
 __all__ = [
     "UNUSED",
@@ -203,7 +203,7 @@ def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     for base, k in _aligned_blocks(region.start_pa, region.size):
         anchor = geo.pack(mapping.pa_to_coord(base)) & row_tuple
         parts.append(gf2.span(gf2.reduce_basis(images[:k])) ^ anchor)
-    # sort and drop neighbouring repeats: np.unique is far slower on int64
+    # sort and drop neighbouring repeats: np.unique is ~20x slower and imports numpy.ma
     packed = np.sort(np.concatenate(parts))
     keep = np.ones(len(packed), dtype=bool)
     keep[1:] = packed[1:] != packed[:-1]
@@ -237,6 +237,7 @@ def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int)
     if not vm_sizes:
         raise PlanError("no VM sizes given")
     for i, size in enumerate(vm_sizes):
+        check_int(f"vm{i} size", size, error=PlanError)
         if size <= 0 or size % unit:
             raise PlanError(
                 f"vm{i} size 0x{size:x} must be a positive multiple of 0x{unit:x}"
@@ -245,13 +246,6 @@ def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int)
         raise PlanError(
             f"requested 0x{sum(vm_sizes):x} bytes exceed the 0x{geo.total_bytes:x}-byte space"
         )
-
-
-def _check_guard_rows(guard_global_rows: int) -> None:
-    """At least one guard row; checked under every mitigation, not only the
-    one that places guard rows."""
-    if guard_global_rows < 1:
-        raise PlanError(f"guard_global_rows must be >= 1, got {guard_global_rows}")
 
 
 @dataclass(frozen=True)
@@ -356,7 +350,7 @@ def plan_citadel(
     """
     mapping.inverse_columns  # fail fast on non-invertible mappings
     geo = mapping.geometry
-    _check_guard_rows(guard_global_rows)
+    check_int("guard_global_rows", guard_global_rows, 1, error=PlanError)
     stride = row_chunk_stride(mapping)
     if stride < geo.columns:
         raise PlanError(
@@ -388,8 +382,9 @@ def plan_citadel(
             if below.size:
                 cand += int(below[-1]) + 1
                 continue
-            distinct = np.unique(window)
-            if int(distinct[-1]) - int(distinct[0]) + 1 != len(distinct):
+            # contiguous: each row lo..max occurs (a plain np.unique imports numpy.ma)
+            lo = window.min()
+            if window.max() - lo >= n or not np.bincount(window - lo).all():
                 cand += 1
                 continue
             break
@@ -410,7 +405,7 @@ def plan_layout(
     Every planner checks the sizes first, so a malformed layout here is a
     planner bug.
     """
-    _check_guard_rows(guard_global_rows)
+    check_int("guard_global_rows", guard_global_rows, 1, error=PlanError)  # under every mitigation
     siloz_plan = None
     if mitigation == "none":
         layout = pack_layout(mapping, vm_sizes)

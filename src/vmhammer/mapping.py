@@ -59,6 +59,17 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_int(name: str, value, lo=None, hi=None, error=ValueError) -> None:
+    """Raise ``error`` unless value is an int, not a bool, >= lo and, given hi, < hi."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if hi is not None:
+        if not lo <= value < hi:
+            raise error(f"{name} {value} outside [{lo}, {hi})")
+    elif lo is not None and value < lo:
+        raise error(f"{name} must be >= {lo}, got {value}")
+
+
 def _log2(value: int) -> int:
     return value.bit_length() - 1
 
@@ -106,8 +117,7 @@ class Geometry:
     def __post_init__(self) -> None:
         for name in GEOMETRY_FIELDS:
             value = getattr(self, name)
-            if not is_integer(value):
-                raise MappingError(f"geometry.{name} must be an integer, got {value!r}")
+            check_int(f"geometry.{name}", value, error=MappingError)
             if value < 1 or value & (value - 1):
                 raise MappingError(
                     f"geometry.{name} must be a power-of-two count >= 1, got {value}"
@@ -175,15 +185,11 @@ class Geometry:
         """Raise ValueError unless every field of coord is an integer inside
         its extent."""
         for kind, value, extent in zip(COORD_KINDS, coord, self.extents):
-            if not is_integer(value):
-                raise ValueError(f"{kind} must be an integer, got {value!r}")
-            if not 0 <= value < extent:
-                raise ValueError(f"{kind} {value} outside [0, {extent})")
+            check_int(kind, value, 0, extent)
 
     def check_pa(self, pa: int) -> None:
         """Raise ValueError unless pa is an integer inside the address space."""
-        if not is_integer(pa):
-            raise ValueError(f"pa must be an integer, got {pa!r}")
+        check_int("pa", pa)
         total = self.total_bytes
         if not 0 <= pa < total:
             raise ValueError(f"pa {hex(pa)} outside [0, {hex(total)})")

@@ -14,6 +14,7 @@ import numpy as np
 
 from vmhammer import (
     COORD_KINDS,
+    UNUSED,
     AddressMapping,
     DramCoordinate,
     Geometry,
@@ -380,6 +381,40 @@ def brute_citadel_feasible(
     return rec(0, -1 - guard, 0)
 
 
+def brute_citadel(mapping: AddressMapping, sizes: list[int], guard: int) -> MemoryLayout:
+    """Greedy citadel placement, one candidate chunk window at a time.
+
+    Each VM takes the lowest window, at or after the end of the previous VM,
+    whose rows form one contiguous range lying strictly more than ``guard``
+    rows above the previous VM's highest row; the chunks skipped before it
+    are unused. The mapping must keep a row chunk at least one row span wide
+    and the sizes must be valid (positive multiples of the chunk, fitting the
+    space).
+    """
+    stride = brute_chunk_stride(mapping)
+    rows = brute_chunk_rows(mapping).tolist()
+    regions: list[Region] = []
+    pos, prev_hi = 0, -1 - guard
+    for i, size in enumerate(sizes):
+        n = size // stride
+        bound = prev_hi + guard
+        for cand in range(pos, len(rows) - n + 1):
+            window = rows[cand : cand + n]
+            lo, hi = min(window), max(window)
+            if lo > bound and len(set(window)) == hi - lo + 1:
+                break
+        else:
+            raise PlanError(
+                f"cannot place vm{i}: no chunk window clears guard rows "
+                f"{prev_hi + 1}..{bound} (offending row {bound})"
+            )
+        if cand > pos:
+            regions.append(Region(UNUSED, pos * stride, (cand - pos) * stride))
+        regions.append(Region(f"vm{i}", cand * stride, size))
+        pos, prev_hi = cand + n, hi
+    return MemoryLayout(tuple(regions))
+
+
 def brute_siloz(mapping: AddressMapping, sizes: list[int]) -> SilozPlan:
     """Greedy siloz placement, one byte-by-byte footprint per candidate start.
 
@@ -506,6 +541,40 @@ def random_split_mapping(rng: random.Random, geometry: Geometry) -> AddressMappi
             [b for b in range(low) if low_rows[cursor + i] >> b & 1] for i in range(w)
         ]
         cursor += w
+    return AddressMapping.build(geometry, functions)
+
+
+def random_row_high_mapping(rng: random.Random, geometry: Geometry) -> AddressMapping:
+    """Random bijective mapping whose row bits are XORs of PA bits at or above
+    the column width; every other coordinate bit may use any PA bit.
+
+    The row chunk stride is then at least one row span, so the contiguous-row
+    planner can place whole chunks, while rows may still interleave freely
+    with the other coordinates above the column bits.
+    """
+    width = geometry.address_width
+    low = geometry.coord_width("column")
+    # an invertible matrix over the high bits: its first rows are the row bits,
+    # the rest and the low unit vectors complete a basis of the whole space
+    high = [1 << b for b in range(low, width)]
+    rng.shuffle(high)
+    for _ in range(len(high) * 3):
+        i, j = rng.randrange(len(high)), rng.randrange(len(high))
+        if i != j:
+            high[i] ^= high[j]
+    row_width = geometry.coord_width("row")
+    row_masks = high[:row_width]
+    rest = high[row_width:] + [1 << b for b in range(low)]
+    rng.shuffle(rest)
+    # adding any other basis row to one of the rest keeps the basis
+    for _ in range(len(rest) * 3):
+        i = rng.randrange(len(rest))
+        rest[i] ^= rng.choice(rest[:i] + rest[i + 1 :] + row_masks)
+    functions: dict[str, list[list[int]]] = {}
+    for kind in COORD_KINDS:
+        w = geometry.coord_width(kind)
+        masks = row_masks if kind == "row" else [rest.pop() for _ in range(w)]
+        functions[kind] = [[b for b in range(width) if m >> b & 1] for m in masks]
     return AddressMapping.build(geometry, functions)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, JSON output, and file plumbing."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -655,3 +656,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pa"] == "0x00012345"
+
+
+def test_cold_matrix_and_citadel_plan_never_import_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma on its first call in numpy 2.x
+    code = (
+        "import sys\n"
+        "from vmhammer.cli import main\n"
+        f"assert main(['matrix', '--output', {str(tmp_path / 'm.json')!r}]) == 0\n"
+        f"assert main(['plan', 'citadel', 'simple', '--sizes', '256MiB,256MiB',"
+        f" '--output', {str(tmp_path / 'p.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sequential", "--count", "100000000000"],
+        ["matvec", "--rows", "100000", "--cols", "100000", "--limit", "0x10"],
+    ],
+    ids=["sequential", "matvec"],
+)
+def test_gen_trace_out_of_memory_is_one_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "vmhammer", "gen-trace", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    error = assert_one_error(proc.stderr)
+    assert error["type"] == "MemoryError" and error["message"]

@@ -223,6 +223,25 @@ def test_non_integer_input_leaves_state_unchanged(call, argument):
     assert _snapshot(state) == before
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: SimState(s.mapping, s.params, 0), "refresh_every must be >= 1, got 0"),
+        (lambda s: SimState(s.mapping, s.params, fill=256), "fill 256 outside [0, 256)"),
+        (lambda s: s.activate_row(s.geometry.unpack(0), 0), "times must be >= 1, got 0"),
+        (lambda s: s.write_byte(0x20, 256), "value 256 outside [0, 256)"),
+        (lambda s: s.access(0x20, "write", 300), "data 300 outside [0, 256)"),
+        (lambda s: s.access(0x20, "write", None), "data must be an integer, got None"),
+    ],
+    ids=["refresh_every", "fill", "times", "value", "data-range", "data-missing"],
+)
+def test_integer_check_messages(call, message):
+    state = SimState(tiny_simple(), det_params())
+    with pytest.raises(ValueError) as info:
+        call(state)
+    assert str(info.value) == message
+
+
 # -- threshold exactness -----------------------------------------------------------
 
 

@@ -214,6 +214,7 @@ def test_scenario_from_dict_selection_list():
             scenario_data(mapping="twisted.json", geometry=default_geometry().to_dict()),
             "preset names only",
         ),
+        (scenario_data(check_pattern=256), r"^check_pattern 256 outside \[0, 256\)$"),
     ],
 )
 def test_scenario_from_dict_rejects(data, message):
@@ -603,6 +604,24 @@ def test_trace_synthesizer_shapes():
         0x100, 0x8140, 0x100, 0x8140,
     ]
     assert all(kind == "read" for kind, _, _ in sequential_trace(0, 8).entries)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: sequential_trace(0, True), "count"),
+        (lambda: sequential_trace(0.5, 4), "base_pa"),
+        (lambda: strided_trace(0, 1.5, 3), "stride"),
+        (lambda: strided_trace(0.5, 8, 3), "base_pa"),
+        (lambda: matvec_trace(2.0, 2, 0), "rows"),
+        (lambda: matvec_trace(2, True, 0), "cols"),
+        (lambda: toggle_trace(0, 1.5, 2), "mask"),
+        (lambda: toggle_trace(0, 8, 2.0), "count"),
+    ],
+)
+def test_trace_synthesizers_reject_non_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
 
 
 def test_matvec_trace_frozen_order():

@@ -31,6 +31,7 @@ from oracles import (
     brute_aggressors,
     brute_boundary_fallback,
     brute_chunk_stride,
+    brute_citadel,
     brute_citadel_feasible,
     brute_footprint,
     brute_groups,
@@ -38,6 +39,7 @@ from oracles import (
     footprint_rows,
     random_geometry,
     random_invertible_mapping,
+    random_row_high_mapping,
     random_split_mapping,
     tiny_noncontig,
     vm_footprints,
@@ -340,11 +342,23 @@ def test_citadel_256mib_example(presets, geometry):
 def test_citadel_rejects_zero_guard(presets):
     with pytest.raises(PlanError):
         plan_citadel(presets["simple"], [256 * MIB], 0)
+    with pytest.raises(PlanError, match="^guard_global_rows must be an integer, got 1.5$"):
+        plan_citadel(presets["simple"], [256 * MIB], 1.5)
 
 
 def test_citadel_rejects_misaligned_sizes(presets):
     with pytest.raises(PlanError):
         plan_citadel(presets["simple"], [256 * MIB + 8192], 1)
+
+
+def test_planners_reject_non_integer_sizes_and_guards(presets):
+    mapping = presets["simple"]
+    for mitigation in ("none", "siloz", "citadel"):
+        for guard in (1.5, True):
+            with pytest.raises(PlanError, match="^guard_global_rows must be an integer"):
+                plan_layout(mapping, mitigation, [16 * MIB, 16 * MIB], guard)
+        with pytest.raises(PlanError, match=r"^vm0 size must be an integer, got 8388608\.0$"):
+            plan_layout(mapping, mitigation, [8.0 * MIB, 8 * MIB], 1)
 
 
 def test_plan_layout_rejects_unknown_mitigation(presets):
@@ -416,6 +430,30 @@ def test_citadel_guard_distance_against_oracle():
                     )
                     assert gap > guard, (a, b)
     assert planned >= 10  # the generator must actually exercise the success path
+
+
+def test_citadel_matches_brute_oracle():
+    # the exact greedy layout, or the exact PlanError, on random mappings whose
+    # row bits lie above the column bits (so every chunk is at least a row)
+    rng = random.Random(0xC1)
+    planned = 0
+    for _ in range(300):
+        mapping = random_row_high_mapping(rng, random_geometry(rng, 1 << 12))
+        stride = row_chunk_stride(mapping)
+        n_chunks = mapping.geometry.total_bytes // stride
+        guard = rng.randint(1, 3)
+        sizes = [stride * rng.randint(1, max(1, n_chunks // 8)) for _ in range(rng.randint(1, 3))]
+        request = (mapping.to_dict(), sizes, guard)
+        try:
+            expected = brute_citadel(mapping, sizes, guard)
+        except PlanError as exc:
+            with pytest.raises(PlanError) as info:
+                plan_citadel(mapping, sizes, guard)
+            assert str(info.value) == str(exc), request
+            continue
+        assert plan_citadel(mapping, sizes, guard) == expected, request
+        planned += 1
+    assert planned >= 50
 
 
 # -- aggressor discovery --------------------------------------------------------------

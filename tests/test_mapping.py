@@ -23,6 +23,7 @@ from vmhammer import (
     parse_mapping,
     validate,
 )
+from vmhammer.mapping import check_int
 from vmhammer.layout import group_stride, row_chunk_stride
 
 from oracles import (
@@ -146,6 +147,22 @@ def test_translation_rejects_out_of_range(presets):
         mapping.pa_to_coord(-1)
     with pytest.raises(ValueError):
         mapping.coord_to_pa(DramCoordinate(0, 0, 0, 2, 0, 0))
+
+
+def test_check_int_message_forms():
+    check_int("n", 5)
+    check_int("n", 5, 5)
+    check_int("n", 0, 0, 1)
+    for value in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {value!r}$"):
+            check_int("n", value, 0, 2)
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        check_int("n", 0, 1)
+    for value in (-1, 256):
+        with pytest.raises(ValueError, match=rf"^n {value} outside \[0, 256\)$"):
+            check_int("n", value, 0, 256)
+    with pytest.raises(MappingError, match=r"^geometry.rows must be an integer, got 4.0$"):
+        Geometry.from_dict({**default_geometry().to_dict(), "rows": 4.0})
 
 
 # -- structural validation of mapping definitions ---------------------------------
