@@ -71,15 +71,23 @@ class HammerParams:
 
 @dataclass
 class Stats:
-    """Access accounting. accesses == row_buffer_hits + activations holds
-    throughout: every miss (and every explicit row activation) activates."""
+    """Access accounting. Every miss (and every explicit row activation)
+    activates, so the accesses are the hits plus the activations. A bank's
+    open row is never closed, so every activation precharges but the first
+    in each bank, which finds it closed."""
 
-    accesses: int = 0
     row_buffer_hits: int = 0
     activations: int = 0
-    precharges: int = 0
     refresh_windows: int = 0
     per_bank_activations: dict[BankTuple, int] = field(default_factory=dict)
+
+    @property
+    def accesses(self) -> int:
+        return self.row_buffer_hits + self.activations
+
+    @property
+    def precharges(self) -> int:
+        return self.activations - len(self.per_bank_activations)
 
     def to_dict(self) -> dict:
         return {
@@ -97,14 +105,17 @@ class Stats:
 
 @dataclass(frozen=True)
 class BitflipRecord:
-    """One induced bitflip. new_value == old_value ^ (1 << bit_index)."""
+    """One induced bitflip: bit ``bit_index`` of the byte at ``pa`` inverted."""
 
     pa: int
     coord: DramCoordinate
     bit_index: int
     aggressor_row: int
     old_value: int
-    new_value: int
+
+    @property
+    def new_value(self) -> int:
+        return self.old_value ^ (1 << self.bit_index)
 
     def to_dict(self, geometry: Geometry, pa_digits: int) -> dict:
         return {
@@ -164,7 +175,6 @@ class SimState:
         coord = self.mapping.pa_to_coord(pa)
         hit = self.open_row.get(coord.bank_tuple) == coord.row
         if hit:
-            self.stats.accesses += 1
             self.stats.row_buffer_hits += 1
         else:
             self._activate(coord)
@@ -223,16 +233,13 @@ class SimState:
 
     def _activate(self, coord: DramCoordinate, n: int = 1) -> None:
         """``n`` back-to-back activations of one row, the only code that counts
-        one. Each is an access that misses and precharges the bank's open row;
-        the first finds the bank closed when no row is open. The flip check
-        runs once, at the row's new count, and the refresh when the window
-        fills, so a caller keeps ``n`` within the window and, in probabilistic
-        mode, ends it at the first activation that may flip."""
+        one; ``Stats`` derives the accesses and precharges from the counts.
+        The flip check runs once, at the row's new count, and the refresh when
+        the window fills, so a caller keeps ``n`` within the window and, in
+        probabilistic mode, ends it at the first activation that may flip."""
         bt = coord.bank_tuple
         stats = self.stats
-        stats.accesses += n
         stats.activations += n
-        stats.precharges += n if bt in self.open_row else n - 1
         stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + n
         self.open_row[bt] = coord.row
         key = (bt, coord.row)
@@ -270,16 +277,6 @@ class SimState:
                 f"flip in row {victim_row} is out of reach of aggressor row {aggressor.row}"
             )
         pa = self.mapping.coord_to_pa(victim)
-        old = self.contents.get(pa, self.fill)
-        new = old ^ (1 << bit)
-        self.contents[pa] = new
-        self.flips.append(
-            BitflipRecord(
-                pa=pa,
-                coord=victim,
-                bit_index=bit,
-                aggressor_row=aggressor.row,
-                old_value=old,
-                new_value=new,
-            )
-        )
+        flip = BitflipRecord(pa, victim, bit, aggressor.row, self.contents.get(pa, self.fill))
+        self.contents[pa] = flip.new_value
+        self.flips.append(flip)

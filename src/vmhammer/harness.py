@@ -18,7 +18,8 @@ import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from .dram import REFRESH_EVERY, BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
@@ -26,6 +27,7 @@ from .layout import (
     AggressorSite,
     MemoryLayout,
     PlanError,
+    SilozPlan,
     boundary_fallback,
     classify_pa,
     find_aggressors,
@@ -306,43 +308,55 @@ def _select_aggressors(
     return chosen
 
 
-def _reachable_rows(
-    geometry: Geometry, sites: list[AggressorSite], blast_radius: int
-) -> list[RowTuple]:
-    """Rows a hammered aggressor can flip: same bank tuple and subarray,
-    within the blast radius. The report lists them as its seeded_rows."""
-    return sorted(
-        {
-            site.coord.bank_tuple + (victim,)
-            for site in sites
-            for victim in geometry.neighbours(site.coord.row, blast_radius)
-        }
-    )
-
-
 # -- the attack itself -------------------------------------------------------------
 
 
 @dataclass
 class AttackReport:
+    """What one attack did. flip_owners holds each flip's owning region, in
+    flip order; the histogram, the verdict and the seeded rows follow from
+    the stored fields."""
+
     scenario: Scenario
     layout: MemoryLayout
-    siloz_groups: dict | None
+    siloz: SilozPlan | None
     aggressors: tuple[AggressorSite, ...]
     boundary_fallback: bool
-    seeded_rows: tuple[RowTuple, ...]
     flips: tuple[BitflipRecord, ...]
     flip_owners: tuple[str, ...]
-    ownership_histogram: dict[str, int]
-    verdict: str
     stats: Stats
-    tool_version: str = field(default="")
+
+    @property
+    def ownership_histogram(self) -> Counter[str]:
+        return Counter(self.flip_owners)
+
+    @property
+    def verdict(self) -> str:
+        return NOT_MITIGATED if self.scenario.victim_vm in self.flip_owners else MITIGATED
+
+    @property
+    def seeded_rows(self) -> tuple[RowTuple, ...]:
+        """Rows a hammered aggressor can flip: same bank tuple and subarray,
+        within the blast radius."""
+        geo = self.scenario.mapping.geometry
+        radius = self.scenario.hammer.blast_radius
+        return tuple(
+            sorted(
+                {
+                    site.coord.bank_tuple + (victim,)
+                    for site in self.aggressors
+                    for victim in geo.neighbours(site.coord.row, radius)
+                }
+            )
+        )
 
     def to_dict(self) -> dict:
+        from . import __version__
+
         geo = self.scenario.mapping.geometry
         digits = geo.pa_digits
         out = {
-            "tool": {"name": "vmhammer", "version": self.tool_version},
+            "tool": {"name": "vmhammer", "version": __version__},
             "scenario": self.scenario.canonical_dict(),
             "scenario_hash": self.scenario.hash(),
             "verdict": self.verdict,
@@ -357,8 +371,8 @@ class AttackReport:
             "ownership_histogram": dict(sorted(self.ownership_histogram.items())),
             "stats": self.stats.to_dict(),
         }
-        if self.siloz_groups is not None:
-            out["siloz"] = self.siloz_groups
+        if self.siloz is not None:
+            out["siloz"] = self.siloz.to_dict(digits)
         return out
 
 
@@ -372,16 +386,13 @@ def run_attack(scenario: Scenario) -> AttackReport:
     Every byte reads check_pattern until a flip changes it, so a flip's
     old_value is the pattern, or the byte as an earlier flip left it.
     """
-    from . import __version__
-
     mapping = scenario.mapping
     layout, siloz_plan = plan_layout(
         mapping, scenario.mitigation, scenario.vm_sizes, scenario.guard_global_rows
     )
-    blast = scenario.hammer.blast_radius
     attacker = row_footprint(mapping, layout.region_of(scenario.attacker_vm))
     victim = row_footprint(mapping, layout.region_of(scenario.victim_vm))
-    sites = find_aggressors(mapping, attacker, victim, blast)
+    sites = find_aggressors(mapping, attacker, victim, scenario.hammer.blast_radius)
     fallback = False
     if not sites:
         if scenario.mitigation == "none":
@@ -395,26 +406,15 @@ def run_attack(scenario: Scenario) -> AttackReport:
     for site in selected:
         state.activate_row(site.coord, scenario.effective_hammer_count)
     flips = tuple(state.collect_flips())
-    flip_owners = tuple(classify_pa(layout, f.pa) for f in flips)
-    histogram: dict[str, int] = {}
-    for owner in flip_owners:
-        histogram[owner] = histogram.get(owner, 0) + 1
-    verdict = MITIGATED if histogram.get(scenario.victim_vm, 0) == 0 else NOT_MITIGATED
     return AttackReport(
         scenario=scenario,
         layout=layout,
-        siloz_groups=(
-            siloz_plan.to_dict(mapping.geometry.pa_digits) if siloz_plan is not None else None
-        ),
+        siloz=siloz_plan,
         aggressors=tuple(selected),
         boundary_fallback=fallback,
-        seeded_rows=tuple(_reachable_rows(mapping.geometry, selected, blast)),
         flips=flips,
-        flip_owners=flip_owners,
-        ownership_histogram=histogram,
-        verdict=verdict,
+        flip_owners=tuple(classify_pa(layout, f.pa) for f in flips),
         stats=state.stats,
-        tool_version=__version__,
     )
 
 
@@ -552,13 +552,17 @@ def format_trace(trace: AccessTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reads(pas: list[int], limit: int | None) -> AccessTrace:
-    """A read of each address in pas, after checking that none is negative
-    and, given a limit, that all lie below it."""
-    if min(pas) < 0:
-        raise ValueError(f"trace overflows the address space: pa -0x{-min(pas):x} is negative")
-    if limit is not None and max(pas) >= limit:
-        raise ValueError(f"trace overflows the region: pa 0x{max(pas):x} not below 0x{limit:x}")
+def _check_span(lo: int, hi: int, limit: int | None) -> None:
+    """Refuse a trace whose lowest PA lo is negative or, given a limit, whose
+    highest PA hi is not below it; synthesizers call it before building."""
+    if lo < 0:
+        raise ValueError(f"trace overflows the address space: pa -0x{-lo:x} is negative")
+    if limit is not None and hi >= limit:
+        raise ValueError(f"trace overflows the region: pa 0x{hi:x} not below 0x{limit:x}")
+
+
+def _reads(pas: list[int]) -> AccessTrace:
+    """A read of each address in pas."""
     return AccessTrace(tuple([("read", pa, None) for pa in pas]))
 
 
@@ -566,7 +570,8 @@ def sequential_trace(base_pa: int, count: int, limit: int | None = None) -> Acce
     """count reads of consecutive byte addresses starting at base_pa."""
     check_int("base_pa", base_pa)
     check_int("count", count, 1)
-    return _reads(list(range(base_pa, base_pa + count)), limit)
+    _check_span(base_pa, base_pa + count - 1, limit)
+    return _reads(list(range(base_pa, base_pa + count)))
 
 
 def strided_trace(
@@ -576,7 +581,9 @@ def strided_trace(
     check_int("base_pa", base_pa)
     check_int("stride", stride)
     check_int("count", count, 1)
-    return _reads([base_pa + i * stride for i in range(count)], limit)
+    ends = (base_pa, base_pa + (count - 1) * stride)
+    _check_span(min(ends), max(ends), limit)
+    return _reads([base_pa + i * stride for i in range(count)])
 
 
 def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -> AccessTrace:
@@ -590,10 +597,11 @@ def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -
     check_int("cols", cols, 1)
     check_int("base_pa", base_pa)
     vector_base = base_pa + rows * cols * 8
+    _check_span(base_pa, vector_base + (cols - 1) * 8, limit)
     pas = [0] * (2 * rows * cols)
     pas[0::2] = range(base_pa, vector_base, 8)
     pas[1::2] = list(range(vector_base, vector_base + cols * 8, 8)) * rows
-    return _reads(pas, limit)
+    return _reads(pas)
 
 
 def toggle_trace(
@@ -608,7 +616,9 @@ def toggle_trace(
     check_int("base_pa", base_pa)
     check_int("mask", mask)
     check_int("count", count, 1)
-    return _reads([base_pa ^ (mask if i & 1 else 0) for i in range(count)], limit)
+    pair = (base_pa, base_pa ^ mask) if count > 1 else (base_pa,)
+    _check_span(min(pair), max(pair), limit)
+    return _reads([base_pa ^ (mask if i & 1 else 0) for i in range(count)])
 
 
 def replay_trace(

@@ -234,6 +234,8 @@ def _block_ids(
 
 def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int) -> None:
     geo = mapping.geometry
+    if not isinstance(vm_sizes, (list, tuple)):
+        raise PlanError(f"vm_sizes must be a list of sizes, got {vm_sizes!r}")
     if not vm_sizes:
         raise PlanError("no VM sizes given")
     for i, size in enumerate(vm_sizes):
@@ -252,7 +254,11 @@ def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int)
 class SilozPlan:
     layout: MemoryLayout
     groups: dict[str, frozenset[tuple[BankTuple, int]]]
-    contained: dict[str, bool]
+
+    @property
+    def contained(self) -> dict[str, bool]:
+        """Whether each VM stays inside a single subarray group."""
+        return {vm: len({sub for _, sub in groups}) == 1 for vm, groups in self.groups.items()}
 
     def to_dict(self, pa_digits: int = 8) -> dict:
         return {
@@ -263,7 +269,7 @@ class SilozPlan:
                 )
                 for vm, groups in self.groups.items()
             },
-            "contained": dict(self.contained),
+            "contained": self.contained,
         }
 
 
@@ -310,7 +316,6 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     candidate[:: stride // block] = True
     placed: list[Region] = []
     groups: dict[str, frozenset] = {}
-    contained: dict[str, bool] = {}
     for i, size in enumerate(vm_sizes):
         owner = f"vm{i}"
         n = size // block
@@ -330,10 +335,8 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
         placed.append(Region(owner, first * block, size))
         # every member of the reserved blocks' cosets, as (bank tuple, subarray)
         coords = map(geo.unpack, (ids[reserved][:, None] ^ coset).ravel().tolist())
-        groups[owner] = frozenset((c.bank_tuple, c.subarray(geo)) for c in coords)
-        contained[owner] = len({sub for _, sub in groups[owner]}) == 1
-    layout = MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa)))
-    return SilozPlan(layout, groups, contained)
+        groups[owner] = frozenset((c.bank_tuple, geo.subarray_of(c.row)) for c in coords)
+    return SilozPlan(MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa))), groups)
 
 
 def plan_citadel(

@@ -88,13 +88,10 @@ class DramCoordinate(NamedTuple):
     def bank_tuple(self) -> tuple[int, int, int, int]:
         return self[:4]
 
-    def subarray(self, geometry: Geometry) -> int:
-        return geometry.subarray_of(self.row)
-
     def to_dict(self, geometry: Geometry | None = None) -> dict:
         out = self._asdict()
         if geometry is not None:
-            out["subarray"] = self.subarray(geometry)
+            out["subarray"] = geometry.subarray_of(self.row)
         return out
 
 
@@ -353,13 +350,16 @@ class AddressMapping:
 class ValidationReport:
     """Outcome of the invertibility check of a mapping."""
 
-    valid: bool
     address_width: int
     output_bits: int
     rank: int | None
     error: str | None
     witness: tuple[tuple[str, int], ...] | None
     inverse_rows: tuple[int, ...] | None
+
+    @property
+    def valid(self) -> bool:
+        return self.error is None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -409,7 +409,6 @@ def validate(mapping: AddressMapping) -> ValidationReport:
             witness = tuple(labels[p] for p in range(width) if dependency >> p & 1)
             error = f"rank {rank} of {width}: output bits are linearly dependent"
     return ValidationReport(
-        valid=error is None,
         address_width=width,
         output_bits=len(rows),
         rank=rank,

@@ -208,14 +208,11 @@ def brute_boundary_fallback(
 
 def brute_activate(state: SimState, coord: DramCoordinate) -> None:
     """One hammer activation stepped by hand, sharing no counting code with
-    ``SimState``: an access that misses, a precharge if the bank has a row
-    open, the activation, the flip check at the row's new count, then the
-    refresh once the state's window fills."""
+    ``SimState``: the activation, counted overall, per bank and per row, the
+    row opened, the flip check at the row's new count, then the refresh once
+    the state's window fills."""
     bt = coord.bank_tuple
     stats = state.stats
-    stats.accesses += 1
-    if bt in state.open_row:
-        stats.precharges += 1
     state.open_row[bt] = coord.row
     stats.activations += 1
     stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + 1
@@ -228,11 +225,11 @@ def brute_activate(state: SimState, coord: DramCoordinate) -> None:
 
 
 def brute_access(state: SimState, pa: int, kind: str, data: int | None) -> None:
-    """One open-page access stepped by hand: a hit when the bank's open row
-    is the address's row, else one activation through ``brute_activate``."""
+    """One open-page access stepped by hand: a hit, counted, when the bank's
+    open row is the address's row, else one activation through
+    ``brute_activate``."""
     coord = state.mapping.pa_to_coord(pa)
     if state.open_row.get(coord.bank_tuple) == coord.row:
-        state.stats.accesses += 1
         state.stats.row_buffer_hits += 1
     else:
         brute_activate(state, coord)
@@ -431,7 +428,6 @@ def brute_siloz(mapping: AddressMapping, sizes: list[int]) -> SilozPlan:
     stride = max(_brute_constant_stride(subarrays), geo.columns)
     placed: list[Region] = []
     groups: dict[str, frozenset] = {}
-    contained: dict[str, bool] = {}
     used: set = set()
     for i, size in enumerate(sizes):
         owner = f"vm{i}"
@@ -452,9 +448,8 @@ def brute_siloz(mapping: AddressMapping, sizes: list[int]) -> SilozPlan:
         placed.append(Region(owner, cand, size))
         used |= found
         groups[owner] = frozenset(found)
-        contained[owner] = len({sub for _, sub in found}) == 1
     layout = MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa)))
-    return SilozPlan(layout, groups, contained)
+    return SilozPlan(layout, groups)
 
 
 # -- random instance generators ------------------------------------------------

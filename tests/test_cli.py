@@ -678,22 +678,46 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sequential", "--count", "100000000000"],
-        ["matvec", "--rows", "100000", "--cols", "100000", "--limit", "0x10"],
-    ],
-    ids=["sequential", "matvec"],
-)
-def test_gen_trace_out_of_memory_is_one_error(argv):
-    proc = subprocess.run(
+def _gen_trace_under_1gib(argv):
+    return subprocess.run(
         [sys.executable, "-m", "vmhammer", "gen-trace", *argv],
         capture_output=True,
         text=True,
         preexec_fn=_limit_address_space,
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sequential", "--count", "100000000000"],
+        ["matvec", "--rows", "100000", "--cols", "100000"],
+    ],
+    ids=["sequential", "matvec"],
+)
+def test_gen_trace_out_of_memory_is_one_error(argv):
+    proc = _gen_trace_under_1gib(argv)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     error = assert_one_error(proc.stderr)
     assert error["type"] == "MemoryError" and error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matvec", "--rows", "100000", "--cols", "100000", "--limit", "0x10"],
+        ["strided", "--stride", "8", "--count", "100000000000", "--limit", "0x1000"],
+        ["toggle", "--mask", "0x8040", "--count", "100000000000", "--limit", "0x10"],
+        ["sequential", "--base", "0x20", "--count", "100000000000", "--limit", "0x10"],
+        ["strided", "--base", "0x10", "--stride", "-8", "--count", "100000000000"],
+    ],
+    ids=["matvec", "strided", "toggle", "sequential", "strided-down"],
+)
+def test_gen_trace_overflow_is_found_before_building(argv):
+    # the span check runs first, so none of these builds its list of 1e10+ PAs
+    proc = _gen_trace_under_1gib(argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    error = assert_one_error(proc.stderr)
+    assert error["type"] == "ValueError", error
+    assert error["message"].startswith("trace overflows"), error

@@ -1,6 +1,7 @@
 """Scenario plumbing, attack verdicts, matrix runs, and trace replay."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -293,8 +294,8 @@ def test_attack_siloz_confines_flips(presets):
     # row 511 sits in the victim subarray, out of blast reach by construction
     assert report.seeded_rows == (bt + (513,),)
     assert report.ownership_histogram == {"vm1": 1}
-    assert report.siloz_groups is not None
-    assert report.siloz_groups["contained"] == {"vm0": True, "vm1": True}
+    assert report.siloz is not None
+    assert report.siloz.contained == {"vm0": True, "vm1": True}
 
 
 def test_attack_citadel_flips_land_in_guard(presets):
@@ -317,7 +318,7 @@ def test_attack_citadel_flips_land_in_guard(presets):
     assert site.coord.row == 1025
     # one flip spills into the guard row, the other stays in the attacker
     assert report.ownership_histogram == {UNUSED: 1, "vm1": 1}
-    assert report.siloz_groups is None
+    assert report.siloz is None
 
 
 def test_attack_verdict_matches_classification(presets):
@@ -393,6 +394,52 @@ def test_siloz_report_prints_its_layout_at_the_geometry_width():
     data = run_attack(sc).to_dict()
     assert data["layout"]["regions"][1]["start_pa"] == "0x200"
     assert data["siloz"]["layout"] == data["layout"]
+
+
+# the report keys perfbench digests, so a key added later moves no pin
+REPORT_KEYS = (
+    "scenario_hash", "verdict", "layout", "aggressors", "boundary_fallback",
+    "seeded_rows", "flips", "ownership_histogram", "stats", "siloz",
+)
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_are_pinned(presets):
+    """Seeded results, deterministic and probabilistic, bit for bit."""
+
+    def pinned_keys(scenario):
+        data = run_attack(scenario).to_dict()
+        return {k: data[k] for k in REPORT_KEYS if k in data}
+
+    matrix = builtin_matrix()
+    swept = [
+        with_overrides(sc, deterministic_mode=False, hc_first=1000,
+                       flip_probability=1e-2, rng_seed=seed)
+        for sc in matrix
+        for seed in range(3)
+    ]
+    params = HammerParams(hc_first=40, flip_probability=0.5, rng_seed=3)
+    replays = []
+    for mapping in presets.values():
+        geo = mapping.geometry
+        for trace in (matvec_trace(64, 64, 0), toggle_trace(0x80000000, 0x8040, 4096)):
+            stats, flips = replay_trace(trace, mapping, params, refresh_every=5000)
+            replays.append({
+                "stats": stats.to_dict(),
+                "flips": [f.to_dict(geo, geo.pa_digits) for f in flips],
+            })
+    assert sum(len(r["flips"]) for r in replays) == 7575
+    assert [_digest([pinned_keys(sc) for sc in matrix]),
+            _digest([pinned_keys(sc) for sc in swept]),
+            _digest(replays)] == [
+        "c6eaa04762a9b6313d851dd06dc0c6098f3f2f8b2e9bc661f1e5e0d3f84fdc67",
+        "d009ae30d28702bb73d7ba62554c072db91622f5c060598e8f0cb48511a5beba",
+        "97a3f000fecbcea864ca226e6854cbb66396a04d32f58865fa91fe90e45a2ae6",
+    ]
 
 
 def test_report_is_deterministic(presets):

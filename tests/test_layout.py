@@ -361,6 +361,20 @@ def test_planners_reject_non_integer_sizes_and_guards(presets):
             plan_layout(mapping, mitigation, [8.0 * MIB, 8 * MIB], 1)
 
 
+def test_planners_reject_sizes_that_are_not_a_list(presets):
+    # a generator would be consumed by the size check and plan no VM at all
+    mapping = presets["simple"]
+    for sizes in (8 * MIB, (s for s in [16 * MIB]), {16 * MIB: 1}):
+        message = r"^vm_sizes must be a list of sizes, got "
+        for mitigation in ("none", "siloz", "citadel"):
+            with pytest.raises(PlanError, match=message):
+                plan_layout(mapping, mitigation, sizes, 1)
+        with pytest.raises(PlanError, match=message):
+            plan_siloz(mapping, sizes)
+        with pytest.raises(PlanError, match=message):
+            plan_citadel(mapping, sizes, 1)
+
+
 def test_plan_layout_rejects_unknown_mitigation(presets):
     with pytest.raises(ValueError, match="unknown mitigation 'bogus'"):
         plan_layout(presets["simple"], "bogus", [MIB], 1)
