@@ -142,7 +142,7 @@ def _render_table(summary: dict) -> str:
     lines = ["  ".join(["mitigation".ljust(width)] + labels)]
     for mitigation, row in summary.items():
         cells = [MARKS.get(row.get(label, ""), "?").center(len(label)) for label in labels]
-        lines.append("  ".join([mitigation.ljust(width)] + cells))
+        lines.append("  ".join([mitigation.ljust(width)] + cells).rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -72,14 +72,18 @@ class HammerParams:
 @dataclass
 class Stats:
     """Access accounting. Every miss (and every explicit row activation)
-    activates, so the accesses are the hits plus the activations. A bank's
-    open row is never closed, so every activation precharges but the first
-    in each bank, which finds it closed."""
+    activates; the activations are the per-bank counts summed, and the
+    accesses the hits plus the activations. A bank's open row is never
+    closed, so every activation precharges but the first in each bank, which
+    finds it closed."""
 
     row_buffer_hits: int = 0
-    activations: int = 0
     refresh_windows: int = 0
     per_bank_activations: dict[BankTuple, int] = field(default_factory=dict)
+
+    @property
+    def activations(self) -> int:
+        return sum(self.per_bank_activations.values())
 
     @property
     def accesses(self) -> int:
@@ -233,14 +237,14 @@ class SimState:
 
     def _activate(self, coord: DramCoordinate, n: int = 1) -> None:
         """``n`` back-to-back activations of one row, the only code that counts
-        one; ``Stats`` derives the accesses and precharges from the counts.
-        The flip check runs once, at the row's new count, and the refresh when
-        the window fills, so a caller keeps ``n`` within the window and, in
-        probabilistic mode, ends it at the first activation that may flip."""
+        one; ``Stats`` derives the activations, accesses and precharges from
+        its per-bank counts. The flip check runs once, at the row's new count,
+        and the refresh when the window fills, so a caller keeps ``n`` within
+        the window and, in probabilistic mode, ends it at the first activation
+        that may flip."""
         bt = coord.bank_tuple
-        stats = self.stats
-        stats.activations += n
-        stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + n
+        per_bank = self.stats.per_bank_activations
+        per_bank[bt] = per_bank.get(bt, 0) + n
         self.open_row[bt] = coord.row
         key = (bt, coord.row)
         count = self.act_count.get(key, 0) + n

@@ -568,10 +568,7 @@ def _reads(pas: list[int]) -> AccessTrace:
 
 def sequential_trace(base_pa: int, count: int, limit: int | None = None) -> AccessTrace:
     """count reads of consecutive byte addresses starting at base_pa."""
-    check_int("base_pa", base_pa)
-    check_int("count", count, 1)
-    _check_span(base_pa, base_pa + count - 1, limit)
-    return _reads(list(range(base_pa, base_pa + count)))
+    return strided_trace(base_pa, 1, count, limit)
 
 
 def strided_trace(
@@ -583,7 +580,8 @@ def strided_trace(
     check_int("count", count, 1)
     ends = (base_pa, base_pa + (count - 1) * stride)
     _check_span(min(ends), max(ends), limit)
-    return _reads([base_pa + i * stride for i in range(count)])
+    pas = list(range(base_pa, base_pa + count * stride, stride)) if stride else [base_pa] * count
+    return _reads(pas)
 
 
 def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -> AccessTrace:
@@ -616,9 +614,9 @@ def toggle_trace(
     check_int("base_pa", base_pa)
     check_int("mask", mask)
     check_int("count", count, 1)
-    pair = (base_pa, base_pa ^ mask) if count > 1 else (base_pa,)
+    pair = [base_pa, base_pa ^ mask] if count > 1 else [base_pa]
     _check_span(min(pair), max(pair), limit)
-    return _reads([base_pa ^ (mask if i & 1 else 0) for i in range(count)])
+    return _reads(pair * (count // 2) + pair[: count & 1])
 
 
 def replay_trace(

@@ -467,8 +467,10 @@ def find_aggressors(
     offset = geo.coord_offsets[4]
     # the row is the top field, so adding d << offset moves a vector to row
     # + d of the same bank tuple; a row pushed out of [0, rows) leaves the
-    # range of victim vectors
-    deltas = [d for d in range(-blast_radius, blast_radius + 1) if d]
+    # range of victim vectors. No two rows of one subarray lie further apart
+    # than rows_per_subarray - 1, so no longer offset can find a victim.
+    reach = min(blast_radius, geo.rows_per_subarray - 1)
+    deltas = [d for d in range(-reach, reach + 1) if d]
     hit = {d: np.isin(attacker + (d << offset), victim) for d in deltas}
     sites = []
     for i in np.flatnonzero(np.any([hit[d] for d in deltas], axis=0)).tolist():
@@ -516,8 +518,7 @@ def boundary_fallback(
     nearest &= geo.rows - 1
     # the footprint is sorted by row, its top field
     nearest[~in_bank], _ = _nearest(victim >> offset, rows[~in_bank], width)
-    per = geo.rows_per_subarray
-    other_subarray = (nearest // per != rows // per).astype(np.int64)
+    other_subarray = (geo.subarray_of(nearest) != geo.subarray_of(rows)).astype(np.int64)
     rank = other_subarray << width | np.abs(rows - nearest)
     chosen = attacker[rank == rank.min()].tolist()
     return sorted((_site(mapping, vec, ()) for vec in chosen), key=lambda site: site.coord)

@@ -88,11 +88,8 @@ class DramCoordinate(NamedTuple):
     def bank_tuple(self) -> tuple[int, int, int, int]:
         return self[:4]
 
-    def to_dict(self, geometry: Geometry | None = None) -> dict:
-        out = self._asdict()
-        if geometry is not None:
-            out["subarray"] = geometry.subarray_of(self.row)
-        return out
+    def to_dict(self, geometry: Geometry) -> dict:
+        return dict(self._asdict(), subarray=geometry.subarray_of(self.row))
 
 
 @dataclass(frozen=True)
@@ -212,13 +209,9 @@ class Geometry:
     def neighbours(self, row: int, radius: int) -> list[int]:
         """Rows a hammered ``row`` can disturb, ascending: those within
         ``radius`` of it in its own subarray, excluding the row itself."""
-        per = self.rows_per_subarray
-        sub = row // per
-        out = []
-        for v in range(row - radius, row + radius + 1):
-            if v != row and v // per == sub:  # also keeps v inside [0, rows)
-                out.append(v)
-        return out
+        first = row - row % self.rows_per_subarray
+        last = first + self.rows_per_subarray - 1
+        return [v for v in range(max(row - radius, first), min(row + radius, last) + 1) if v != row]
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in GEOMETRY_FIELDS}

@@ -1,3 +1,10 @@
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
 import pytest
 
 from vmhammer import builtin_mappings, default_geometry
@@ -18,6 +25,47 @@ def presets():
 @pytest.fixture(scope="session", params=PRESET_NAMES)
 def preset(request, presets):
     return presets[request.param]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _vmhammer_under_1gib(argv, timeout=60):
+    """Run ``python -m vmhammer *argv`` under a 1 GiB address-space cap.
+
+    Returns the finished process and its own peak RSS in KiB, read from
+    the rusage ``os.wait4`` gives for that one child. Raises
+    ``subprocess.TimeoutExpired`` after killing a child that outlives
+    ``timeout`` seconds.
+    """
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vmhammer", *argv],
+            stdout=out,
+            stderr=err,
+            preexec_fn=_limit_address_space,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        )
+        deadline = time.monotonic() + timeout
+        pid = 0
+        while not pid:
+            if time.monotonic() > deadline:
+                proc.kill()
+                proc.wait()
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            time.sleep(0.02)
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(proc.args, proc.returncode, out.read(), err.read())
+        return done, usage.ru_maxrss
+
+
+@pytest.fixture(scope="session")
+def vmhammer_under_1gib():
+    return _vmhammer_under_1gib
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

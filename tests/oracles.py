@@ -208,13 +208,12 @@ def brute_boundary_fallback(
 
 def brute_activate(state: SimState, coord: DramCoordinate) -> None:
     """One hammer activation stepped by hand, sharing no counting code with
-    ``SimState``: the activation, counted overall, per bank and per row, the
-    row opened, the flip check at the row's new count, then the refresh once
-    the state's window fills."""
+    ``SimState``: the activation, counted per bank (``Stats`` sums the total)
+    and per row, the row opened, the flip check at the row's new count, then
+    the refresh once the state's window fills."""
     bt = coord.bank_tuple
     stats = state.stats
     state.open_row[bt] = coord.row
-    stats.activations += 1
     stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + 1
     key = (bt, coord.row)
     state.act_count[key] = state.act_count.get(key, 0) + 1

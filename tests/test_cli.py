@@ -1,7 +1,6 @@
 """End-to-end CLI checks: exit codes, JSON output, and file plumbing."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -672,35 +671,23 @@ def test_cold_matrix_and_citadel_plan_never_import_numpy_ma(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
-def _limit_address_space():
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
-def _gen_trace_under_1gib(argv):
-    return subprocess.run(
-        [sys.executable, "-m", "vmhammer", "gen-trace", *argv],
-        capture_output=True,
-        text=True,
-        preexec_fn=_limit_address_space,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
-    )
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["sequential", "--count", "100000000000"],
         ["matvec", "--rows", "100000", "--cols", "100000"],
+        ["strided", "--stride", "8", "--count", "100000000000"],
+        ["toggle", "--mask", "0x8040", "--count", "100000000000"],
     ],
-    ids=["sequential", "matvec"],
+    ids=["sequential", "matvec", "strided", "toggle"],
 )
-def test_gen_trace_out_of_memory_is_one_error(argv):
-    proc = _gen_trace_under_1gib(argv)
+def test_gen_trace_out_of_memory_is_one_error(argv, vmhammer_under_1gib):
+    # every kind asks for its whole list at once, so it fails before growing
+    proc, peak_kib = vmhammer_under_1gib(["gen-trace", *argv])
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     error = assert_one_error(proc.stderr)
     assert error["type"] == "MemoryError" and error["message"]
+    assert peak_kib < 200 << 10, peak_kib
 
 
 @pytest.mark.parametrize(
@@ -714,9 +701,9 @@ def test_gen_trace_out_of_memory_is_one_error(argv):
     ],
     ids=["matvec", "strided", "toggle", "sequential", "strided-down"],
 )
-def test_gen_trace_overflow_is_found_before_building(argv):
+def test_gen_trace_overflow_is_found_before_building(argv, vmhammer_under_1gib):
     # the span check runs first, so none of these builds its list of 1e10+ PAs
-    proc = _gen_trace_under_1gib(argv)
+    proc, _ = vmhammer_under_1gib(["gen-trace", *argv])
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     error = assert_one_error(proc.stderr)
     assert error["type"] == "ValueError", error

@@ -1,5 +1,6 @@
 """Every demo script and every python example in README.md runs to completion
-against the package in src/."""
+against the package in src/, and the README's matrix table is what the
+command prints."""
 
 import os
 import pathlib
@@ -55,3 +56,11 @@ def test_readme_python_examples_run():
     for block in blocks:
         result = run_python("-c", block)
         assert result.returncode == 0, block + result.stderr
+
+
+def test_readme_matrix_table_is_the_command_output():
+    command = "vmhammer matrix --table --hc-first 200 --deterministic"
+    (table,) = re.findall(rf"^\$ {command}\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    result = run_python("-m", *command.split())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == table

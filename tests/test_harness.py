@@ -366,6 +366,53 @@ def test_attack_infeasible_plan_raises(presets):
         run_attack(sc)
 
 
+def test_blast_radius_past_the_subarray_costs_nothing(tmp_path, vmhammer_under_1gib):
+    """A hammered row's reach ends at its subarray (512 rows), so radius 511
+    already reaches every row a larger one could; only the scenario differs."""
+    reports = {}
+    for radius in (511, 10**6, 2**70):
+        path = tmp_path / f"radius-{radius}.json"
+        path.write_text(json.dumps(scenario_data(
+            hammer={"hc_first": 200, "deterministic_mode": True, "blast_radius": radius},
+            aggressor_selection="first",
+        )))
+        proc, _ = vmhammer_under_1gib(["attack", str(path)])
+        assert (proc.returncode, proc.stderr) == (0, ""), radius
+        data = json.loads(proc.stdout)
+        assert data["scenario"]["hammer"]["blast_radius"] == radius
+        reports[radius] = {k: v for k, v in data.items() if k not in ("scenario", "scenario_hash")}
+    assert reports[511]["flips"]
+    assert reports[10**6] == reports[511]
+    assert reports[2**70] == reports[511]
+
+
+# the vm0 flips of each citadel 8+8 MiB cell where guard < blast radius, by
+# (guard rows, blast radius); every other cell falls back and holds
+CITADEL_FRONTIER = {
+    "simple": {(1, 2): 4, (1, 3): 8, (2, 3): 4},
+    "bank-xor": {(1, 2): 4, (1, 3): 8, (2, 3): 4},
+    "bank-xor-noncontig-row": {(1, 2): 8, (1, 3): 16, (2, 3): 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CITADEL_FRONTIER))
+def test_citadel_holds_exactly_when_guard_rows_cover_the_blast_radius(presets, name):
+    for guard in (1, 2, 3):
+        for radius in (1, 2, 3):
+            report = run_attack(make_scenario(
+                presets,
+                mapping=presets[name],
+                mitigation="citadel",
+                guard_global_rows=guard,
+                aggressor_selection="all",
+                hammer=HammerParams(hc_first=1000, deterministic_mode=True, blast_radius=radius),
+            ))
+            cell = (guard, radius)
+            assert report.verdict == ("NOT_MITIGATED" if guard < radius else "MITIGATED"), cell
+            assert report.ownership_histogram["vm0"] == CITADEL_FRONTIER[name].get(cell, 0), cell
+            assert report.boundary_fallback == (guard >= radius), cell
+
+
 def test_report_dict_shape(presets):
     sc = make_scenario(presets, mitigation="siloz", vm_sizes=(16 * MIB, 16 * MIB))
     report = run_attack(sc)

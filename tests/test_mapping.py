@@ -76,6 +76,19 @@ def test_geometry_dict_roundtrip(geometry):
     assert Geometry.from_dict(geometry.to_dict()) == geometry
 
 
+def test_neighbours_stop_at_the_subarray(geometry):
+    per = geometry.rows_per_subarray
+    first = 3 * per
+    for row in (first, first + per // 2, first + per - 1):
+        reach = geometry.neighbours(row, per - 1)
+        assert reach == [v for v in range(first, first + per) if v != row]
+        assert geometry.neighbours(row, 2**70) == reach
+    assert geometry.neighbours(first + 5, 2) == [first + 3, first + 4, first + 6, first + 7]
+    single = Geometry.from_dict({**geometry.to_dict(), "rows_per_subarray": 1})
+    for row in (0, 7, single.rows - 1):
+        assert single.neighbours(row, 1) == single.neighbours(row, 2**70) == []
+
+
 # -- preset structure and frozen translations ------------------------------------
 
 
