@@ -1,14 +1,15 @@
 """Open-page DRAM state with activation counting and threshold bitflips.
 
 The model tracks, per bank tuple (channel, rank, bankgroup, bank), the open
-row and per-row activation counts within the current refresh window. The
-state closes its window itself every ``refresh_every`` activations. Rows
-activated more than ``hc_first`` times in one window probabilistically flip
-bits in neighbouring rows of the same subarray; ``deterministic_mode`` turns
-the first such opportunity into a certain flip for reproducible tests.
+row and per-row activation counts within the current refresh window, keyed by
+packed coordinate vectors (a row's without column bits, a bank's bits below
+the row). The state closes its window itself every ``refresh_every``
+activations. A row activated more than ``hc_first`` times in one window is
+unpacked and probabilistically flips bits in neighbouring rows of its
+subarray; ``deterministic_mode`` makes the first such chance a certain flip.
 
-``_activate(coord, n)`` is the one routine that counts activations: a
-row-buffer miss in ``access`` is one, and the hammer primitive
+``_activate(key, n)`` is the one routine that counts activations: a
+row-buffer miss in ``_access_vec`` is one, and the hammer primitive
 ``activate_row`` splits its run into steps that ``_activate`` counts at once.
 A step ends at the refresh window's end and, in probabilistic mode, at the
 first activation that may flip, so its result equals that of single
@@ -20,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import gf2
 from .mapping import AddressMapping, DramCoordinate, Geometry, check_int
 
 __all__ = [
@@ -29,8 +31,6 @@ __all__ = [
     "BitflipRecord",
     "SimState",
 ]
-
-BankTuple = tuple[int, int, int, int]
 
 REFRESH_EVERY = 100_000  # default activations per refresh window
 
@@ -75,15 +75,20 @@ class Stats:
     activates; the activations are the per-bank counts summed, and the
     accesses the hits plus the activations. A bank's open row is never
     closed, so every activation precharges but the first in each bank, which
-    finds it closed."""
+    finds it closed. ``per_bank_activations`` keys the per-bank counts by tuple."""
 
+    geometry: Geometry
     row_buffer_hits: int = 0
     refresh_windows: int = 0
-    per_bank_activations: dict[BankTuple, int] = field(default_factory=dict)
+    bank_activations: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def per_bank_activations(self) -> dict[tuple[int, int, int, int], int]:
+        return {self.geometry.unpack(bank).bank_tuple: n for bank, n in self.bank_activations.items()}
 
     @property
     def activations(self) -> int:
-        return sum(self.per_bank_activations.values())
+        return sum(self.bank_activations.values())
 
     @property
     def accesses(self) -> int:
@@ -91,7 +96,7 @@ class Stats:
 
     @property
     def precharges(self) -> int:
-        return self.activations - len(self.per_bank_activations)
+        return self.activations - len(self.bank_activations)
 
     def to_dict(self) -> dict:
         return {
@@ -156,35 +161,31 @@ class SimState:
         self.params = params
         self.refresh_every = refresh_every
         self.fill = fill
+        self._bank_mask = (1 << self.geometry.coord_offsets[4]) - 1  # bits below the row
+        self._row_mask = (1 << self.geometry.coord_offsets[5]) - 1  # bits below the column
         self._window = 0  # activations since the refresh window opened
-        self.open_row: dict[BankTuple, int] = {}
-        self.act_count: dict[tuple[BankTuple, int], int] = {}
+        self.open_row: dict[int, int] = {}  # bank key -> row key
+        self.act_count: dict[int, int] = {}  # row key -> activations this window
         self.contents: dict[int, int] = {}  # sparse; unwritten bytes read fill
         self.flips: list[BitflipRecord] = []
-        self.stats = Stats()
+        self.stats = Stats(self.geometry)
         self.rng = random.Random(params.rng_seed)
-        self._det_flipped: set[tuple[BankTuple, int]] = set()  # per-window latch
+        self._det_flipped: set[int] = set()  # per-window latch, by victim row key
         mapping.inverse_columns  # fail fast on non-invertible mappings
 
     # -- memory access path -------------------------------------------------
 
     def access(self, pa: int, kind: str = "read", data: int | None = None) -> bool:
         """One memory access under the open-page policy; True on a row-buffer
-        hit. A miss is one activation through ``_activate``. The byte read or
-        written is in ``read_byte``."""
+        hit. The byte read or written is in ``read_byte``."""
         if kind not in ("read", "write"):
             raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
         if kind == "write":
             check_int("data", data, 0, 256)
-        coord = self.mapping.pa_to_coord(pa)
-        hit = self.open_row.get(coord.bank_tuple) == coord.row
-        if hit:
-            self.stats.row_buffer_hits += 1
-        else:
-            self._activate(coord)
-        if kind == "write":
+        self.geometry.check_pa(pa)
+        if kind == "write":  # the accessed row is never its own flip's victim
             self.contents[pa] = data
-        return hit
+        return self._access_vec(gf2.image(self.mapping._forward_tables, pa))
 
     def activate_row(self, coord: DramCoordinate, times: int = 1) -> None:
         """``times`` unconditional activations of one row, the hammer primitive.
@@ -201,14 +202,14 @@ class SimState:
         """
         check_int("times", times, 1)
         self.geometry.check_coord(coord)
-        key = (coord.bank_tuple, coord.row)
+        key = self.geometry.pack(coord) & self._row_mask
         first_flip = self.params.hc_first + 1
         deterministic = self.params.deterministic_mode
         while times:
             step = min(times, self.refresh_every - self._window)
             if not deterministic:
                 step = min(step, max(1, first_flip - self.act_count.get(key, 0)))
-            self._activate(coord, step)
+            self._activate(key, step)
             times -= step
 
     def refresh(self) -> None:
@@ -235,39 +236,47 @@ class SimState:
 
     # -- internals -----------------------------------------------------------
 
-    def _activate(self, coord: DramCoordinate, n: int = 1) -> None:
-        """``n`` back-to-back activations of one row, the only code that counts
-        one; ``Stats`` derives the activations, accesses and precharges from
-        its per-bank counts. The flip check runs once, at the row's new count,
-        and the refresh when the window fills, so a caller keeps ``n`` within
-        the window and, in probabilistic mode, ends it at the first activation
-        that may flip."""
-        bt = coord.bank_tuple
-        per_bank = self.stats.per_bank_activations
-        per_bank[bt] = per_bank.get(bt, 0) + n
-        self.open_row[bt] = coord.row
-        key = (bt, coord.row)
+    def _access_vec(self, vec: int) -> bool:
+        """A checked byte's access by its packed coordinate vector; True on a hit."""
+        key = vec & self._row_mask
+        if self.open_row.get(key & self._bank_mask) == key:
+            self.stats.row_buffer_hits += 1
+            return True
+        self._activate(key)
+        return False
+
+    def _activate(self, key: int, n: int = 1) -> None:
+        """``n`` back-to-back activations of row ``key``, the only code that counts
+        one; ``Stats`` derives the activations, accesses and precharges from its
+        per-bank counts. The flip check runs once, at the row's new count, and the
+        refresh when the window fills, so a caller keeps ``n`` within the window
+        and, in probabilistic mode, ends it at the first activation that may flip."""
+        bank = key & self._bank_mask
+        per_bank = self.stats.bank_activations
+        per_bank[bank] = per_bank.get(bank, 0) + n
+        self.open_row[bank] = key
         count = self.act_count.get(key, 0) + n
         self.act_count[key] = count
-        self._maybe_flip(coord, count)
+        self._maybe_flip(key, count)
         self._window += n
         if self._window == self.refresh_every:
             self.refresh()
 
-    def _maybe_flip(self, coord: DramCoordinate, count: int) -> None:
+    def _maybe_flip(self, key: int, count: int) -> None:
         if count <= self.params.hc_first:
             return
-        bt = coord.bank_tuple
-        for victim in self.geometry.neighbours(coord.row, self.params.blast_radius):
+        aggressor = self.geometry.unpack(key)
+        for victim in self.geometry.neighbours(aggressor.row, self.params.blast_radius):
             if self.params.deterministic_mode:
-                if (bt, victim) in self._det_flipped:
+                latch = key & self._bank_mask | victim << self.geometry.coord_offsets[4]
+                if latch in self._det_flipped:
                     continue
-                self._det_flipped.add((bt, victim))
-                self._record_flip(coord, victim, column=0, bit=0)
+                self._det_flipped.add(latch)
+                self._record_flip(aggressor, victim, column=0, bit=0)
             elif self.rng.random() < self.params.flip_probability:
                 column = self.rng.randrange(self.geometry.columns)
                 bit = self.rng.randrange(8)
-                self._record_flip(coord, victim, column=column, bit=bit)
+                self._record_flip(aggressor, victim, column=column, bit=bit)
 
     def _record_flip(self, aggressor: DramCoordinate, victim_row: int, column: int, bit: int) -> None:
         geo = self.geometry

@@ -3,8 +3,8 @@
 A matrix is a list of Python ints, one per row; bit i of a row is the entry
 in column i. Python ints are unbounded, so any width works. A linear map is
 also given by its columns, the images of the unit vectors; from those,
-``image_tables`` translates single vectors and ``span`` enumerates images of
-whole subspaces (both within numpy's int64 for the enumeration).
+``image_tables`` translates single vectors or int64 arrays of them, and ``span``
+enumerates images of whole subspaces (the arrays within numpy's int64).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["analyze", "reduce_basis", "span", "image_tables", "image"]
+__all__ = ["analyze", "reduce_basis", "span", "image_tables", "image", "image_array"]
 
 
 def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | None]:
@@ -102,4 +102,13 @@ def image(tables: tuple[list[int], ...], x: int) -> int:
     for table in tables:
         out ^= table[x & 0xFF]
         x >>= 8
+    return out
+
+
+def image_array(tables: tuple[list[int], ...], xs: Sequence[int]) -> np.ndarray:
+    """``image`` of every entry of xs, as an int64 array, one lookup per byte."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.zeros(len(xs), dtype=np.int64)
+    for t, table in enumerate(tables):
+        out ^= np.array(table, dtype=np.int64)[(xs >> 8 * t) & 0xFF]
     return out

@@ -21,6 +21,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
+from . import gf2
 from .dram import REFRESH_EVERY, BitflipRecord, HammerParams, SimState, Stats
 from .layout import (
     MITIGATIONS,
@@ -77,6 +78,8 @@ MITIGATED = "MITIGATED"
 NOT_MITIGATED = "NOT_MITIGATED"
 
 RowTuple = tuple[int, int, int, int, int]
+
+REPLAY_CHUNK = 8192  # trace entries checked and translated per numpy pass
 
 
 class ScenarioError(ValueError):
@@ -626,8 +629,21 @@ def replay_trace(
     refresh_every: int = REFRESH_EVERY,
 ) -> tuple[Stats, list[BitflipRecord]]:
     """Drive every trace access through a fresh state that closes its refresh
-    window every ``refresh_every`` activations."""
+    window every ``refresh_every`` activations. A chunk of plain PAs is translated
+    in one numpy pass; ``SimState.access`` takes any other entry and its error."""
     state = SimState(mapping, params, refresh_every)
-    for kind, pa, data in trace.entries:
-        state.access(pa, kind, data)
+    total = mapping.geometry.total_bytes
+    for lo in range(0, len(trace), REPLAY_CHUNK):
+        chunk = trace.entries[lo : lo + REPLAY_CHUNK]
+        pas = [pa for _, pa, _ in chunk]
+        plain = set(map(type, pas)) == {int} and 0 <= min(pas) and max(pas) < total
+        vecs = gf2.image_array(mapping._forward_tables, pas).tolist() if plain else pas
+        for (kind, pa, data), vec in zip(chunk, vecs):
+            write = kind == "write" and type(data) is int and 0 <= data < 256
+            if plain and (kind == "read" or write):
+                if write:
+                    state.contents[pa] = data
+                state._access_vec(vec)
+            else:
+                state.access(pa, kind, data)
     return state.stats, state.collect_flips()

@@ -206,28 +206,87 @@ def brute_boundary_fallback(
     return sorted(rt for rt, rank in ranks.items() if rank == best)
 
 
-def brute_activate(state: SimState, coord: DramCoordinate) -> None:
-    """One hammer activation stepped by hand, sharing no counting code with
-    ``SimState``: the activation, counted per bank (``Stats`` sums the total)
-    and per row, the row opened, the flip check at the row's new count, then
-    the refresh once the state's window fills."""
+class BruteStats:
+    """Access counts kept by hand, for comparison through ``to_dict``: hits,
+    refresh windows and activations per bank tuple."""
+
+    def __init__(self) -> None:
+        self.row_buffer_hits = 0
+        self.refresh_windows = 0
+        self.per_bank: dict[tuple[int, int, int, int], int] = {}
+
+    @property
+    def activations(self) -> int:
+        return sum(self.per_bank.values())
+
+    def to_dict(self) -> dict:
+        return {
+            "accesses": self.row_buffer_hits + self.activations,
+            "row_buffer_hits": self.row_buffer_hits,
+            "activations": self.activations,
+            "precharges": self.activations - len(self.per_bank),
+            "refresh_windows": self.refresh_windows,
+            "per_bank_activations": {
+                ":".join(map(str, bt)): n for bt, n in sorted(self.per_bank.items())
+            },
+        }
+
+
+class BruteState:
+    """Open-page DRAM stepped by hand, sharing no counting code and no state
+    layout with ``SimState``: its own open row per bank tuple, activation
+    count per (bank tuple, row), window and stats, all keyed by coordinate
+    fields. A ``SimState`` it never counts in makes the flip draws
+    (``_maybe_flip``) and holds the memory contents and flip records; its
+    ``refresh`` re-arms that state's deterministic latch."""
+
+    def __init__(self, mapping: AddressMapping, params: HammerParams, refresh_every: int) -> None:
+        self.mapping = mapping
+        self.refresh_every = refresh_every
+        self.draws = SimState(mapping, params)
+        self.open_row: dict[tuple[int, int, int, int], int] = {}
+        self.act_count: dict[tuple[tuple[int, int, int, int], int], int] = {}
+        self.window = 0
+        self.stats = BruteStats()
+
+    @property
+    def contents(self) -> dict[int, int]:
+        return self.draws.contents
+
+    def collect_flips(self) -> list:
+        return self.draws.collect_flips()
+
+    def write_byte(self, pa: int, value: int) -> None:
+        self.draws.write_byte(pa, value)
+
+    def refresh(self) -> None:
+        self.act_count.clear()
+        self.window = 0
+        self.stats.refresh_windows += 1
+        self.draws.refresh()
+
+
+def brute_activate(state: BruteState, coord: DramCoordinate) -> None:
+    """One hammer activation stepped by hand: the activation, counted per
+    bank and per row, the row opened, the flip check at the row's new count,
+    then the refresh once the state's window fills."""
     bt = coord.bank_tuple
-    stats = state.stats
+    per_bank = state.stats.per_bank
     state.open_row[bt] = coord.row
-    stats.per_bank_activations[bt] = stats.per_bank_activations.get(bt, 0) + 1
+    per_bank[bt] = per_bank.get(bt, 0) + 1
     key = (bt, coord.row)
     state.act_count[key] = state.act_count.get(key, 0) + 1
-    state._maybe_flip(coord, state.act_count[key])
-    state._window += 1
-    if state._window == state.refresh_every:
+    state.draws._maybe_flip(state.mapping.geometry.pack(coord), state.act_count[key])
+    state.window += 1
+    if state.window == state.refresh_every:
         state.refresh()
 
 
-def brute_access(state: SimState, pa: int, kind: str, data: int | None) -> None:
+def brute_access(state: BruteState, pa: int, kind: str, data: int | None) -> None:
     """One open-page access stepped by hand: a hit, counted, when the bank's
     open row is the address's row, else one activation through
     ``brute_activate``."""
-    coord = state.mapping.pa_to_coord(pa)
+    coord = DramCoordinate(*brute_coord(state.mapping, pa))
     if state.open_row.get(coord.bank_tuple) == coord.row:
         state.stats.row_buffer_hits += 1
     else:
@@ -241,14 +300,14 @@ def brute_hammer(
     params: HammerParams,
     sites: list[tuple[DramCoordinate, int]],
     every: int,
-) -> SimState:
+) -> BruteState:
     """Hammer each (coordinate, count) site one activation at a time, with a
     manual refresh after every ``every``-th activation.
 
     The state's own period is one longer, so its window never closes as
     long as each manual refresh starts a new one.
     """
-    state = SimState(mapping, params, every + 1)
+    state = BruteState(mapping, params, every + 1)
     issued = 0
     for coord, count in sites:
         for _ in range(count):
@@ -264,11 +323,11 @@ def brute_replay(
     params: HammerParams,
     entries: list[tuple[str, int, int | None]],
     every: int,
-) -> SimState:
+) -> BruteState:
     """Replay (kind, pa, data) accesses through ``brute_access``, refreshing
     manually once ``every`` activations have accumulated since the last
     refresh; the state's own period is one longer, as in brute_hammer."""
-    state = SimState(mapping, params, every + 1)
+    state = BruteState(mapping, params, every + 1)
     since_refresh = 0
     for kind, pa, data in entries:
         before = state.stats.activations
@@ -290,7 +349,7 @@ def brute_row_pas(
     return pas[in_row].tolist()
 
 
-def brute_seeded_attack(scenario: Scenario) -> SimState:
+def brute_seeded_attack(scenario: Scenario) -> BruteState:
     """The attack with an explicit seeding phase: on a zero-filled state,
     write the check pattern into every byte of every row a selected
     aggressor can reach, then hammer each selected aggressor in turn, one
@@ -310,7 +369,7 @@ def brute_seeded_attack(scenario: Scenario) -> SimState:
         sites = sites[:1]
     elif selection != "all":
         sites = [s for s in sites if s.coord.row in selection]
-    state = SimState(mapping, scenario.hammer, scenario.refresh_every)
+    state = BruteState(mapping, scenario.hammer, scenario.refresh_every)
     for site in sites:
         row = site.coord.row
         for victim_row in range(row - blast, row + blast + 1):

@@ -22,6 +22,7 @@ from vmhammer.dram import InvariantError
 from vmhammer.harness import AccessTrace, replay_trace
 
 from oracles import (
+    BruteState,
     brute_access,
     brute_activate,
     brute_hammer,
@@ -284,6 +285,14 @@ def test_deterministic_latch_one_flip_per_victim_per_window():
     assert len(state.collect_flips()) == 2  # not 2 * 16
 
 
+def test_deterministic_latch_is_per_bank():
+    state = SimState(tiny_simple(), det_params(hc_first=4))
+    hammer(state, 5, 5, bank=0)
+    hammer(state, 5, 5, bank=1)  # the same victim rows, in the other bank
+    flips = state.collect_flips()
+    assert sorted((f.coord.bank, f.coord.row) for f in flips) == [(0, 4), (0, 6), (1, 4), (1, 6)]
+
+
 def test_flips_resume_after_refresh():
     state = SimState(tiny_simple(), det_params(hc_first=4))
     hammer(state, 5, 5)
@@ -400,7 +409,7 @@ def test_refresh_window_matches_driver_oracles(data):
     # one state takes hammer runs and accesses in any order, on shared banks
     ops = data.draw(st.permutations(sites + entries), label="interleaving")
     state = SimState(mapping, params, every)
-    expected = SimState(mapping, params, every)
+    expected = BruteState(mapping, params, every)
     for op in ops:
         if len(op) == 2:
             coord, count = op

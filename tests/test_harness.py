@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import vmhammer
 from vmhammer.dram import HammerParams, SimState
 from vmhammer.harness import (
+    REPLAY_CHUNK,
     AccessTrace,
     Scenario,
     ScenarioError,
@@ -38,6 +40,7 @@ from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout, row_chu
 from vmhammer.mapping import AddressMapping, Geometry, MappingError, default_geometry
 
 from oracles import (
+    brute_replay,
     brute_row_pas,
     brute_seeded_attack,
     random_geometry,
@@ -791,3 +794,101 @@ def test_replay_is_deterministic(presets):
     ]
     assert runs[0][0].to_dict() == runs[1][0].to_dict()
     assert [f.pa for f in runs[0][1]] == [f.pa for f in runs[1][1]]
+
+
+def test_replay_across_chunks_matches_oracle():
+    """Past two chunks of REPLAY_CHUNK entries, with writes, flips in both
+    modes and several refresh windows, replay equals the hand-stepped oracle."""
+    mapping = tiny_noncontig()
+    rng = random.Random(16)
+    pool = rng.sample(range(mapping.geometry.total_bytes), 12)
+    entries = [
+        ("write", pa, rng.randrange(256)) if rng.random() < 0.25 else ("read", pa, None)
+        for pa in (rng.choice(pool) for _ in range(2 * REPLAY_CHUNK + 1000))
+    ]
+    for deterministic in (True, False):
+        params = HammerParams(
+            hc_first=6, flip_probability=0.2, blast_radius=2,
+            deterministic_mode=deterministic, rng_seed=5,
+        )
+        stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params, 1500)
+        expected = brute_replay(mapping, params, entries, 1500)
+        assert stats.to_dict() == expected.stats.to_dict()
+        assert flips == expected.collect_flips()
+        assert stats.refresh_windows >= 3 and flips
+
+
+class _Address(int):
+    """An int subclass, as a caller's own address or byte type may be."""
+
+
+@pytest.mark.parametrize("at", [0, 2 * REPLAY_CHUNK + 7], ids=["first-chunk", "third-chunk"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ("foo", 0x40, None),
+        ("read", 1.5, None),
+        ("read", True, None),
+        ("read", np.int64(0), None),
+        ("read", -1, None),
+        ("read", 1 << 70, None),
+        ("write", 0x40, None),
+        ("write", 0x40, 256),
+        ("write", 0x40, True),
+    ],
+    ids=["kind", "pa-float", "pa-bool", "pa-numpy", "pa-negative", "pa-huge",
+         "data-none", "data-range", "data-bool"],
+)
+def test_replay_raises_what_access_raises(presets, entry, at):
+    """A bad entry of a trace built without parse_trace raises the error
+    SimState.access raises for it, wherever its chunk lies."""
+    mapping = presets["simple"]
+    kind, pa, data = entry
+    with pytest.raises(Exception) as expected:
+        SimState(mapping, reduced_hammer()).access(pa, kind, data)
+    good = sequential_trace(0, at + 10).entries
+    trace = AccessTrace(good[:at] + (entry,) + good[at:])
+    with pytest.raises(type(expected.value)) as got:
+        replay_trace(trace, mapping, reduced_hammer())
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_replay_raises_for_the_first_bad_entry(presets):
+    trace = AccessTrace((("read", 0, None), ("foo", 0x40, None), ("read", -1, None)))
+    with pytest.raises(ValueError) as info:
+        replay_trace(trace, presets["simple"], reduced_hammer())
+    assert str(info.value) == "kind must be 'read' or 'write', got 'foo'"
+
+
+def test_replay_takes_int_subclasses_as_access_does(presets):
+    """Int-subclass PAs and bytes, in one chunk of three, replay as the same
+    entries through SimState.access one at a time."""
+    mapping = presets["simple"]
+    params = reduced_hammer(hc_first=8, deterministic_mode=False, flip_probability=0.5)
+    rows = [0x80000000, 0x80008000, 0x80010000]
+    entries = []
+    for i in range(2 * REPLAY_CHUNK + 500):
+        pa = rows[i % 3] + (i & 0x7FFF)
+        if REPLAY_CHUNK <= i < REPLAY_CHUNK + 100:
+            pa = _Address(pa)
+        entries.append(("write", pa, _Address(i & 0xFF)) if i % 5 == 0 else ("read", pa, None))
+    stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params, 4000)
+    state = SimState(mapping, params, 4000)
+    for kind, pa, data in entries:
+        state.access(pa, kind, data)
+    assert stats.to_dict() == state.stats.to_dict()
+    assert flips == state.collect_flips() and flips
+
+
+def test_replay_of_an_empty_trace_is_zero(presets):
+    stats, flips = replay_trace(AccessTrace(()), presets["simple"], reduced_hammer())
+    assert stats.to_dict() == {
+        "accesses": 0,
+        "row_buffer_hits": 0,
+        "activations": 0,
+        "precharges": 0,
+        "refresh_windows": 0,
+        "per_bank_activations": {},
+    }
+    assert flips == []

@@ -8,6 +8,7 @@ answers.
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from vmhammer import (
     parse_mapping,
     validate,
 )
+from vmhammer import gf2
 from vmhammer.mapping import check_int
 from vmhammer.layout import group_stride, row_chunk_stride
 
@@ -34,6 +36,8 @@ from oracles import (
     random_geometry,
     random_invertible_mapping,
     random_mapping,
+    random_row_high_mapping,
+    random_split_mapping,
     tiny_noncontig,
 )
 
@@ -386,6 +390,32 @@ def test_translation_wider_than_32_bits(geometry):
         coord = mapping.pa_to_coord(pa)
         assert tuple(coord) == brute_coord(mapping, pa)
         assert mapping.coord_to_pa(coord) == pa
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batch_translation_matches_pa_to_coord(data):
+    """The per-byte tables translate an int64 array of PAs, as trace replay
+    does a chunk at a time, to the packed coordinates pa_to_coord gives: every
+    PA of a space up to 4 KiB, else sampled PAs and both ends of a space up to
+    63 bits; an empty array gives an empty one."""
+    rng = random.Random(data.draw(st.integers(0, 1 << 16), label="mapping seed"))
+    make = data.draw(
+        st.sampled_from([random_invertible_mapping, random_split_mapping, random_row_high_mapping]),
+        label="generator",
+    )
+    geometry = random_geometry(rng, max_total=1 << data.draw(st.integers(12, 63), label="bits"))
+    mapping = make(rng, geometry)
+    top = geometry.total_bytes - 1
+    if top < 1 << 12:
+        pas = list(range(top + 1))
+    else:
+        pas = data.draw(st.lists(st.integers(0, top), max_size=200), label="pas") + [0, top]
+    vecs = gf2.image_array(mapping._forward_tables, np.array(pas, dtype=np.int64))
+    assert vecs.dtype == np.int64
+    assert vecs.tolist() == [geometry.pack(mapping.pa_to_coord(pa)) for pa in pas]
+    empty = gf2.image_array(mapping._forward_tables, np.array([], dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.tolist() == []
 
 
 # -- derived stride helpers --------------------------------------------------------
