@@ -11,9 +11,9 @@ subarray; ``deterministic_mode`` makes the first such chance a certain flip.
 ``_activate(key, n)`` is the one routine that counts activations: a
 row-buffer miss in ``_access_vec`` is one, and the hammer primitive
 ``activate_row`` splits its run into steps that ``_activate`` counts at once.
-A step ends at the refresh window's end and, in probabilistic mode, at the
-first activation that may flip, so its result equals that of single
-activations, random draws included.
+A step ends only at the refresh window's end. Every activation of a step past
+``hc_first`` gets its own random draws, in order, so its result equals that
+of single activations.
 """
 
 from __future__ import annotations
@@ -192,23 +192,16 @@ class SimState:
 
         Models a flush+access loop that defeats the row buffer: each counts as
         an access that always misses, re-opening the row even if already open.
-        The run goes to ``_activate`` in steps. A step never crosses the end of
-        the refresh window. In probabilistic mode it also ends at the first
-        activation that may flip, the one taking the row's count past
-        ``hc_first``, so each activation that may flip is the last of its step
-        and gets its own random draws. In deterministic mode the crossing
-        latches every neighbour until the refresh, whichever activation of the
-        step it falls on, so the step runs to the window's end.
+        The run goes to ``_activate`` in steps, and only the refresh window's
+        end ends a step. Each activation of a step past ``hc_first`` gets its
+        own random draws, in order; in deterministic mode the crossing latches
+        every neighbour until the refresh, whichever activation it falls on.
         """
         check_int("times", times, 1)
         self.geometry.check_coord(coord)
         key = self.geometry.pack(coord) & self._row_mask
-        first_flip = self.params.hc_first + 1
-        deterministic = self.params.deterministic_mode
         while times:
             step = min(times, self.refresh_every - self._window)
-            if not deterministic:
-                step = min(step, max(1, first_flip - self.act_count.get(key, 0)))
             self._activate(key, step)
             times -= step
 
@@ -248,35 +241,41 @@ class SimState:
     def _activate(self, key: int, n: int = 1) -> None:
         """``n`` back-to-back activations of row ``key``, the only code that counts
         one; ``Stats`` derives the activations, accesses and precharges from its
-        per-bank counts. The flip check runs once, at the row's new count, and the
-        refresh when the window fills, so a caller keeps ``n`` within the window
-        and, in probabilistic mode, ends it at the first activation that may flip."""
+        per-bank counts. The flip check runs once, for the ``n`` activations that
+        end at the row's new count, and the refresh when the window fills, so a
+        caller keeps ``n`` within the window."""
         bank = key & self._bank_mask
         per_bank = self.stats.bank_activations
         per_bank[bank] = per_bank.get(bank, 0) + n
         self.open_row[bank] = key
         count = self.act_count.get(key, 0) + n
         self.act_count[key] = count
-        self._maybe_flip(key, count)
+        self._maybe_flip(key, count, n)
         self._window += n
         if self._window == self.refresh_every:
             self.refresh()
 
-    def _maybe_flip(self, key: int, count: int) -> None:
+    def _maybe_flip(self, key: int, count: int, n: int = 1) -> None:
+        """The flip chances of row ``key``'s last ``n`` activations, which took its
+        count to ``count``: each one past ``hc_first`` draws for every neighbour,
+        ascending; deterministic mode latches them in one pass."""
         if count <= self.params.hc_first:
             return
         aggressor = self.geometry.unpack(key)
-        for victim in self.geometry.neighbours(aggressor.row, self.params.blast_radius):
-            if self.params.deterministic_mode:
-                latch = key & self._bank_mask | victim << self.geometry.coord_offsets[4]
-                if latch in self._det_flipped:
-                    continue
-                self._det_flipped.add(latch)
-                self._record_flip(aggressor, victim, column=0, bit=0)
-            elif self.rng.random() < self.params.flip_probability:
-                column = self.rng.randrange(self.geometry.columns)
-                bit = self.rng.randrange(8)
-                self._record_flip(aggressor, victim, column=column, bit=bit)
+        victims = self.geometry.neighbours(aggressor.row, self.params.blast_radius)
+        deterministic = self.params.deterministic_mode
+        for _ in range(1 if deterministic else min(n, count - self.params.hc_first)):
+            for victim in victims:
+                if deterministic:
+                    latch = key & self._bank_mask | victim << self.geometry.coord_offsets[4]
+                    if latch in self._det_flipped:
+                        continue
+                    self._det_flipped.add(latch)
+                    self._record_flip(aggressor, victim, column=0, bit=0)
+                elif self.rng.random() < self.params.flip_probability:
+                    column = self.rng.randrange(self.geometry.columns)
+                    bit = self.rng.randrange(8)
+                    self._record_flip(aggressor, victim, column=column, bit=bit)
 
     def _record_flip(self, aggressor: DramCoordinate, victim_row: int, column: int, bit: int) -> None:
         geo = self.geometry

@@ -54,6 +54,7 @@ __all__ = [
 UNUSED = "unused"
 UNALLOCATED = "unallocated"
 MITIGATIONS = ("none", "siloz", "citadel")
+MAX_PLAN_BLOCKS = 1 << 24  # the most blocks a planner holds ids for
 
 BankTuple = tuple[int, int, int, int]
 
@@ -122,12 +123,12 @@ def check_layout(layout: MemoryLayout, geometry: Geometry) -> list[str]:
             continue
         if region.start_pa % gran or region.size % gran:
             violations.append(
-                f"{label}: start 0x{region.start_pa:x}/size 0x{region.size:x} "
+                f"{label}: start {hex(region.start_pa)}/size {hex(region.size)} "
                 f"not aligned to the 0x{gran:x}-byte row granularity"
             )
         if region.start_pa < 0 or region.end_pa > total:
             violations.append(
-                f"{label}: [0x{region.start_pa:x}, 0x{region.end_pa:x}) exceeds "
+                f"{label}: [{hex(region.start_pa)}, {hex(region.end_pa)}) exceeds "
                 f"the 0x{total:x}-byte address space"
             )
     ordered = sorted(
@@ -224,6 +225,10 @@ def _block_ids(
     either share every masked vector or share none.
     """
     k = block.bit_length() - 1
+    n_blocks = mapping.geometry.total_bytes // block
+    if n_blocks > MAX_PLAN_BLOCKS:  # checked before the id array is allocated
+        raise PlanError(f"the space holds {n_blocks} blocks of 0x{block:x} bytes; "
+                        f"a plan holds at most {MAX_PLAN_BLOCKS}")
     masked = [column & coord_bits for column in mapping.columns]
     basis = gf2.reduce_basis(masked[:k])
     ids = gf2.span(masked[k:])
@@ -242,7 +247,7 @@ def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int)
         check_int(f"vm{i} size", size, error=PlanError)
         if size <= 0 or size % unit:
             raise PlanError(
-                f"vm{i} size 0x{size:x} must be a positive multiple of 0x{unit:x}"
+                f"vm{i} size {hex(size)} must be a positive multiple of 0x{unit:x}"
             )
     if sum(vm_sizes) > geo.total_bytes:
         raise PlanError(

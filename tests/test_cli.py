@@ -159,20 +159,26 @@ def test_plan_infeasible_is_domain_error(capsys):
 
 
 def test_misaligned_sizes_fail_alike_in_plan_and_attack(capsys, tmp_path):
-    """Sizes that are not whole rows are one PlanError from both commands,
-    under every mitigation."""
-    for mitigation in ("none", "siloz", "citadel"):
-        path = write_json(
-            tmp_path / "odd.json",
-            {"mapping": "simple", "vm_sizes": [100, 100], "mitigation": mitigation},
-        )
-        code, out, err = run_cli(capsys, "attack", path)
-        assert (code, out) == (1, ""), mitigation
-        attack_error = assert_one_error(err)
-        code, out, err = run_cli(capsys, "plan", mitigation, "simple", "--sizes", "100,100")
-        assert (code, out) == (1, ""), mitigation
-        assert assert_one_error(err) == attack_error, mitigation
-        assert attack_error["type"] == "PlanError", mitigation
+    """Sizes that are not whole rows, or not positive, are one PlanError from
+    both commands, under every mitigation."""
+    for mitigation, unit in (("none", "0x2000"), ("siloz", "0x2000"), ("citadel", "0x8000")):
+        for sizes, size in (([100, 100], "0x64"), (["-8MiB", "8MiB"], "-0x800000")):
+            path = write_json(
+                tmp_path / "odd.json",
+                {"mapping": "simple", "vm_sizes": sizes, "mitigation": mitigation},
+            )
+            code, out, err = run_cli(capsys, "attack", path)
+            assert (code, out) == (1, ""), mitigation
+            attack_error = assert_one_error(err)
+            code, out, err = run_cli(
+                capsys, "plan", mitigation, "simple", f"--sizes={sizes[0]},{sizes[1]}"
+            )
+            assert (code, out) == (1, ""), mitigation
+            assert assert_one_error(err) == attack_error, mitigation
+            assert attack_error == {
+                "type": "PlanError",
+                "message": f"vm0 size {size} must be a positive multiple of {unit}",
+            }, mitigation
 
 
 def test_plan_rejects_zero_guard_rows_under_every_mitigation(capsys):
@@ -687,6 +693,23 @@ def test_gen_trace_out_of_memory_is_one_error(argv, vmhammer_under_1gib):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     error = assert_one_error(proc.stderr)
     assert error["type"] == "MemoryError" and error["message"]
+    assert peak_kib < 200 << 10, peak_kib
+
+
+def test_citadel_plan_of_a_44_bit_space_is_one_plan_error(tmp_path, vmhammer_under_1gib):
+    # 2^30 row chunks of 16 KiB: refused before the chunk-row array is allocated
+    path = write_json(tmp_path / "wide.json", {
+        "geometry": {"channels": 1, "ranks": 1, "bankgroups": 1, "banks": 2,
+                     "rows": 1 << 30, "columns": 8192, "rows_per_subarray": 512},
+        "functions": {"bank": [[13]], "row": [[b] for b in range(14, 44)],
+                      "column": [[b] for b in range(13)]},
+    })
+    proc, peak_kib = vmhammer_under_1gib(["plan", "citadel", path, "--sizes", "1MiB,1MiB"])
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert assert_one_error(proc.stderr) == {
+        "type": "PlanError",
+        "message": "the space holds 1073741824 blocks of 0x4000 bytes; a plan holds at most 16777216",
+    }
     assert peak_kib < 200 << 10, peak_kib
 
 

@@ -436,6 +436,8 @@ def test_refresh_window_matches_driver_oracles(data):
         (4, 100, [(5, 6), (9, 6), (5, 6), (5, 3)]),  # rows 5 and 9 share a bank tuple
         (4, 100, [(5, 6), (7, 6)]),  # the second crossing finds shared victim 6 latched
         (4, 5, [(5, 12)]),  # the hc_first + 1-th activation ends each full window
+        (3, 1000, [(5, 2), (5, 40)]),  # a step from below hc_first to 39 activations past it
+        (3, 1000, [(5, 4), (5, 30)]),  # a step wholly past hc_first
     ],
 )
 def test_bulk_hammer_edge_cases(hc_first, every, sites, deterministic):

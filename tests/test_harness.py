@@ -472,6 +472,14 @@ def test_reports_are_pinned(presets):
         for sc in matrix
         for seed in range(3)
     ]
+    # three refresh windows per site, each activation past hc_first drawing
+    dense = [
+        with_overrides(sc, deterministic_mode=False, hc_first=1000, flip_probability=1e-3,
+                       blast_radius=2, hammer_count=250_000, rng_seed=i)
+        for i, sc in enumerate(sc for sc in matrix if sc.mitigation != "none")
+    ]
+    dense_keys = [pinned_keys(sc) for sc in dense]
+    assert sum(len(keys["flips"]) for keys in dense_keys) == 3655
     params = HammerParams(hc_first=40, flip_probability=0.5, rng_seed=3)
     replays = []
     for mapping in presets.values():
@@ -485,10 +493,12 @@ def test_reports_are_pinned(presets):
     assert sum(len(r["flips"]) for r in replays) == 7575
     assert [_digest([pinned_keys(sc) for sc in matrix]),
             _digest([pinned_keys(sc) for sc in swept]),
-            _digest(replays)] == [
+            _digest(replays),
+            _digest(dense_keys)] == [
         "c6eaa04762a9b6313d851dd06dc0c6098f3f2f8b2e9bc661f1e5e0d3f84fdc67",
         "d009ae30d28702bb73d7ba62554c072db91622f5c060598e8f0cb48511a5beba",
         "97a3f000fecbcea864ca226e6854cbb66396a04d32f58865fa91fe90e45a2ae6",
+        "75170bfc0f7db2b5e5a1fd0d34eb49e3093914ba350aa67ed8c4331bc2638c93",
     ]
 
 

@@ -102,6 +102,10 @@ def test_check_layout_reports_violations(geometry):
         )
     )
     assert check_layout(guards, geometry) == []
+    assert check_layout(MemoryLayout((Region("vm0", -0x2100, 0x2000),)), geometry) == [
+        "regions[0] (vm0): start -0x2100/size 0x2000 not aligned to the 0x2000-byte row granularity",
+        "regions[0] (vm0): [-0x2100, -0x100) exceeds the 0x100000000-byte address space",
+    ]
 
 
 # -- footprints ---------------------------------------------------------------------
@@ -206,6 +210,20 @@ def test_siloz_rejects_bad_sizes(presets):
         plan_siloz(presets["simple"], [0])
     with pytest.raises(PlanError):
         plan_siloz(presets["simple"], [8191])  # not a multiple of the row span
+
+
+def test_planners_hold_at_most_max_plan_blocks(presets, monkeypatch):
+    # simple's 4 GiB holds 2^17 citadel chunks of 32 KiB and 2^19 rows of 8 KiB
+    simple = presets["simple"]
+    for plan, blocks, block in (
+        (lambda: plan_citadel(simple, [16 * MIB, 16 * MIB], 1), 1 << 17, "0x8000"),
+        (lambda: plan_siloz(simple, [8192, 8192]), 1 << 19, "0x2000"),
+    ):
+        monkeypatch.setattr("vmhammer.layout.MAX_PLAN_BLOCKS", blocks)
+        plan()
+        monkeypatch.setattr("vmhammer.layout.MAX_PLAN_BLOCKS", blocks - 1)
+        with pytest.raises(PlanError, match=f"holds {blocks} blocks of {block} bytes"):
+            plan()
 
 
 def test_siloz_disjointness_against_oracle():
