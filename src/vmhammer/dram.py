@@ -4,9 +4,9 @@ The model tracks, per bank tuple (channel, rank, bankgroup, bank), the open
 row and per-row activation counts within the current refresh window, keyed by
 packed coordinate vectors (a row's without column bits, a bank's bits below
 the row). The state closes its window itself every ``refresh_every``
-activations. A row activated more than ``hc_first`` times in one window is
-unpacked and probabilistically flips bits in neighbouring rows of its
-subarray; ``deterministic_mode`` makes the first such chance a certain flip.
+activations. A row activated more than ``hc_first`` times in one window may
+flip bits in neighbouring rows of its subarray, each victim a packed key
+unpacked once for its record; ``deterministic_mode`` makes the first a sure flip.
 
 ``_activate(key, n)`` is the one routine that counts activations: a
 row-buffer miss in ``_access_vec`` is one, and the hammer primitive
@@ -258,37 +258,39 @@ class SimState:
     def _maybe_flip(self, key: int, count: int, n: int = 1) -> None:
         """The flip chances of row ``key``'s last ``n`` activations, which took its
         count to ``count``: each one past ``hc_first`` draws for every neighbour,
-        ascending; deterministic mode latches them in one pass."""
+        ascending; deterministic mode latches them in one pass. A neighbour's row
+        key is its latch key, and with a drawn column set, the flip's vector."""
         if count <= self.params.hc_first:
             return
-        aggressor = self.geometry.unpack(key)
-        victims = self.geometry.neighbours(aggressor.row, self.params.blast_radius)
+        row_offset, column_offset = self.geometry.coord_offsets[4:]
+        aggressor, bank = key >> row_offset, key & self._bank_mask
+        victims = [bank | row << row_offset
+                   for row in self.geometry.neighbours(aggressor, self.params.blast_radius)]
         deterministic = self.params.deterministic_mode
         for _ in range(1 if deterministic else min(n, count - self.params.hc_first)):
             for victim in victims:
                 if deterministic:
-                    latch = key & self._bank_mask | victim << self.geometry.coord_offsets[4]
-                    if latch in self._det_flipped:
-                        continue
-                    self._det_flipped.add(latch)
-                    self._record_flip(aggressor, victim, column=0, bit=0)
+                    if victim not in self._det_flipped:
+                        self._det_flipped.add(victim)
+                        self._record_flip(victim, aggressor, bit=0)
                 elif self.rng.random() < self.params.flip_probability:
                     column = self.rng.randrange(self.geometry.columns)
                     bit = self.rng.randrange(8)
-                    self._record_flip(aggressor, victim, column=column, bit=bit)
+                    self._record_flip(victim | column << column_offset, aggressor, bit)
 
-    def _record_flip(self, aggressor: DramCoordinate, victim_row: int, column: int, bit: int) -> None:
+    def _record_flip(self, vec: int, aggressor_row: int, bit: int) -> None:
+        """Flip bit ``bit`` of the byte at packed vector ``vec``, unpacked once."""
         geo = self.geometry
-        victim = aggressor._replace(row=victim_row, column=column)
+        victim = geo.unpack(vec)
         # Confinement: same subarray, within blast radius (the bank tuple is
         # the aggressor's by construction).
-        if abs(victim_row - aggressor.row) > self.params.blast_radius or (
-            geo.subarray_of(victim_row) != geo.subarray_of(aggressor.row)
+        if abs(victim.row - aggressor_row) > self.params.blast_radius or (
+            geo.subarray_of(victim.row) != geo.subarray_of(aggressor_row)
         ):
             raise InvariantError(
-                f"flip in row {victim_row} is out of reach of aggressor row {aggressor.row}"
+                f"flip in row {victim.row} is out of reach of aggressor row {aggressor_row}"
             )
-        pa = self.mapping.coord_to_pa(victim)
-        flip = BitflipRecord(pa, victim, bit, aggressor.row, self.contents.get(pa, self.fill))
+        pa = gf2.image(self.mapping._inverse_tables, vec)
+        flip = BitflipRecord(pa, victim, bit, aggressor_row, self.contents.get(pa, self.fill))
         self.contents[pa] = flip.new_value
         self.flips.append(flip)

@@ -485,20 +485,26 @@ def builtin_matrix() -> list[Scenario]:
 
 
 def load_matrix_scenarios(path: str) -> list[Scenario]:
-    """Scenarios from a {"scenarios": [...]} file or a directory of *.json."""
+    """Scenarios from a {"scenarios": [...]} file or a directory of *.json,
+    no two with one mitigation and label, the key of their summary cell."""
     if os.path.isdir(path):
-        scenarios = []
-        for name in sorted(os.listdir(path)):
-            if name.endswith(".json"):
-                scenarios.append(load_scenario(os.path.join(path, name)))
+        names = sorted(name for name in os.listdir(path) if name.endswith(".json"))
+        scenarios = [load_scenario(os.path.join(path, name)) for name in names]
         if not scenarios:
             raise ScenarioError(f"{path}: no *.json scenario files")
-        return scenarios
-    data = _read_json(path)
-    if not isinstance(data, dict) or not isinstance(data.get("scenarios"), list):
-        raise ScenarioError(f"{path}: expected an object with a scenarios array")
-    base = os.path.dirname(os.path.abspath(path))
-    return [scenario_from_dict(entry, base) for entry in data["scenarios"]]
+    else:
+        data = _read_json(path)
+        if not isinstance(data, dict) or not isinstance(data.get("scenarios"), list):
+            raise ScenarioError(f"{path}: expected an object with a scenarios array")
+        base = os.path.dirname(os.path.abspath(path))
+        scenarios = [scenario_from_dict(entry, base) for entry in data["scenarios"]]
+        names = [f"scenarios[{i}]" for i in range(len(scenarios))]
+    cells: dict[tuple[str, str], str] = {}  # (mitigation, label) -> first entry
+    for name, scenario in zip(names, scenarios):
+        if (first := cells.setdefault((scenario.mitigation, scenario.label), name)) != name:
+            raise ScenarioError(f"{path}: {first} and {name} share mitigation "
+                                f"{scenario.mitigation!r} and label {scenario.label!r}")
+    return scenarios
 
 
 # -- traces -------------------------------------------------------------------------

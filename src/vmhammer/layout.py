@@ -202,7 +202,7 @@ def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     images = [column & row_tuple for column in mapping.columns]
     parts = [np.zeros(0, dtype=np.int64)]
     for base, k in _aligned_blocks(region.start_pa, region.size):
-        anchor = geo.pack(mapping.pa_to_coord(base)) & row_tuple
+        anchor = gf2.image(mapping._forward_tables, base) & row_tuple
         parts.append(gf2.span(gf2.reduce_basis(images[:k])) ^ anchor)
     # sort and drop neighbouring repeats: np.unique is ~20x slower and imports numpy.ma
     packed = np.sort(np.concatenate(parts))
@@ -451,7 +451,7 @@ class AggressorSite:
 
 def _site(mapping: AddressMapping, vec: int, victim_rows: tuple[int, ...]) -> AggressorSite:
     coord = mapping.geometry.unpack(vec)  # column bits are clear
-    return AggressorSite(mapping.coord_to_pa(coord), coord, victim_rows)
+    return AggressorSite(gf2.image(mapping._inverse_tables, vec), coord, victim_rows)
 
 
 def find_aggressors(

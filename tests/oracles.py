@@ -276,7 +276,7 @@ def brute_activate(state: BruteState, coord: DramCoordinate) -> None:
     per_bank[bt] = per_bank.get(bt, 0) + 1
     key = (bt, coord.row)
     state.act_count[key] = state.act_count.get(key, 0) + 1
-    state.draws._maybe_flip(state.mapping.geometry.pack(coord), state.act_count[key])
+    state.draws._maybe_flip(state.mapping.geometry.pack(coord._replace(column=0)), state.act_count[key])
     state.window += 1
     if state.window == state.refresh_every:
         state.refresh()

@@ -472,6 +472,33 @@ def test_matrix_error_slot_fails(capsys, tmp_path):
     assert "✗" in out
 
 
+def test_matrix_refuses_two_scenarios_in_one_cell(capsys, tmp_path):
+    # unlabelled, both take the mapping's label, so one summary cell would
+    # hide the first verdict behind the second
+    flips = reduced_scenario(hammer={"hc_first": 1000, "deterministic_mode": True})
+    holds = reduced_scenario(hammer_count=10,
+                             hammer={"hc_first": 100_000, "deterministic_mode": True})
+    bundle = write_json(tmp_path / "bundle.json", {"scenarios": [flips, holds]})
+    (tmp_path / "dir").mkdir()
+    write_json(tmp_path / "dir" / "a.json", flips)
+    write_json(tmp_path / "dir" / "b.json", holds)
+    for path, entries in ((bundle, "scenarios[0] and scenarios[1]"),
+                          (str(tmp_path / "dir"), "a.json and b.json")):
+        code, out, err = run_cli(capsys, "matrix", path, "--table")
+        assert (code, out) == (2, "")
+        error = assert_one_error(err)
+        assert error["type"] == "ScenarioError"
+        assert f"{entries} share mitigation 'none' and label 'simple'" in error["message"]
+
+    labelled = [dict(flips, label="flips"), dict(holds, label="holds")]
+    path = write_json(tmp_path / "labelled.json", {"scenarios": labelled})
+    code, data = stdout_json(capsys, "matrix", path)
+    assert code == 0
+    assert data["summary"] == {"none": {"flips": "NOT_MITIGATED", "holds": "MITIGATED"}}
+    code, out, err = run_cli(capsys, "matrix", path, "--table")
+    assert (code, out.splitlines()) == (0, ["mitigation  flips  holds", "none          ✗      ✓"])
+
+
 def test_matrix_builtin_grid_table(capsys):
     # 8 activations never cross the 64-activation threshold: all nine cells hold
     code, out, err = run_cli(

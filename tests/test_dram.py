@@ -592,10 +592,10 @@ def test_hammer_params_validation():
 
 def test_out_of_reach_flip_raises_invariant_error():
     state = SimState(tiny_simple(), det_params())
-    aggressor = DramCoordinate(0, 0, 0, 0, 1, 0)
     for victim_row in (3, 4):  # beyond the blast radius; across the subarray seam
+        victim = state.geometry.pack(DramCoordinate(0, 0, 0, 0, victim_row, 0))
         with pytest.raises(InvariantError, match="out of reach"):
-            state._record_flip(aggressor, victim_row, column=0, bit=0)
+            state._record_flip(victim, aggressor_row=1, bit=0)
     assert state.flips == [] and state.contents == {}
     assert not issubclass(InvariantError, ValueError)
 
@@ -607,7 +607,8 @@ def test_invariant_check_survives_optimized_mode():
         "from vmhammer.dram import InvariantError\n"
         "state = SimState(builtin_mappings()['simple'], HammerParams())\n"
         "try:\n"
-        "    state._record_flip(DramCoordinate(0, 0, 0, 0, 1, 0), 5, column=0, bit=0)\n"
+        "    victim = state.geometry.pack(DramCoordinate(0, 0, 0, 0, 5, 0))\n"
+        "    state._record_flip(victim, aggressor_row=1, bit=0)\n"
         "except InvariantError:\n"
         "    print('raised')\n"
     )
