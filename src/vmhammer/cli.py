@@ -226,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate-map", parents=[common],
-                       help="check a mapping for invertibility")
+                       help="check a mapping for invertibility",
+                       description="Check a mapping for invertibility. An invalid "
+                       "mapping's witness is the first output bit, in channel, rank, "
+                       "bankgroup, bank, row, column order, that is an XOR of earlier "
+                       "output bits, together with exactly those bits.")
     p.add_argument("mapping", help="preset name or mapping file")
     p.set_defaults(func=cmd_validate_map)
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import gf2
-from .mapping import AddressMapping, DramCoordinate, Geometry, check_int
+from .mapping import AddressMapping, DramCoordinate, Geometry, InvariantError, check_int
 
 __all__ = [
     "InvariantError",
@@ -33,10 +33,6 @@ __all__ = [
 ]
 
 REFRESH_EVERY = 100_000  # default activations per refresh window
-
-
-class InvariantError(Exception):
-    """An internal consistency check failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Bit-packed linear algebra over GF(2).
 
 A matrix is a list of Python ints, one per row; bit i of a row is the entry
-in column i. Python ints are unbounded, so any width works. A linear map is
+in column i. Python ints are unbounded, so any width works. ``reduce_basis``
+is the one elimination step: ``analyze`` runs it on rows tagged with their
+indices to read off rank, inverse and a dependency. A linear map is
 also given by its columns, the images of the unit vectors; from those,
 ``image_tables`` translates single vectors or int64 arrays of them, and ``span``
 enumerates images of whole subspaces (the arrays within numpy's int64).
@@ -17,42 +19,39 @@ __all__ = ["analyze", "reduce_basis", "span", "image_tables", "image", "image_ar
 
 
 def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | None]:
-    """Gauss-Jordan elimination with row tracking.
+    """Rank, inverse and first dependency of rows, each width bits wide.
+
+    ``reduce_basis`` is the one elimination step. With n = len(rows), row i
+    enters it tagged as row << n | 1 << i, so the low n bits of every vector
+    name the input rows XORed into it, and a vector whose row part (v >> n)
+    is zero names rows that XOR to zero.
 
     Returns (rank, inverse, dependency):
+      rank        the number of basis vectors with a nonzero row part.
       inverse     when the rows form an invertible width x width matrix, the
                   inverse as row masks: bit p of inverse[c] set means input
                   row p participates in the combination producing unit
-                  vector e_c; else None.
-      dependency  when the rows are linearly dependent, a mask over input row
-                  indices whose rows XOR to zero; else None.
+                  vector e_c (1 << (c + n) reduced by the basis); else None.
+      dependency  when the rows are linearly dependent, the least basis
+                  vector with a zero row part. Its top bit is the first row
+                  that is an XOR of earlier rows, and its other bits are
+                  exactly those earlier rows (unique, as they are
+                  independent); else None.
     """
     n = len(rows)
-    work = list(rows)
-    combo = [1 << i for i in range(n)]  # combo[i] tracks which inputs sum into work[i]
-    pivot_row_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, n) if (work[i] >> col) & 1), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        combo[r], combo[piv] = combo[piv], combo[r]
-        for i in range(n):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-                combo[i] ^= combo[r]
-        pivot_row_of_col[col] = r
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        dep = next(combo[i] for i in range(n) if work[i] == 0)
-        return r, None, dep
+    basis = reduce_basis([row << n | 1 << i for i, row in enumerate(rows)])
+    rank = sum(1 for b in basis if b >> n)
+    if rank < n:
+        return rank, None, min(b for b in basis if not b >> n)
     if n != width:
-        return r, None, None
-    inverse = [combo[pivot_row_of_col[c]] for c in range(width)]
-    return r, inverse, None
+        return rank, None, None
+    inverse = []
+    for c in range(width):
+        x = 1 << (c + n)
+        for b in basis:
+            x = min(x, x ^ b)
+        inverse.append(x)
+    return rank, inverse, None
 
 
 def reduce_basis(vectors: list[int]) -> list[int]:

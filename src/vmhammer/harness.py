@@ -317,17 +317,21 @@ def _select_aggressors(
 @dataclass
 class AttackReport:
     """What one attack did. flip_owners holds each flip's owning region, in
-    flip order; the histogram, the verdict and the seeded rows follow from
-    the stored fields."""
+    flip order; the fallback flag, the histogram, the verdict and the seeded
+    rows follow from the stored fields."""
 
     scenario: Scenario
     layout: MemoryLayout
     siloz: SilozPlan | None
     aggressors: tuple[AggressorSite, ...]
-    boundary_fallback: bool
     flips: tuple[BitflipRecord, ...]
     flip_owners: tuple[str, ...]
     stats: Stats
+
+    @property
+    def boundary_fallback(self) -> bool:
+        """Fallback sites carry no victim rows; discovered sites always do."""
+        return not any(site.victim_rows for site in self.aggressors)
 
     @property
     def ownership_histogram(self) -> Counter[str]:
@@ -396,14 +400,12 @@ def run_attack(scenario: Scenario) -> AttackReport:
     attacker = row_footprint(mapping, layout.region_of(scenario.attacker_vm))
     victim = row_footprint(mapping, layout.region_of(scenario.victim_vm))
     sites = find_aggressors(mapping, attacker, victim, scenario.hammer.blast_radius)
-    fallback = False
     if not sites:
         if scenario.mitigation == "none":
             raise ScenarioError(
                 "no attacker row is adjacent to the victim; nothing to hammer"
             )
         sites = boundary_fallback(mapping, attacker, victim)
-        fallback = True
     selected = _select_aggressors(sites, scenario.aggressor_selection)
     state = SimState(mapping, scenario.hammer, scenario.refresh_every, scenario.check_pattern)
     for site in selected:
@@ -414,15 +416,28 @@ def run_attack(scenario: Scenario) -> AttackReport:
         layout=layout,
         siloz=siloz_plan,
         aggressors=tuple(selected),
-        boundary_fallback=fallback,
         flips=flips,
         flip_owners=tuple(classify_pa(layout, f.pa) for f in flips),
         stats=state.stats,
     )
 
 
+def _check_cells(scenarios: list[Scenario], names: list[str] | None = None) -> None:
+    """Raise ScenarioError if two scenarios share a mitigation and a label, the
+    key of their summary cell; names[i] (default scenarios[i]) names each."""
+    if names is None:
+        names = [f"scenarios[{i}]" for i in range(len(scenarios))]
+    cells: dict[tuple[str, str], str] = {}  # (mitigation, label) -> first entry
+    for name, scenario in zip(names, scenarios):
+        if (first := cells.setdefault((scenario.mitigation, scenario.label), name)) != name:
+            raise ScenarioError(f"{first} and {name} share mitigation "
+                                f"{scenario.mitigation!r} and label {scenario.label!r}")
+
+
 def run_matrix(scenarios: list[Scenario]) -> list[AttackReport | dict]:
-    """Run scenarios independently; errors land in the failing slot."""
+    """Run scenarios independently; errors land in the failing slot. Two
+    scenarios that share a summary cell raise ScenarioError before any runs."""
+    _check_cells(scenarios)
     out: list[AttackReport | dict] = []
     for i, scenario in enumerate(scenarios):
         try:
@@ -498,12 +513,11 @@ def load_matrix_scenarios(path: str) -> list[Scenario]:
             raise ScenarioError(f"{path}: expected an object with a scenarios array")
         base = os.path.dirname(os.path.abspath(path))
         scenarios = [scenario_from_dict(entry, base) for entry in data["scenarios"]]
-        names = [f"scenarios[{i}]" for i in range(len(scenarios))]
-    cells: dict[tuple[str, str], str] = {}  # (mitigation, label) -> first entry
-    for name, scenario in zip(names, scenarios):
-        if (first := cells.setdefault((scenario.mitigation, scenario.label), name)) != name:
-            raise ScenarioError(f"{path}: {first} and {name} share mitigation "
-                                f"{scenario.mitigation!r} and label {scenario.label!r}")
+        names = None  # the default, scenarios[i]
+    try:
+        _check_cells(scenarios, names)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     return scenarios
 
 

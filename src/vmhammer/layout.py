@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .dram import InvariantError
-from .mapping import AddressMapping, DramCoordinate, Geometry, check_int
+from .mapping import AddressMapping, DramCoordinate, Geometry, InvariantError, check_int
 
 __all__ = [
     "UNUSED",

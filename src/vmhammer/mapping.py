@@ -24,6 +24,7 @@ from . import gf2
 __all__ = [
     "COORD_KINDS",
     "MappingError",
+    "InvariantError",
     "Geometry",
     "DramCoordinate",
     "AddressMapping",
@@ -52,6 +53,10 @@ GEOMETRY_FIELDS = (
 
 class MappingError(ValueError):
     """Malformed or non-invertible mapping definition."""
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed: a bug, never bad input."""
 
 
 def is_integer(value) -> bool:
@@ -389,6 +394,8 @@ def validate(mapping: AddressMapping) -> ValidationReport:
 
     The width comparison runs before any rank computation: a mapping whose
     output bit count differs from the address width is rejected outright.
+    The witness is the first output bit, in COORD_KINDS order, that is an XOR
+    of earlier output bits, together with exactly those bits.
     """
     width = mapping.geometry.address_width
     rows = mapping.matrix_rows

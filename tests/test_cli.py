@@ -72,6 +72,22 @@ def test_validate_map_rejects_degenerate_mapping(capsys, tmp_path, presets):
     assert data["witness"]  # names the colliding coordinate bits
 
 
+def test_validate_map_names_the_first_dependent_bit(capsys, tmp_path, presets):
+    broken = presets["simple"].to_dict()
+    broken["functions"].update(bank=[[0]], bankgroup=[[13], [1]])
+    path = write_json(tmp_path / "broken.json", broken)
+    code, data = stdout_json(capsys, "validate-map", path)
+    assert code == 1
+    assert data == {
+        "valid": False,
+        "address_width": 32,
+        "output_bits": 32,
+        "rank": 30,
+        "error": "rank 30 of 32: output bits are linearly dependent",
+        "witness": [{"coordinate": "bank", "bit": 0}, {"coordinate": "column", "bit": 0}],
+    }
+
+
 def test_validate_map_unknown_source(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate-map", "no-such-preset")
     assert (code, out) == (2, "")

@@ -71,6 +71,26 @@ def test_analyze_reports_dependency_witness():
     assert acc == 0
 
 
+def test_dependency_is_the_first_dependent_row():
+    # rows 1 and 2 both repeat row 0; the witness names row 1 and row 0
+    assert analyze([0b01, 0b01, 0b01, 0b10], 2) == (2, None, 0b0011)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=10))
+def test_dependency_matches_brute_force_subsets(rows):
+    r, inverse, dep = analyze(rows, 6)
+    dependent = [j for j in range(len(rows)) if span_size(rows[: j + 1]) == span_size(rows[:j])]
+    first = dependent[0] if dependent else None
+    if first is None:
+        assert dep is None
+        return
+    # the earlier rows are independent, so exactly one subset of them XORs to rows[first]
+    subsets = [m for m in range(1 << first) if brute_image(rows, m) == rows[first]]
+    assert len(subsets) == 1
+    assert dep == 1 << first | subsets[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 8) - 1), max_size=10))
 def test_rank_matches_span_enumeration(rows):

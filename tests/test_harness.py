@@ -619,6 +619,25 @@ def test_run_matrix_lets_internal_errors_through(presets, monkeypatch):
         run_matrix([make_scenario(presets)])
 
 
+def test_run_matrix_refuses_two_scenarios_in_one_cell(monkeypatch):
+    # one flips and one holds; a shared cell would show only the second verdict
+    base = builtin_matrix()[0]
+    flips = with_overrides(base, hc_first=1000)
+    holds = with_overrides(base, hc_first=100_000, hammer_count=10)
+    assert [r.verdict for r in run_matrix([flips])] == ["NOT_MITIGATED"]
+    assert [r.verdict for r in run_matrix([holds])] == ["MITIGATED"]
+
+    def unreachable(scenario):
+        raise AssertionError("a scenario ran before the cells were checked")
+
+    monkeypatch.setattr(vmhammer.harness, "run_attack", unreachable)
+    with pytest.raises(ScenarioError) as excinfo:
+        run_matrix([flips, holds])
+    assert str(excinfo.value) == (
+        "scenarios[0] and scenarios[1] share mitigation 'none' and label 'simple'"
+    )
+
+
 def test_builtin_matrix_shape(presets):
     scenarios = [with_overrides(sc, hc_first=64, hammer_count=100) for sc in builtin_matrix()]
     assert len(scenarios) == 9

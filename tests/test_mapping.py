@@ -270,6 +270,19 @@ def test_duplicated_bit_rejected_with_witness(presets):
     assert acc == 0
 
 
+def test_witness_is_the_first_dependent_bit(presets):
+    # column 0 repeats bank 0 (PA 0) and column 1 repeats bankgroup 1 (PA 1);
+    # column 0 is the first bit, in COORD_KINDS order, that earlier bits give
+    funcs = presets["simple"].to_dict()["functions"]
+    clash = AddressMapping.build(
+        default_geometry(), {**funcs, "bank": [[0]], "bankgroup": [[13], [1]]}
+    )
+    report = validate(clash)
+    assert not report.valid
+    assert report.rank == 30
+    assert report.witness == (("bank", 0), ("column", 0))
+
+
 def test_validation_report_dict(presets):
     data = validate(presets["simple"]).to_dict()
     assert data["valid"] is True
