@@ -8,18 +8,24 @@ activations. A row activated more than ``hc_first`` times in one window may
 flip bits in neighbouring rows of its subarray, each victim a packed key
 unpacked once for its record; ``deterministic_mode`` makes the first a sure flip.
 
-``_activate(key, n)`` is the one routine that counts activations: a
-row-buffer miss in ``_access_vec`` is one, and the hammer primitive
-``activate_row`` splits its run into steps that ``_activate`` counts at once.
-A step ends only at the refresh window's end. Every activation of a step past
-``hc_first`` gets its own random draws, in order, so its result equals that
-of single activations.
+``_activate(key, n)`` is the one routine that can flip: a row-buffer miss in
+``_access_vec`` is one activation, and the hammer primitive ``activate_row``
+splits its run into steps that ``_activate`` counts at once. A step ends only
+at the refresh window's end. Every activation of a step past ``hc_first``
+gets its own random draws, in order, so its result equals that of single
+activations. Replay counts a chunk of accesses at once (``_access_chunk``)
+only when no row it misses on can pass ``hc_first``, even with no refresh in
+between: then no draw and no latch falls inside the chunk, and order matters
+only to the hits, the open rows and the window, which it derives in a few
+numpy passes. Any other chunk goes entry by entry through ``_access_vec``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import gf2
 from .mapping import AddressMapping, DramCoordinate, Geometry, InvariantError, check_int
@@ -33,6 +39,12 @@ __all__ = [
 ]
 
 REFRESH_EVERY = 100_000  # default activations per refresh window
+
+
+def _tally(keys: np.ndarray) -> list[tuple[int, int]]:
+    """Each distinct key of ``keys``, ascending, with its number of occurrences."""
+    values, counts = np.unique(keys, return_counts=True)
+    return list(zip(values.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -234,12 +246,48 @@ class SimState:
         self._activate(key)
         return False
 
+    def _access_chunk(self, vecs: np.ndarray) -> bool:
+        """Count the accesses of checked vectors ``vecs``, in order, at once and
+        return True, when no row they miss on can pass ``hc_first``, even with no
+        refresh in between. Otherwise return False having changed nothing, and
+        each access must go through ``_access_vec``."""
+        keys = vecs & self._row_mask
+        order = np.argsort(keys & self._bank_mask, kind="stable")
+        by_bank = keys[order]
+        banks = by_bank & self._bank_mask
+        starts = np.flatnonzero(np.diff(banks, prepend=-1))  # each bank's first key
+        ends = np.flatnonzero(np.diff(banks, append=-1))  # and its last
+        first_banks = banks[starts].tolist()
+        previous = np.roll(by_bank, 1)  # a hit equals its bank's previous key
+        previous[starts] = [self.open_row.get(bank, -1) for bank in first_banks]
+        miss = np.empty(len(keys), dtype=bool)
+        miss[order] = by_bank != previous
+        missed = keys[miss]  # in trace order
+        count = self.act_count
+        tally = _tally(missed)
+        if any(count.get(row, 0) + n > self.params.hc_first for row, n in tally):
+            return False
+        self.stats.row_buffer_hits += len(keys) - len(missed)
+        per_bank = self.stats.bank_activations
+        for bank, n in _tally(missed & self._bank_mask):
+            per_bank[bank] = per_bank.get(bank, 0) + n
+        self.open_row.update(zip(first_banks, by_bank[ends].tolist()))
+        crossings, window = divmod(self._window + len(missed), self.refresh_every)
+        if crossings:  # only the misses after the last refresh count in the new window
+            self.refresh()
+            self.stats.refresh_windows += crossings - 1
+            tally = _tally(missed[len(missed) - window :])
+        self._window = window
+        for row, n in tally:
+            count[row] = count.get(row, 0) + n
+        return True
+
     def _activate(self, key: int, n: int = 1) -> None:
         """``n`` back-to-back activations of row ``key``, the only code that counts
-        one; ``Stats`` derives the activations, accesses and precharges from its
-        per-bank counts. The flip check runs once, for the ``n`` activations that
-        end at the row's new count, and the refresh when the window fills, so a
-        caller keeps ``n`` within the window."""
+        one a flip can follow; ``Stats`` derives the activations, accesses and
+        precharges from its per-bank counts. The flip check runs once, for the
+        ``n`` activations that end at the row's new count, and the refresh when
+        the window fills, so a caller keeps ``n`` within the window."""
         bank = key & self._bank_mask
         per_bank = self.stats.bank_activations
         per_bank[bank] = per_bank.get(bank, 0) + n

@@ -642,6 +642,18 @@ def toggle_trace(
     return _reads(pair * (count // 2) + pair[: count & 1])
 
 
+def _plain_writes(chunk: tuple[TraceOp, ...]) -> list[tuple[int, int]] | None:
+    """The (pa, byte) pairs chunk writes, in trace order, when each of its
+    entries reads or writes a plain int byte in [0, 256); else None."""
+    others = [entry for entry in chunk if entry[0] != "read"]
+    data = [byte for kind, _, byte in others if kind == "write"]
+    if len(data) < len(others) or not set(map(type, data)) <= {int}:
+        return None
+    if data and not (0 <= min(data) and max(data) < 256):
+        return None
+    return [(pa, byte) for _, pa, byte in others]
+
+
 def replay_trace(
     trace: AccessTrace,
     mapping: AddressMapping,
@@ -650,14 +662,27 @@ def replay_trace(
 ) -> tuple[Stats, list[BitflipRecord]]:
     """Drive every trace access through a fresh state that closes its refresh
     window every ``refresh_every`` activations. A chunk of plain PAs is translated
-    in one numpy pass; ``SimState.access`` takes any other entry and its error."""
+    in one numpy pass; ``SimState.access`` takes any other entry and its error.
+
+    A chunk of plain PAs that only reads and writes plain int bytes is counted
+    at once (``SimState._access_chunk``) when no row it misses on can pass
+    ``hc_first``, so no flip falls inside it and its writes are stored after
+    it; any other such chunk goes entry by entry. ``SimState._activate`` stays
+    the one routine that can flip."""
     state = SimState(mapping, params, refresh_every)
     total = mapping.geometry.total_bytes
     for lo in range(0, len(trace), REPLAY_CHUNK):
         chunk = trace.entries[lo : lo + REPLAY_CHUNK]
         pas = [pa for _, pa, _ in chunk]
         plain = set(map(type, pas)) == {int} and 0 <= min(pas) and max(pas) < total
-        vecs = gf2.image_array(mapping._forward_tables, pas).tolist() if plain else pas
+        vecs = pas
+        if plain:
+            vecs = gf2.image_array(mapping._forward_tables, pas)
+            writes = _plain_writes(chunk)
+            if writes is not None and state._access_chunk(vecs):
+                state.contents.update(writes)  # exact: no flip falls inside the chunk
+                continue
+            vecs = vecs.tolist()
         for (kind, pa, data), vec in zip(chunk, vecs):
             write = kind == "write" and type(data) is int and 0 <= data < 256
             if plain and (kind == "read" or write):

@@ -17,6 +17,7 @@ from vmhammer import (
     MappingError,
     SimState,
     builtin_mappings,
+    gf2,
 )
 from vmhammer.dram import InvariantError
 from vmhammer.harness import AccessTrace, replay_trace
@@ -463,6 +464,60 @@ def test_deterministic_latch_rearms_inside_one_call():
     hammer(state, 5, 35)  # windows of 10, 10, 10 and 5 all pass hc_first
     assert [f.coord.row for f in state.collect_flips()] == [4, 6] * 4
     assert state.stats.refresh_windows == 3
+
+
+def _full_snapshot(state: SimState):
+    return (
+        state.stats.to_dict(), dict(state.open_row), dict(state.act_count), state._window,
+        set(state._det_flipped), dict(state.contents), list(state.flips), state.rng.getstate(),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows", [[2, 3] * 5, [3, 1]], ids=["fresh-rows-past-hc-first", "row-already-past-it"]
+)
+def test_refused_chunk_changes_nothing(rows):
+    """A chunk that would take a row past hc_first is refused before any state
+    changes, latches, flips and a part-filled window included."""
+    mapping = tiny_simple()
+    state = SimState(mapping, det_params(hc_first=4), refresh_every=50)
+    state.activate_row(DramCoordinate(0, 0, 0, 0, 1, 0), 6)  # latches rows 0 and 2
+    state.access(0x80)  # bank 1
+    before = _full_snapshot(state)
+    assert state.flips and state._det_flipped and state._window == 7
+    chunk = [0x81] + [mapping.geometry.pack(DramCoordinate(0, 0, 0, 0, row, 3)) for row in rows]
+    assert state._access_chunk(np.array(chunk, dtype=np.int64)) is False
+    assert _full_snapshot(state) == before
+
+
+def test_counted_chunk_equals_access_vec():
+    """A chunk ``_access_chunk`` counts at once leaves the state that one
+    ``_access_vec`` per entry leaves, refresh windows, latches and random state
+    included; a chunk it refuses leaves the state as it was."""
+    rng = random.Random(20)
+    mapping = tiny_noncontig()
+    counted = 0
+    for case in range(300):
+        params = HammerParams(
+            hc_first=rng.randint(1, 12), flip_probability=0.3,
+            deterministic_mode=rng.random() < 0.5, rng_seed=case,
+        )
+        every = rng.choice([1, 2, 3, 7, 50, 1000])
+        pool = rng.sample(range(mapping.geometry.total_bytes), rng.randint(1, 12))
+        states = [SimState(mapping, params, every) for _ in range(2)]
+        for pa in rng.choices(pool, k=rng.randint(0, 40)):  # a shared history
+            for state in states:
+                state.access(pa)
+        chunk = [gf2.image(mapping._forward_tables, pa) for pa in rng.choices(pool, k=rng.randint(1, 40))]
+        before = _full_snapshot(states[0])
+        if states[0]._access_chunk(np.array(chunk, dtype=np.int64)):
+            counted += 1
+            for vec in chunk:
+                states[1]._access_vec(vec)
+            assert _full_snapshot(states[0]) == _full_snapshot(states[1])
+        else:
+            assert _full_snapshot(states[0]) == before
+    assert 50 < counted < 270  # both outcomes are exercised
 
 
 # -- confinement -------------------------------------------------------------------

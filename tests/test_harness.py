@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vmhammer
-from vmhammer.dram import HammerParams, SimState
+from vmhammer.dram import REFRESH_EVERY, HammerParams, SimState
 from vmhammer.harness import (
     REPLAY_CHUNK,
     AccessTrace,
@@ -845,6 +845,84 @@ def test_replay_across_chunks_matches_oracle():
         assert stats.to_dict() == expected.stats.to_dict()
         assert flips == expected.collect_flips()
         assert stats.refresh_windows >= 3 and flips
+
+
+def _spy_chunks(monkeypatch) -> list[bool]:
+    """What each ``SimState._access_chunk`` call returns from now on: True for
+    a chunk counted at once, False for one left to the per-entry loop."""
+    counted = []
+    original = SimState._access_chunk
+
+    def spy(state, vecs):
+        counted.append(original(state, vecs))
+        return counted[-1]
+
+    monkeypatch.setattr(SimState, "_access_chunk", spy)
+    return counted
+
+
+@pytest.mark.parametrize("every", [1, 2, 7, 1500, 100_000])
+@pytest.mark.parametrize("name", ["tiny", "bank-xor"])
+def test_counted_chunks_match_oracle(presets, monkeypatch, name, every):
+    """Chunks no row can take past hc_first are counted at once: over three
+    and a part chunks of reads and writes on several banks, with the previous
+    address re-read half the time so rows stay open across chunk boundaries,
+    replay equals the hand-stepped oracle for every refresh period."""
+    mapping = tiny_noncontig() if name == "tiny" else presets[name]
+    rng = random.Random(every)
+    pool = rng.sample(range(mapping.geometry.total_bytes), 24)
+    pas = [rng.choice(pool)]
+    while len(pas) < 3 * REPLAY_CHUNK + 300:
+        pas.append(pas[-1] if rng.random() < 0.5 else rng.choice(pool))
+    entries = [
+        ("write", pa, rng.randrange(256)) if rng.random() < 0.25 else ("read", pa, None)
+        for pa in pas
+    ]
+    params = HammerParams(hc_first=len(entries), deterministic_mode=True)
+    counted = _spy_chunks(monkeypatch)
+    stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params, every)
+    expected = brute_replay(mapping, params, entries, every)
+    assert counted == [True] * 4
+    assert stats.to_dict() == expected.stats.to_dict()
+    assert flips == expected.collect_flips() == []
+    assert stats.row_buffer_hits and len(stats.per_bank_activations) >= 4
+    assert stats.refresh_windows == stats.activations // every
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "probabilistic"])
+def test_flips_after_counted_chunks_read_their_writes(monkeypatch, deterministic):
+    """Three chunks, counted at once, write every byte of the rows next to
+    rows 1 and 5 of one bank and end on row 1; a fourth chunk re-reads row 1,
+    then toggles rows 1 and 5 past hc_first. Its flips read the earlier
+    writes, its first access hits the row the third chunk left open, and
+    replay equals the hand-stepped oracle."""
+    mapping = tiny_noncontig()
+    rng = random.Random(20)
+    row_pas = {row: brute_row_pas(mapping, (0, 0, 1, 1, row)) for row in (0, 1, 2, 4, 5, 6)}
+    written = {pa: 0x40 + i for i, pa in enumerate(row_pas[0] + row_pas[2] + row_pas[4] + row_pas[6])}
+    others = rng.sample(range(mapping.geometry.total_bytes), 24)
+    early = [("write", pa, byte) for pa, byte in written.items()]
+    while len(early) < 3 * REPLAY_CHUNK - 1:
+        early.append(("read", rng.choice(others), None))
+    early.append(("read", row_pas[1][0], None))
+    hammer = [("read", row_pas[1][3], None)] + [
+        ("read", row_pas[1 if i % 2 else 5][i % 8], None) for i in range(REPLAY_CHUNK - 1)
+    ]
+    entries = early + hammer
+    params = HammerParams(
+        hc_first=2000, flip_probability=0.01, deterministic_mode=deterministic, rng_seed=3
+    )
+    counted = _spy_chunks(monkeypatch)
+    stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params)
+    expected = brute_replay(mapping, params, entries, REFRESH_EVERY)
+    assert counted == [True, True, True, False]
+    assert stats.to_dict() == expected.stats.to_dict()
+    assert flips == expected.collect_flips()
+    first_read = {}
+    for flip in flips:
+        first_read.setdefault(flip.pa, flip.old_value)
+    assert len(first_read) >= 4
+    assert first_read == {pa: written[pa] for pa in first_read}
 
 
 class _Address(int):
