@@ -5,9 +5,10 @@ Planners place VMs so that an attacker VM cannot disturb a victim VM:
 plan_siloz gives every VM disjoint (bank tuple, subarray) sets, plan_citadel
 leaves whole guard rows between row-contiguous allocations. Both read one
 array of per-block ids built from the mapping's columns: plan_siloz places
-a VM in one pass, plan_citadel steps one chunk on past each chunk-row
-window that is not contiguous. plan_siloz reports the groups of the blocks
-it reserved, every member of their id cosets as (bank tuple, subarray).
+a VM in one pass, plan_citadel tests the chunk-row windows at every start
+of a block of starts at once, in doubling blocks. plan_siloz reports the
+groups of the blocks it reserved, every member of their id cosets as (bank
+tuple, subarray).
 plan_layout is the one dispatch from a mitigation name to its planner.
 
 Footprints (which row of which bank a region touches) are computed exactly for
@@ -54,6 +55,7 @@ UNUSED = "unused"
 UNALLOCATED = "unallocated"
 MITIGATIONS = ("none", "siloz", "citadel")
 MAX_PLAN_BLOCKS = 1 << 24  # the most blocks a planner holds ids for
+MAX_SEARCH_STARTS = 1 << 20  # plan_citadel tests at most max(this, VM chunks) starts at once
 
 BankTuple = tuple[int, int, int, int]
 
@@ -193,6 +195,8 @@ def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     sorted int64 array of distinct packed coordinate vectors with the column
     bits cleared, so sorted by row first (the top field)."""
     geo = mapping.geometry
+    check_int("region start_pa", region.start_pa)
+    check_int("region size", region.size)
     if region.size > 0 and (region.start_pa < 0 or region.end_pa > geo.total_bytes):
         raise ValueError(
             f"region [0x{region.start_pa:x}, 0x{region.end_pa:x}) exceeds the address space"
@@ -343,6 +347,73 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     return SilozPlan(MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa))), groups)
 
 
+def _window_extremum(ufunc, seg: np.ndarray, n: int, starts: int) -> np.ndarray:
+    """``ufunc.reduce(seg[s : s + n])`` for each start s < ``starts``; seg
+    holds at least ``starts + n - 1`` entries.
+
+    van Herk/Gil-Werman: cut the starts into blocks of ``width`` = min(starts,
+    n). The window at a start s of block [b, b + width) is the suffix
+    [s, b + width) of the block, then [b + width, b + n - 1), which is not
+    empty only when a single block is narrower than n - 1 (one reduce), then
+    the prefix [b + n - 1, s + n) of the width entries from b + n - 1. One
+    accumulate pass gives every suffix, and one every prefix.
+    """
+    width = min(starts, n)
+    blocks = -(-starts // width)
+    span = blocks * width
+    if len(seg) < span + n - 1:  # pad a short last block; no kept window reads the pad
+        seg = np.resize(seg, span + n - 1)
+    head = seg[:span].reshape(blocks, width)[:, ::-1]
+    tail = seg[n - 1 : n - 1 + span].reshape(blocks, width)
+    out = ufunc.accumulate(tail, axis=1)
+    ufunc(out, ufunc.accumulate(head, axis=1)[:, ::-1], out=out)
+    if width < n - 1:
+        ufunc(out, ufunc.reduce(seg[width : n - 1]), out=out)
+    return out.ravel()[:starts]
+
+
+def _window_repeats(seg: np.ndarray, n: int) -> np.ndarray:
+    """For each window seg[s : s + n], how many of its entries repeat an
+    earlier entry of the window.
+
+    A stable argsort puts each entry right after its previous occurrence; a
+    pair fewer than n apart is a repeat in the windows from (later - n + 1)
+    to (earlier), which a difference array counts for every start at once.
+    """
+    starts = len(seg) - n + 1
+    order = np.argsort(seg, kind="stable")
+    ranked = seg[order]
+    at = np.flatnonzero(ranked[1:] == ranked[:-1])
+    later, earlier = order[at + 1], order[at]
+    near = later - earlier < n
+    first = np.maximum(later[near] - (n - 1), 0)
+    past = np.minimum(earlier[near], starts - 1) + 1
+    edges = np.bincount(first, minlength=starts + 1) - np.bincount(past, minlength=starts + 1)
+    return np.cumsum(edges[:starts])
+
+
+def _fitting_windows(seg: np.ndarray, n: int, bound: int) -> np.ndarray:
+    """Whether each window seg[s : s + n] lies above bound and holds every
+    integer from its least entry to its greatest.
+
+    Such a window's greatest minus least entry plus one is its distinct
+    count, n minus its repeats. The tests run cheapest first, each from the
+    first window that passed the ones before: the least entry, the greatest,
+    then the repeats.
+    """
+    starts = len(seg) - n + 1
+    lo = _window_extremum(np.minimum, seg, n, starts)
+    fits = lo > bound
+    s = int(fits.argmax())
+    if fits[s]:
+        span = _window_extremum(np.maximum, seg[s:], n, starts - s) - lo[s:]
+        fits[s:] &= span < n
+        t = int(fits.argmax())
+        if fits[t]:
+            fits[t:] &= span[t - s :] + _window_repeats(seg[t:], n) == n - 1
+    return fits
+
+
 def plan_citadel(
     mapping: AddressMapping, vm_sizes: Sequence[int], guard_global_rows: int
 ) -> MemoryLayout:
@@ -354,6 +425,15 @@ def plan_citadel(
     previous VM's highest row. Chunks skipped between consecutive VM ranges
     (the guard rows plus any stragglers of earlier rows) are marked unused;
     guard-row chunks that are not between the VM ranges stay unallocated.
+
+    The search tests every start of a block of starts at once
+    (``_fitting_windows``), in blocks of 1, 2, 4, ... starts from the
+    previous VM's end, at most max(n, MAX_SEARCH_STARTS) starts for n
+    chunks a VM. A block of w starts takes a few numpy passes over its
+    w + n - 1 rows, and one argsort of them once some window clears the
+    guard rows and spans fewer than n rows. A VM that fits d chunks on
+    takes about log2(d) + 1 blocks; a refusal, blocks that cover the whole
+    chunk array once.
     """
     mapping.inverse_columns  # fail fast on non-invertible mappings
     geo = mapping.geometry
@@ -367,8 +447,8 @@ def plan_citadel(
         )
     _check_vm_sizes(mapping, vm_sizes, stride)
     offset = geo.coord_offsets[4]
-    chunk_ids, _ = _block_ids(mapping, stride, (geo.rows - 1) << offset)
-    rows = chunk_ids >> offset
+    rows, _ = _block_ids(mapping, stride, (geo.rows - 1) << offset)
+    rows >>= offset
     n_chunks = len(rows)
     regions: list[Region] = []
     pos = 0
@@ -376,25 +456,21 @@ def plan_citadel(
     for i, size in enumerate(vm_sizes):
         owner = f"vm{i}"
         n = size // stride
-        cand = pos
         bound = prev_hi + guard_global_rows
+        start, width = pos, 1
         while True:
-            if cand + n > n_chunks:
+            width = min(width, n_chunks - n + 1 - start)
+            if width <= 0:
                 raise PlanError(
                     f"cannot place {owner}: no chunk window clears guard rows "
                     f"{prev_hi + 1}..{bound} (offending row {bound})"
                 )
-            window = rows[cand : cand + n]
-            below = np.nonzero(window <= bound)[0]
-            if below.size:
-                cand += int(below[-1]) + 1
-                continue
-            # contiguous: each row lo..max occurs (a plain np.unique imports numpy.ma)
-            lo = window.min()
-            if window.max() - lo >= n or not np.bincount(window - lo).all():
-                cand += 1
-                continue
-            break
+            fits = np.flatnonzero(_fitting_windows(rows[start : start + width + n - 1], n, bound))
+            if fits.size:
+                break
+            start += width
+            width = min(2 * width, max(n, MAX_SEARCH_STARTS))
+        cand = start + int(fits[0])
         if cand > pos:
             regions.append(Region(UNUSED, pos * stride, (cand - pos) * stride))
         regions.append(Region(owner, cand * stride, size))

@@ -7,6 +7,7 @@ oracles.py; worked placements for the full-scale presets are frozen.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from vmhammer import (
@@ -25,7 +26,7 @@ from vmhammer import (
     plan_siloz,
     row_footprint,
 )
-from vmhammer.layout import pack_layout, plan_layout, row_chunk_stride
+from vmhammer.layout import _fitting_windows, pack_layout, plan_layout, row_chunk_stride
 
 from oracles import (
     brute_aggressors,
@@ -134,6 +135,20 @@ def test_footprint_empty_region(presets):
 def test_footprint_out_of_bounds(presets, geometry):
     with pytest.raises(ValueError):
         row_footprint(presets["simple"], Region("x", geometry.total_bytes - 4096, 8192))
+
+
+def test_footprint_rejects_non_integer_bounds(presets):
+    # checked before the translation, which reads True as 1 and has no
+    # bit_length for a numpy integer
+    mapping = presets["simple"]
+    for region, message in (
+        (Region("vm0", True, 8192), "^region start_pa must be an integer, got True$"),
+        (Region("vm0", np.int64(8192), 8192), "^region start_pa must be an integer, got "),
+        (Region("vm0", 0, 8192.0), r"^region size must be an integer, got 8192\.0$"),
+        (Region("vm0", 0, False), "^region size must be an integer, got False$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            row_footprint(mapping, region)
 
 
 def test_footprint_matches_bytewise_oracle():
@@ -486,6 +501,68 @@ def test_citadel_matches_brute_oracle():
         assert plan_citadel(mapping, sizes, guard) == expected, request
         planned += 1
     assert planned >= 50
+
+
+def test_citadel_split_mappings_match_brute_oracle():
+    # row bits in a shuffled order over the top PA bits, so a chunk window
+    # often holds one row more than once and its rows are not monotone
+    rng = random.Random(0x5C17)
+    planned = 0
+    for _ in range(300):
+        mapping = random_split_mapping(rng, random_geometry(rng, 1 << 12))
+        stride = row_chunk_stride(mapping)
+        n_chunks = mapping.geometry.total_bytes // stride
+        guard = rng.randint(1, 3)
+        sizes = [stride * rng.randint(1, max(1, n_chunks // 8)) for _ in range(rng.randint(1, 4))]
+        request = (mapping.to_dict(), sizes, guard)
+        try:
+            expected = brute_citadel(mapping, sizes, guard)
+        except PlanError as exc:
+            with pytest.raises(PlanError) as info:
+                plan_citadel(mapping, sizes, guard)
+            assert str(info.value) == str(exc), request
+            continue
+        assert plan_citadel(mapping, sizes, guard) == expected, request
+        planned += 1
+    assert planned >= 50
+
+
+def test_fitting_windows_match_brute():
+    rng = random.Random(0xF17)
+    for _ in range(2000):
+        rows = [rng.randint(0, rng.choice([1, 3, 8, 40])) for _ in range(rng.randint(1, 30))]
+        n = rng.choice([1, len(rows), rng.randint(1, len(rows))])
+        bound = rng.choice([-1, rng.randint(-1, 10)])
+        windows = [rows[s : s + n] for s in range(len(rows) - n + 1)]
+        expected = [
+            min(w) > bound and len(set(w)) == max(w) - min(w) + 1 for w in windows
+        ]
+        got = _fitting_windows(np.array(rows, dtype=np.int64), n, bound)
+        assert got.tolist() == expected, (rows, n, bound)
+
+
+def test_citadel_refusals_are_fast(geometry):
+    # no window fits anywhere in these spaces, so a search that tests one
+    # start at a time visits every window of the space before it refuses
+    row_high = random_row_high_mapping(random.Random(11), geometry)
+    split = random_split_mapping(
+        random.Random(7),
+        Geometry(channels=1, ranks=2, bankgroups=1, banks=2, rows=65536, columns=4,
+                 rows_per_subarray=4),
+    )
+    for mapping, sizes, guard in (
+        (row_high, [16 * MIB, 16 * MIB], 1),
+        (_reduced_row_mapping(range(26, 14, -1)), [MIB, MIB], 1),
+        (split, [495_376], 3),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(PlanError) as info:
+            plan_citadel(mapping, sizes, guard)
+        assert time.perf_counter() - start < 1.0, sizes
+        assert str(info.value) == (
+            f"cannot place vm0: no chunk window clears guard rows {-guard}..-1 "
+            "(offending row -1)"
+        )
 
 
 # -- aggressor discovery --------------------------------------------------------------
