@@ -8,16 +8,11 @@ activations. A row activated more than ``hc_first`` times in one window may
 flip bits in neighbouring rows of its subarray, each victim a packed key
 unpacked once for its record; ``deterministic_mode`` makes the first a sure flip.
 
-``_activate(key, n)`` is the one routine that can flip: a row-buffer miss in
-``_access_vec`` is one activation, and the hammer primitive ``activate_row``
-splits its run into steps that ``_activate`` counts at once. A step ends only
-at the refresh window's end. Every activation of a step past ``hc_first``
-gets its own random draws, in order, so its result equals that of single
-activations. Replay counts a chunk of accesses at once (``_access_chunk``)
-only when no row it misses on can pass ``hc_first``, even with no refresh in
-between: then no draw and no latch falls inside the chunk, and order matters
-only to the hits, the open rows and the window, which it derives in a few
-numpy passes. Any other chunk goes entry by entry through ``_access_vec``.
+``_maybe_flip`` is the one routine that draws or latches, with draws of their
+own for each activation past ``hc_first``, so a run of them equals as many
+single activations. ``_activate`` is the counting step of ``activate_row``
+and ``access``. Replay counts a chunk of accesses at once (``_access_chunk``)
+in a few numpy passes; only activations past ``hc_first`` reach Python.
 """
 
 from __future__ import annotations
@@ -45,6 +40,11 @@ def _tally(keys: np.ndarray) -> list[tuple[int, int]]:
     """Each distinct key of ``keys``, ascending, with its number of occurrences."""
     values, counts = np.unique(keys, return_counts=True)
     return list(zip(values.tolist(), counts.tolist()))
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Where a run of entries equal in every one of the nonnegative columns begins."""
+    return np.flatnonzero(np.bitwise_or.reduce([np.diff(c, prepend=-1) for c in columns]))
 
 
 @dataclass(frozen=True)
@@ -186,14 +186,15 @@ class SimState:
     def access(self, pa: int, kind: str = "read", data: int | None = None) -> bool:
         """One memory access under the open-page policy; True on a row-buffer
         hit. The byte read or written is in ``read_byte``."""
-        if kind not in ("read", "write"):
-            raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
-        if kind == "write":
-            check_int("data", data, 0, 256)
-        self.geometry.check_pa(pa)
+        self._check_access(pa, kind, data)
         if kind == "write":  # the accessed row is never its own flip's victim
             self.contents[pa] = data
-        return self._access_vec(gf2.image(self.mapping._forward_tables, pa))
+        key = gf2.image(self.mapping._forward_tables, pa) & self._row_mask
+        if self.open_row.get(key & self._bank_mask) == key:
+            self.stats.row_buffer_hits += 1
+            return True
+        self._activate(key)
+        return False
 
     def activate_row(self, coord: DramCoordinate, times: int = 1) -> None:
         """``times`` unconditional activations of one row, the hammer primitive.
@@ -237,21 +238,72 @@ class SimState:
 
     # -- internals -----------------------------------------------------------
 
-    def _access_vec(self, vec: int) -> bool:
-        """A checked byte's access by its packed coordinate vector; True on a hit."""
-        key = vec & self._row_mask
-        if self.open_row.get(key & self._bank_mask) == key:
-            self.stats.row_buffer_hits += 1
-            return True
-        self._activate(key)
-        return False
+    def _check_access(self, pa: int, kind: str, data: int | None) -> None:
+        """Raise ``access``'s error for an access it refuses."""
+        if kind not in ("read", "write"):
+            raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
+        if kind == "write":
+            check_int("data", data, 0, 256)
+        self.geometry.check_pa(pa)
 
-    def _access_chunk(self, vecs: np.ndarray) -> bool:
-        """Count the accesses of checked vectors ``vecs``, in order, at once and
-        return True, when no row they miss on can pass ``hc_first``, even with no
-        refresh in between. Otherwise return False having changed nothing, and
-        each access must go through ``_access_vec``."""
-        keys = vecs & self._row_mask
+    def _access_chunk(
+        self,
+        vecs: np.ndarray,
+        entries: tuple[tuple[str, int, int | None], ...],
+        writes: list[tuple[int, int]],
+    ) -> None:
+        """The checked accesses ``entries`` (packed vectors ``vecs``, (pa, byte)
+        pairs ``writes``) as ``access`` makes them one by one, in numpy passes.
+        When a row can pass ``hc_first``, one ``lexsort`` by (window, row) ranks
+        each miss in its window; each run of activations past it (one row, one
+        window, no write between) is one ``_maybe_flip`` call, in trace order,
+        after the writes up to its first entry. The other writes land at once."""
+        miss = self._open_rows(vecs & self._row_mask)
+        missed = vecs[miss] & self._row_mask  # row keys, in trace order
+        self.stats.row_buffer_hits += len(vecs) - len(missed)
+        per_bank = self.stats.bank_activations
+        for bank, n in _tally(missed & self._bank_mask):
+            per_bank[bank] = per_bank.get(bank, 0) + n
+        rows, n = np.unique(missed, return_counts=True)
+        before = np.array([self.act_count.get(row, 0) for row in rows.tolist()], dtype=np.int64)
+        latch, stored = 0, 0  # the window the latches belong to; the writes stored
+        if (before + n > self.params.hc_first).any():
+            m = len(missed)
+            windows = (self._window + np.arange(m)) // self.refresh_every
+            ranked = np.lexsort((missed, windows))  # stable: trace order within a row
+            firsts = _run_starts(windows[ranked], missed[ranked])
+            counts = np.empty(m, dtype=np.int64)  # each miss's row count in its window
+            counts[ranked] = np.arange(1, m + 1) - np.repeat(firsts, np.diff(firsts, append=m))
+            counts += np.where(windows == 0, before[np.searchsorted(rows, missed)], 0)
+            hot = np.flatnonzero(counts > self.params.hc_first)
+            at = np.flatnonzero([entry[0] == "write" for entry in entries] if writes else [])
+            upto = np.searchsorted(at, np.flatnonzero(miss)[hot], side="right")  # writes so far
+            runs = _run_starts(missed[hot], windows[hot], upto)
+            lengths = np.diff(runs, append=len(hot))
+            lasts = hot[runs + lengths - 1]
+            hot_runs = zip(missed[lasts].tolist(), counts[lasts].tolist(), lengths.tolist(),
+                           windows[hot[runs]].tolist(), upto[runs].tolist())
+            for key, count, length, window, written in hot_runs:
+                self.contents.update(writes[stored:written])  # the writes up to the run
+                stored = written
+                if window != latch:
+                    self._det_flipped.clear()
+                    latch = window
+                self._maybe_flip(key, count, length)
+        self.contents.update(writes[stored:])
+        crossings, self._window = divmod(self._window + len(missed), self.refresh_every)
+        if crossings > latch:
+            self._det_flipped.clear()
+        if crossings:  # only the misses after the last refresh count in the new window
+            self.act_count.clear()
+            self.stats.refresh_windows += crossings
+            rows, n = np.unique(missed[len(missed) - self._window :], return_counts=True)
+            before = 0
+        self.act_count.update(zip(rows.tolist(), (before + n).tolist()))
+
+    def _open_rows(self, keys: np.ndarray) -> np.ndarray:
+        """Which of row keys ``keys``, in order, miss the row buffer, found with
+        one stable sort by bank; each bank's last key is left open."""
         order = np.argsort(keys & self._bank_mask, kind="stable")
         by_bank = keys[order]
         banks = by_bank & self._bank_mask
@@ -262,32 +314,15 @@ class SimState:
         previous[starts] = [self.open_row.get(bank, -1) for bank in first_banks]
         miss = np.empty(len(keys), dtype=bool)
         miss[order] = by_bank != previous
-        missed = keys[miss]  # in trace order
-        count = self.act_count
-        tally = _tally(missed)
-        if any(count.get(row, 0) + n > self.params.hc_first for row, n in tally):
-            return False
-        self.stats.row_buffer_hits += len(keys) - len(missed)
-        per_bank = self.stats.bank_activations
-        for bank, n in _tally(missed & self._bank_mask):
-            per_bank[bank] = per_bank.get(bank, 0) + n
         self.open_row.update(zip(first_banks, by_bank[ends].tolist()))
-        crossings, window = divmod(self._window + len(missed), self.refresh_every)
-        if crossings:  # only the misses after the last refresh count in the new window
-            self.refresh()
-            self.stats.refresh_windows += crossings - 1
-            tally = _tally(missed[len(missed) - window :])
-        self._window = window
-        for row, n in tally:
-            count[row] = count.get(row, 0) + n
-        return True
+        return miss
 
     def _activate(self, key: int, n: int = 1) -> None:
-        """``n`` back-to-back activations of row ``key``, the only code that counts
-        one a flip can follow; ``Stats`` derives the activations, accesses and
-        precharges from its per-bank counts. The flip check runs once, for the
-        ``n`` activations that end at the row's new count, and the refresh when
-        the window fills, so a caller keeps ``n`` within the window."""
+        """``n`` back-to-back activations of row ``key``, the counting step of
+        ``activate_row`` and ``access``; ``Stats`` derives the activations,
+        accesses and precharges from its per-bank counts. The flip check runs
+        once, for the ``n`` activations that end at the row's new count, and the
+        refresh when the window fills, so a caller keeps ``n`` within the window."""
         bank = key & self._bank_mask
         per_bank = self.stats.bank_activations
         per_bank[bank] = per_bank.get(bank, 0) + n
@@ -300,10 +335,11 @@ class SimState:
             self.refresh()
 
     def _maybe_flip(self, key: int, count: int, n: int = 1) -> None:
-        """The flip chances of row ``key``'s last ``n`` activations, which took its
-        count to ``count``: each one past ``hc_first`` draws for every neighbour,
-        ascending; deterministic mode latches them in one pass. A neighbour's row
-        key is its latch key, and with a drawn column set, the flip's vector."""
+        """The flip chances of row ``key``'s last ``n`` activations, which took
+        its count to ``count``; the one routine that draws or latches. Each one
+        past ``hc_first`` draws for every neighbour, ascending; deterministic
+        mode latches them in one pass. A neighbour's row key is its latch key,
+        and with a drawn column set, the flip's vector."""
         if count <= self.params.hc_first:
             return
         row_offset, column_offset = self.geometry.coord_offsets[4:]

@@ -79,7 +79,7 @@ NOT_MITIGATED = "NOT_MITIGATED"
 
 RowTuple = tuple[int, int, int, int, int]
 
-REPLAY_CHUNK = 8192  # trace entries checked and translated per numpy pass
+REPLAY_CHUNK = 8192  # trace entries checked, translated and counted per numpy pass
 
 
 class ScenarioError(ValueError):
@@ -642,18 +642,6 @@ def toggle_trace(
     return _reads(pair * (count // 2) + pair[: count & 1])
 
 
-def _plain_writes(chunk: tuple[TraceOp, ...]) -> list[tuple[int, int]] | None:
-    """The (pa, byte) pairs chunk writes, in trace order, when each of its
-    entries reads or writes a plain int byte in [0, 256); else None."""
-    others = [entry for entry in chunk if entry[0] != "read"]
-    data = [byte for kind, _, byte in others if kind == "write"]
-    if len(data) < len(others) or not set(map(type, data)) <= {int}:
-        return None
-    if data and not (0 <= min(data) and max(data) < 256):
-        return None
-    return [(pa, byte) for _, pa, byte in others]
-
-
 def replay_trace(
     trace: AccessTrace,
     mapping: AddressMapping,
@@ -661,34 +649,24 @@ def replay_trace(
     refresh_every: int = REFRESH_EVERY,
 ) -> tuple[Stats, list[BitflipRecord]]:
     """Drive every trace access through a fresh state that closes its refresh
-    window every ``refresh_every`` activations. A chunk of plain PAs is translated
-    in one numpy pass; ``SimState.access`` takes any other entry and its error.
-
-    A chunk of plain PAs that only reads and writes plain int bytes is counted
-    at once (``SimState._access_chunk``) when no row it misses on can pass
-    ``hc_first``, so no flip falls inside it and its writes are stored after
-    it; any other such chunk goes entry by entry. ``SimState._activate`` stays
-    the one routine that can flip."""
+    window every ``refresh_every`` activations. Each chunk is translated in one
+    numpy pass and counted at once (``SimState._access_chunk``); one that is not
+    all plain int addresses and bytes is first checked entry by entry with
+    ``access``'s own check, so it raises ``access``'s error, then made plain."""
     state = SimState(mapping, params, refresh_every)
     total = mapping.geometry.total_bytes
     for lo in range(0, len(trace), REPLAY_CHUNK):
         chunk = trace.entries[lo : lo + REPLAY_CHUNK]
         pas = [pa for _, pa, _ in chunk]
-        plain = set(map(type, pas)) == {int} and 0 <= min(pas) and max(pas) < total
-        vecs = pas
-        if plain:
-            vecs = gf2.image_array(mapping._forward_tables, pas)
-            writes = _plain_writes(chunk)
-            if writes is not None and state._access_chunk(vecs):
-                state.contents.update(writes)  # exact: no flip falls inside the chunk
-                continue
-            vecs = vecs.tolist()
-        for (kind, pa, data), vec in zip(chunk, vecs):
-            write = kind == "write" and type(data) is int and 0 <= data < 256
-            if plain and (kind == "read" or write):
-                if write:
-                    state.contents[pa] = data
-                state._access_vec(vec)
-            else:
-                state.access(pa, kind, data)
+        others = [entry for entry in chunk if entry[0] != "read"]
+        data = [byte for kind, _, byte in others if kind == "write"]
+        plain = len(data) == len(others) and set(map(type, pas)) | set(map(type, data)) == {int}
+        if not (plain and 0 <= min(pas) and max(pas) < total
+                and 0 <= min(data, default=0) and max(data, default=0) < 256):
+            for kind, pa, byte in chunk:
+                state._check_access(pa, kind, byte)
+            pas = [int(pa) for pa in pas]
+            others = [(kind, int(pa), int(byte)) for kind, pa, byte in others]
+        writes = [(pa, byte) for _, pa, byte in others]
+        state._access_chunk(gf2.image_array(mapping._forward_tables, pas), chunk, writes)
     return state.stats, state.collect_flips()

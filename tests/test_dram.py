@@ -473,51 +473,49 @@ def _full_snapshot(state: SimState):
     )
 
 
-@pytest.mark.parametrize(
-    "rows", [[2, 3] * 5, [3, 1]], ids=["fresh-rows-past-hc-first", "row-already-past-it"]
-)
-def test_refused_chunk_changes_nothing(rows):
-    """A chunk that would take a row past hc_first is refused before any state
-    changes, latches, flips and a part-filled window included."""
-    mapping = tiny_simple()
-    state = SimState(mapping, det_params(hc_first=4), refresh_every=50)
-    state.activate_row(DramCoordinate(0, 0, 0, 0, 1, 0), 6)  # latches rows 0 and 2
-    state.access(0x80)  # bank 1
-    before = _full_snapshot(state)
-    assert state.flips and state._det_flipped and state._window == 7
-    chunk = [0x81] + [mapping.geometry.pack(DramCoordinate(0, 0, 0, 0, row, 3)) for row in rows]
-    assert state._access_chunk(np.array(chunk, dtype=np.int64)) is False
-    assert _full_snapshot(state) == before
-
-
-def test_counted_chunk_equals_access_vec():
-    """A chunk ``_access_chunk`` counts at once leaves the state that one
-    ``_access_vec`` per entry leaves, refresh windows, latches and random state
-    included; a chunk it refuses leaves the state as it was."""
-    rng = random.Random(20)
+def test_chunk_equals_one_access_per_entry():
+    """``_access_chunk`` leaves the state that one ``access`` per entry leaves,
+    refresh windows, latches, flips and random state included, on chunks whose
+    rows pass hc_first with writes between their activations, some of them on
+    the bytes the hot rows' neighbours hold."""
+    rng = random.Random(22)
     mapping = tiny_noncontig()
-    counted = 0
-    for case in range(300):
+    geo = mapping.geometry
+    flipped = 0
+    for case in range(600):
         params = HammerParams(
-            hc_first=rng.randint(1, 12), flip_probability=0.3,
+            hc_first=rng.randint(1, 12), flip_probability=0.3, blast_radius=rng.randint(1, 2),
             deterministic_mode=rng.random() < 0.5, rng_seed=case,
         )
         every = rng.choice([1, 2, 3, 7, 50, 1000])
-        pool = rng.sample(range(mapping.geometry.total_bytes), rng.randint(1, 12))
+        pool = rng.sample(range(geo.total_bytes), rng.randint(1, 12))
+        near = [  # every byte of the rows next to a pool row
+            mapping.coord_to_pa(coord._replace(row=row, column=column))
+            for coord in map(mapping.pa_to_coord, pool)
+            for row in geo.neighbours(coord.row, params.blast_radius)
+            for column in range(geo.columns)
+        ]
+        entries = [
+            ("write", rng.choice(pool + near), rng.randrange(256)) if rng.random() < 0.2
+            else ("read", rng.choice(pool), None)
+            for _ in range(rng.randint(1, 100))
+        ]
+        cut = rng.randrange(len(entries))
+        history, entries = entries[:cut], tuple(entries[cut:])  # a shared history, then the chunk
         states = [SimState(mapping, params, every) for _ in range(2)]
-        for pa in rng.choices(pool, k=rng.randint(0, 40)):  # a shared history
+        for kind, pa, byte in history:
             for state in states:
-                state.access(pa)
-        chunk = [gf2.image(mapping._forward_tables, pa) for pa in rng.choices(pool, k=rng.randint(1, 40))]
-        before = _full_snapshot(states[0])
-        if states[0]._access_chunk(np.array(chunk, dtype=np.int64)):
-            counted += 1
-            for vec in chunk:
-                states[1]._access_vec(vec)
-            assert _full_snapshot(states[0]) == _full_snapshot(states[1])
-        else:
-            assert _full_snapshot(states[0]) == before
-    assert 50 < counted < 270  # both outcomes are exercised
+                state.access(pa, kind, byte)
+        before = len(states[0].flips)
+        states[0]._access_chunk(
+            gf2.image_array(mapping._forward_tables, [pa for _, pa, _ in entries]),
+            entries, [(pa, byte) for kind, pa, byte in entries if kind == "write"],
+        )
+        for kind, pa, byte in entries:
+            states[1].access(pa, kind, byte)
+        assert _full_snapshot(states[0]) == _full_snapshot(states[1])
+        flipped += len(states[0].flips) > before
+    assert flipped >= 50
 
 
 # -- confinement -------------------------------------------------------------------

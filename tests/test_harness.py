@@ -847,27 +847,14 @@ def test_replay_across_chunks_matches_oracle():
         assert stats.refresh_windows >= 3 and flips
 
 
-def _spy_chunks(monkeypatch) -> list[bool]:
-    """What each ``SimState._access_chunk`` call returns from now on: True for
-    a chunk counted at once, False for one left to the per-entry loop."""
-    counted = []
-    original = SimState._access_chunk
-
-    def spy(state, vecs):
-        counted.append(original(state, vecs))
-        return counted[-1]
-
-    monkeypatch.setattr(SimState, "_access_chunk", spy)
-    return counted
-
-
 @pytest.mark.parametrize("every", [1, 2, 7, 1500, 100_000])
 @pytest.mark.parametrize("name", ["tiny", "bank-xor"])
-def test_counted_chunks_match_oracle(presets, monkeypatch, name, every):
-    """Chunks no row can take past hc_first are counted at once: over three
-    and a part chunks of reads and writes on several banks, with the previous
-    address re-read half the time so rows stay open across chunk boundaries,
-    replay equals the hand-stepped oracle for every refresh period."""
+def test_counted_chunks_match_oracle(presets, name, every):
+    """Over three and a part chunks of reads and writes on several banks, with
+    the previous address re-read half the time so rows stay open across chunk
+    boundaries, replay equals the hand-stepped oracle for every refresh period:
+    at an hc_first no row reaches, and at one every row passes, so hot runs
+    with writes between them flip in every chunk, in both flip modes."""
     mapping = tiny_noncontig() if name == "tiny" else presets[name]
     rng = random.Random(every)
     pool = rng.sample(range(mapping.geometry.total_bytes), 24)
@@ -878,20 +865,24 @@ def test_counted_chunks_match_oracle(presets, monkeypatch, name, every):
         ("write", pa, rng.randrange(256)) if rng.random() < 0.25 else ("read", pa, None)
         for pa in pas
     ]
-    params = HammerParams(hc_first=len(entries), deterministic_mode=True)
-    counted = _spy_chunks(monkeypatch)
-    stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params, every)
-    expected = brute_replay(mapping, params, entries, every)
-    assert counted == [True] * 4
-    assert stats.to_dict() == expected.stats.to_dict()
-    assert flips == expected.collect_flips() == []
-    assert stats.row_buffer_hits and len(stats.per_bank_activations) >= 4
-    assert stats.refresh_windows == stats.activations // every
+    for params in (
+        HammerParams(hc_first=len(entries), deterministic_mode=True),
+        HammerParams(hc_first=1, flip_probability=0.01, deterministic_mode=True),
+        HammerParams(hc_first=1, flip_probability=0.01),
+    ):
+        stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params, every)
+        expected = brute_replay(mapping, params, entries, every)
+        assert stats.to_dict() == expected.stats.to_dict()
+        assert flips == expected.collect_flips()
+        if params.hc_first == len(entries):
+            assert flips == []
+        assert stats.row_buffer_hits and len(stats.per_bank_activations) >= 4
+        assert stats.refresh_windows == stats.activations // every
 
 
 @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "probabilistic"])
-def test_flips_after_counted_chunks_read_their_writes(monkeypatch, deterministic):
-    """Three chunks, counted at once, write every byte of the rows next to
+def test_flips_after_counted_chunks_read_their_writes(deterministic):
+    """Three flip-free chunks write every byte of the rows next to
     rows 1 and 5 of one bank and end on row 1; a fourth chunk re-reads row 1,
     then toggles rows 1 and 5 past hc_first. Its flips read the earlier
     writes, its first access hits the row the third chunk left open, and
@@ -912,10 +903,8 @@ def test_flips_after_counted_chunks_read_their_writes(monkeypatch, deterministic
     params = HammerParams(
         hc_first=2000, flip_probability=0.01, deterministic_mode=deterministic, rng_seed=3
     )
-    counted = _spy_chunks(monkeypatch)
     stats, flips = replay_trace(AccessTrace(tuple(entries)), mapping, params)
     expected = brute_replay(mapping, params, entries, REFRESH_EVERY)
-    assert counted == [True, True, True, False]
     assert stats.to_dict() == expected.stats.to_dict()
     assert flips == expected.collect_flips()
     first_read = {}
