@@ -33,6 +33,7 @@ from .harness import (
     matvec_trace,
     parse_size,
     parse_trace,
+    render_json,
     replay_trace,
     report_to_json,
     resolve_mapping,
@@ -59,7 +60,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, data: dict) -> None:
-    _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _emit(args, render_json(data))
 
 
 def _error(exc: Exception) -> None:

@@ -11,8 +11,10 @@ unpacked once for its record; ``deterministic_mode`` makes the first a sure flip
 ``_maybe_flip`` is the one routine that draws or latches, with draws of their
 own for each activation past ``hc_first``, so a run of them equals as many
 single activations. ``_activate`` is the counting step of ``activate_row``
-and ``access``. Replay counts a chunk of accesses at once (``_access_chunk``)
-in a few numpy passes; only activations past ``hc_first`` reach Python.
+and ``access``. Replay counts a chunk of accesses, given as arrays of PAs
+and bytes, at once (``_access_chunk``) in a few numpy passes; only activations
+past ``hc_first`` reach Python. ``check_access`` is the one check of an
+access's kind, byte and PA type, for ``access`` and for a trace's entries.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ __all__ = [
 ]
 
 REFRESH_EVERY = 100_000  # default activations per refresh window
+
+
+def check_access(pa: int, kind: str, data: int | None) -> None:
+    """Raise ``SimState.access``'s error for an access no geometry admits: an
+    unknown kind, a write's byte that is not an int in 0..255, or a PA that
+    is not an int. ``access`` then checks the PA against its geometry."""
+    if kind not in ("read", "write"):
+        raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
+    if kind == "write":
+        check_int("data", data, 0, 256)
+    check_int("pa", pa)
 
 
 def _tally(keys: np.ndarray) -> list[tuple[int, int]]:
@@ -186,7 +199,8 @@ class SimState:
     def access(self, pa: int, kind: str = "read", data: int | None = None) -> bool:
         """One memory access under the open-page policy; True on a row-buffer
         hit. The byte read or written is in ``read_byte``."""
-        self._check_access(pa, kind, data)
+        check_access(pa, kind, data)
+        self.geometry.check_pa(pa)
         if kind == "write":  # the accessed row is never its own flip's victim
             self.contents[pa] = data
         key = gf2.image(self.mapping._forward_tables, pa) & self._row_mask
@@ -238,26 +252,14 @@ class SimState:
 
     # -- internals -----------------------------------------------------------
 
-    def _check_access(self, pa: int, kind: str, data: int | None) -> None:
-        """Raise ``access``'s error for an access it refuses."""
-        if kind not in ("read", "write"):
-            raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
-        if kind == "write":
-            check_int("data", data, 0, 256)
-        self.geometry.check_pa(pa)
-
-    def _access_chunk(
-        self,
-        vecs: np.ndarray,
-        entries: tuple[tuple[str, int, int | None], ...],
-        writes: list[tuple[int, int]],
-    ) -> None:
-        """The checked accesses ``entries`` (packed vectors ``vecs``, (pa, byte)
-        pairs ``writes``) as ``access`` makes them one by one, in numpy passes.
-        When a row can pass ``hc_first``, one ``lexsort`` by (window, row) ranks
-        each miss in its window; each run of activations past it (one row, one
-        window, no write between) is one ``_maybe_flip`` call, in trace order,
-        after the writes up to its first entry. The other writes land at once."""
+    def _access_chunk(self, vecs: np.ndarray, pas: np.ndarray, data: np.ndarray) -> None:
+        """The checked accesses to int64 ``pas`` (packed vectors ``vecs``), each
+        writing its ``data`` byte or, at -1, reading, as ``access`` makes them
+        one by one, in numpy passes. When a row can pass ``hc_first``, one
+        ``lexsort`` by (window, row) ranks each miss in its window; each run of
+        activations past it (one row, one window, no write between) is one
+        ``_maybe_flip`` call, in trace order, after the writes up to its first
+        entry. The other writes land at once."""
         miss = self._open_rows(vecs & self._row_mask)
         missed = vecs[miss] & self._row_mask  # row keys, in trace order
         self.stats.row_buffer_hits += len(vecs) - len(missed)
@@ -266,6 +268,8 @@ class SimState:
             per_bank[bank] = per_bank.get(bank, 0) + n
         rows, n = np.unique(missed, return_counts=True)
         before = np.array([self.act_count.get(row, 0) for row in rows.tolist()], dtype=np.int64)
+        writes = np.flatnonzero(data >= 0)  # the chunk's writes, by position
+        write_pas, write_bytes = pas[writes].tolist(), data[writes].tolist()
         latch, stored = 0, 0  # the window the latches belong to; the writes stored
         if (before + n > self.params.hc_first).any():
             m = len(missed)
@@ -276,21 +280,21 @@ class SimState:
             counts[ranked] = np.arange(1, m + 1) - np.repeat(firsts, np.diff(firsts, append=m))
             counts += np.where(windows == 0, before[np.searchsorted(rows, missed)], 0)
             hot = np.flatnonzero(counts > self.params.hc_first)
-            at = np.flatnonzero([entry[0] == "write" for entry in entries] if writes else [])
-            upto = np.searchsorted(at, np.flatnonzero(miss)[hot], side="right")  # writes so far
+            upto = np.searchsorted(writes, np.flatnonzero(miss)[hot], side="right")  # writes so far
             runs = _run_starts(missed[hot], windows[hot], upto)
             lengths = np.diff(runs, append=len(hot))
             lasts = hot[runs + lengths - 1]
             hot_runs = zip(missed[lasts].tolist(), counts[lasts].tolist(), lengths.tolist(),
                            windows[hot[runs]].tolist(), upto[runs].tolist())
             for key, count, length, window, written in hot_runs:
-                self.contents.update(writes[stored:written])  # the writes up to the run
-                stored = written
+                if written > stored:  # the writes up to the run
+                    self.contents.update(zip(write_pas[stored:written], write_bytes[stored:written]))
+                    stored = written
                 if window != latch:
                     self._det_flipped.clear()
                     latch = window
                 self._maybe_flip(key, count, length)
-        self.contents.update(writes[stored:])
+        self.contents.update(zip(write_pas[stored:], write_bytes[stored:]))
         crossings, self._window = divmod(self._window + len(missed), self.refresh_every)
         if crossings > latch:
             self._det_flipped.clear()

@@ -104,9 +104,8 @@ def image(tables: tuple[list[int], ...], x: int) -> int:
     return out
 
 
-def image_array(tables: tuple[list[int], ...], xs: Sequence[int]) -> np.ndarray:
-    """``image`` of every entry of xs, as an int64 array, one lookup per byte."""
-    xs = np.asarray(xs, dtype=np.int64)
+def image_array(tables: tuple[list[int], ...], xs: np.ndarray) -> np.ndarray:
+    """``image`` of every entry of int64 array xs, one lookup per byte."""
     out = np.zeros(len(xs), dtype=np.int64)
     for t, table in enumerate(tables):
         out ^= np.array(table, dtype=np.int64)[(xs >> 8 * t) & 0xFF]

@@ -19,10 +19,15 @@ import hashlib
 import json
 import os
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
+
+import numpy as np
 
 from . import gf2
-from .dram import REFRESH_EVERY, BitflipRecord, HammerParams, SimState, Stats
+from .dram import REFRESH_EVERY, BitflipRecord, HammerParams, SimState, Stats, check_access
 from .layout import (
     MITIGATIONS,
     AggressorSite,
@@ -72,6 +77,7 @@ __all__ = [
     "builtin_matrix",
     "matrix_summary",
     "report_to_json",
+    "render_json",
 ]
 
 MITIGATED = "MITIGATED"
@@ -79,7 +85,7 @@ NOT_MITIGATED = "NOT_MITIGATED"
 
 RowTuple = tuple[int, int, int, int, int]
 
-REPLAY_CHUNK = 8192  # trace entries checked, translated and counted per numpy pass
+REPLAY_CHUNK = 8192  # trace entries translated and counted per numpy pass
 
 
 class ScenarioError(ValueError):
@@ -383,8 +389,13 @@ class AttackReport:
         return out
 
 
+def render_json(data) -> str:
+    """The JSON text of a report or a command's result: indented, keys sorted."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def report_to_json(report: AttackReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return render_json(report.to_dict())
 
 
 def run_attack(scenario: Scenario) -> AttackReport:
@@ -523,70 +534,131 @@ def load_matrix_scenarios(path: str) -> list[Scenario]:
 
 # -- traces -------------------------------------------------------------------------
 
-TraceOp = tuple[str, int, "int | None"]
+PA_END = 1 << 63  # a trace's PAs are int64
 
 
-@dataclass(frozen=True)
 class AccessTrace:
-    entries: tuple[TraceOp, ...]
+    """A memory access trace, two read-only int64 arrays: ``pas[i]`` is entry
+    i's PA and ``data[i]`` its byte for a write, -1 for a read.
+
+    ``AccessTrace(entries)`` takes (kind, pa, data) entries and tests them in
+    bulk. For a bad entry it raises the error ``SimState.access`` raises, for
+    the first one in trace order, and for a PA outside int64 ``check_int``'s;
+    ``replay_trace`` checks the PAs against its geometry. Traces compare by
+    their arrays and are not hashable."""
+
+    def __init__(self, entries: Sequence[tuple[str, int, int | None]]) -> None:
+        entries = tuple(entries)
+        try:
+            self._freeze(*_columns(entries))
+        except (LookupError, TypeError, ValueError, OverflowError):
+            for kind, pa, byte in entries:  # raise the first bad entry's own error
+                check_access(pa, kind, byte)
+                check_int("pa", pa, -PA_END, PA_END)
+            raise
+
+    @classmethod
+    def _of(cls, pas, data) -> AccessTrace:
+        """The trace of checked PAs and bytes (-1 for a read)."""
+        trace = cls.__new__(cls)
+        trace._freeze(pas, data)
+        return trace
+
+    def _freeze(self, pas, data) -> None:
+        self.pas = np.asarray(pas, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.int64)
+        self.pas.flags.writeable = self.data.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pas)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AccessTrace):
+            return NotImplemented
+        return np.array_equal(self.pas, other.pas) and np.array_equal(self.data, other.data)
+
+
+_WRITES = {"read": False, "write": True}
+
+
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, int) and t is not bool
+
+
+def _columns(entries: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The PAs and bytes (-1 for a read) of (kind, pa, data) entries, tested in
+    bulk: kinds, PA and byte types, byte range, PAs in int64. Raises, not with
+    ``access``'s message, if any entry is bad."""
+    if sum(map(len, entries)) != 3 * len(entries):  # with itemgetter(2) below, all are 3
+        raise ValueError("an entry is not (kind, pa, data)")
+    writes = bytes(map(_WRITES.__getitem__, map(itemgetter(0), entries)))  # KeyError: a kind
+    pas = list(map(itemgetter(1), entries))
+    data = list(compress(map(itemgetter(2), entries), writes))
+    if not all(map(_is_int_type, set(map(type, pas)) | set(map(type, data)))):
+        raise ValueError("a PA or a written byte is not an int")
+    written = np.array(data, dtype=np.int64)
+    if ((written < 0) | (written > 255)).any():
+        raise ValueError("a written byte is outside 0..255")
+    values = np.full(len(pas), -1, dtype=np.int64)
+    values[np.frombuffer(writes, dtype=bool)] = written
+    return np.fromiter(pas, np.int64, len(pas)), values
 
 
 def parse_trace(text: str, limit: int | None = None) -> AccessTrace:
     """Parse trace lines: 'R <hex-pa>' or 'W <hex-pa> <hex-byte>', # comments.
 
     A negative PA is a malformed entry, as the synthesizers refuse one too;
-    a PA at or past ``limit``, when one is given, is rejected with its line.
+    a PA at or past ``limit``, when one is given, or past int64 is rejected
+    with its line.
     """
-    entries = []
+    end = PA_END if limit is None else min(limit, PA_END)
+    pas, data = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        kind = parts[0].upper()
         try:
-            if kind == "R" and len(parts) == 2:
-                entry = ("read", int(parts[1], 16), None)
-            elif kind == "W" and len(parts) == 3:
-                data = int(parts[2], 16)
-                check_int("data", data, 0, 256)
-                entry = ("write", int(parts[1], 16), data)
+            if len(parts) == 2 and parts[0] in ("R", "r"):
+                byte = -1
+            elif len(parts) == 3 and parts[0] in ("W", "w"):
+                byte = int(parts[2], 16)
+                if not 0 <= byte < 256:
+                    raise ValueError
             else:
                 raise ValueError
-            check_int("pa", entry[1], 0)
+            pa = int(parts[1], 16)
+            if pa < 0:
+                raise ValueError
         except ValueError:
             raise TraceError(f"line {lineno}: malformed trace entry {raw.strip()!r}") from None
-        if limit is not None and entry[1] >= limit:
-            raise TraceError(f"line {lineno}: pa 0x{entry[1]:x} not below 0x{limit:x}")
-        entries.append(entry)
-    return AccessTrace(tuple(entries))
+        if pa >= end:
+            raise TraceError(f"line {lineno}: pa 0x{pa:x} not below 0x{end:x}")
+        pas.append(pa)
+        data.append(byte)
+    return AccessTrace._of(pas, data)
 
 
 def format_trace(trace: AccessTrace) -> str:
-    lines = []
-    for kind, pa, data in trace.entries:
-        if kind == "read":
-            lines.append(f"R 0x{pa:x}")
-        else:
-            lines.append(f"W 0x{pa:x} 0x{data:02x}")
+    lines = [
+        f"R 0x{pa:x}" if byte < 0 else f"W 0x{pa:x} 0x{byte:02x}"
+        for pa, byte in zip(trace.pas.tolist(), trace.data.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
 def _check_span(lo: int, hi: int, limit: int | None) -> None:
-    """Refuse a trace whose lowest PA lo is negative or, given a limit, whose
-    highest PA hi is not below it; synthesizers call it before building."""
+    """Refuse a trace whose lowest PA lo is negative or whose highest PA hi is
+    not below limit, or past int64; synthesizers call it before building."""
+    end = PA_END if limit is None else min(limit, PA_END)
     if lo < 0:
         raise ValueError(f"trace overflows the address space: pa -0x{-lo:x} is negative")
-    if limit is not None and hi >= limit:
-        raise ValueError(f"trace overflows the region: pa 0x{hi:x} not below 0x{limit:x}")
+    if hi >= end:
+        raise ValueError(f"trace overflows the region: pa 0x{hi:x} not below 0x{end:x}")
 
 
-def _reads(pas: list[int]) -> AccessTrace:
+def _reads(pas: np.ndarray) -> AccessTrace:
     """A read of each address in pas."""
-    return AccessTrace(tuple([("read", pa, None) for pa in pas]))
+    return AccessTrace._of(pas, np.full(len(pas), -1, dtype=np.int64))
 
 
 def sequential_trace(base_pa: int, count: int, limit: int | None = None) -> AccessTrace:
@@ -603,8 +675,8 @@ def strided_trace(
     check_int("count", count, 1)
     ends = (base_pa, base_pa + (count - 1) * stride)
     _check_span(min(ends), max(ends), limit)
-    pas = list(range(base_pa, base_pa + count * stride, stride)) if stride else [base_pa] * count
-    return _reads(pas)
+    step = stride if count > 1 else 0  # a lone read's stride need not fit int64
+    return _reads(base_pa + np.arange(count, dtype=np.int64) * step)
 
 
 def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -> AccessTrace:
@@ -619,9 +691,9 @@ def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -
     check_int("base_pa", base_pa)
     vector_base = base_pa + rows * cols * 8
     _check_span(base_pa, vector_base + (cols - 1) * 8, limit)
-    pas = [0] * (2 * rows * cols)
-    pas[0::2] = range(base_pa, vector_base, 8)
-    pas[1::2] = list(range(vector_base, vector_base + cols * 8, 8)) * rows
+    pas = np.empty(2 * rows * cols, dtype=np.int64)
+    pas[0::2] = base_pa + 8 * np.arange(rows * cols, dtype=np.int64)
+    pas[1::2] = np.tile(vector_base + 8 * np.arange(cols, dtype=np.int64), rows)
     return _reads(pas)
 
 
@@ -639,7 +711,7 @@ def toggle_trace(
     check_int("count", count, 1)
     pair = [base_pa, base_pa ^ mask] if count > 1 else [base_pa]
     _check_span(min(pair), max(pair), limit)
-    return _reads(pair * (count // 2) + pair[: count & 1])
+    return _reads(np.resize(np.array(pair, dtype=np.int64), count))
 
 
 def replay_trace(
@@ -649,24 +721,18 @@ def replay_trace(
     refresh_every: int = REFRESH_EVERY,
 ) -> tuple[Stats, list[BitflipRecord]]:
     """Drive every trace access through a fresh state that closes its refresh
-    window every ``refresh_every`` activations. Each chunk is translated in one
-    numpy pass and counted at once (``SimState._access_chunk``); one that is not
-    all plain int addresses and bytes is first checked entry by entry with
-    ``access``'s own check, so it raises ``access``'s error, then made plain."""
+    window every ``refresh_every`` activations. The PAs are checked against the
+    space in one pass, raising ``Geometry.check_pa``'s error for the first one
+    outside; each chunk is then translated in one numpy pass and counted at
+    once (``SimState._access_chunk``)."""
     state = SimState(mapping, params, refresh_every)
-    total = mapping.geometry.total_bytes
+    geo = mapping.geometry
+    # total_bytes may be 2^63, one past int64; its predecessor is not
+    outside = np.flatnonzero((trace.pas < 0) | (trace.pas > geo.total_bytes - 1))
+    if len(outside):
+        geo.check_pa(int(trace.pas[outside[0]]))
     for lo in range(0, len(trace), REPLAY_CHUNK):
-        chunk = trace.entries[lo : lo + REPLAY_CHUNK]
-        pas = [pa for _, pa, _ in chunk]
-        others = [entry for entry in chunk if entry[0] != "read"]
-        data = [byte for kind, _, byte in others if kind == "write"]
-        plain = len(data) == len(others) and set(map(type, pas)) | set(map(type, data)) == {int}
-        if not (plain and 0 <= min(pas) and max(pas) < total
-                and 0 <= min(data, default=0) and max(data, default=0) < 256):
-            for kind, pa, byte in chunk:
-                state._check_access(pa, kind, byte)
-            pas = [int(pa) for pa in pas]
-            others = [(kind, int(pa), int(byte)) for kind, pa, byte in others]
-        writes = [(pa, byte) for _, pa, byte in others]
-        state._access_chunk(gf2.image_array(mapping._forward_tables, pas), chunk, writes)
+        pas = trace.pas[lo : lo + REPLAY_CHUNK]
+        vecs = gf2.image_array(mapping._forward_tables, pas)
+        state._access_chunk(vecs, pas, trace.data[lo : lo + REPLAY_CHUNK])
     return state.stats, state.collect_flips()

@@ -207,8 +207,13 @@ def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     for base, k in _aligned_blocks(region.start_pa, region.size):
         anchor = gf2.image(mapping._forward_tables, base) & row_tuple
         parts.append(gf2.span(gf2.reduce_basis(images[:k])) ^ anchor)
-    # sort and drop neighbouring repeats: np.unique is ~20x slower and imports numpy.ma
-    packed = np.sort(np.concatenate(parts))
+    return _distinct(np.concatenate(parts))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of values, ascending: a sort, then neighbouring
+    repeats dropped (np.unique is ~20x slower and imports numpy.ma)."""
+    packed = np.sort(values)
     keep = np.ones(len(packed), dtype=bool)
     keep[1:] = packed[1:] != packed[:-1]
     return packed[keep]
@@ -316,10 +321,10 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]
     group_bits = ((1 << geo.coord_offsets[5]) - 1) & ~in_subarray
     block_ids, basis = _block_ids(mapping, block, group_bits)
-    ids, labels = np.unique(block_ids, return_inverse=True)
     coset = gf2.span(basis)
-    used = np.zeros(len(ids), dtype=bool)
-    n_blocks = len(labels)
+    n_blocks = len(block_ids)
+    blocked = np.zeros(n_blocks, dtype=bool)  # shares a group with a placed VM
+    taken = np.zeros(n_blocks + 1, dtype=np.int64)  # blocked blocks before each one
     candidate = np.zeros(n_blocks + 1, dtype=bool)
     candidate[:: stride // block] = True
     placed: list[Region] = []
@@ -327,8 +332,8 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     for i, size in enumerate(vm_sizes):
         owner = f"vm{i}"
         n = size // block
-        # a placed VM's own blocks are used, so no free window overlaps it
-        taken = np.concatenate(([0], np.cumsum(used[labels])))
+        # a placed VM's own blocks are blocked, so no free window overlaps it
+        np.cumsum(blocked, out=taken[1:])
         free = candidate[: n_blocks - n + 1] & (taken[n:] == taken[: n_blocks - n + 1])
         if not free.any():
             raise PlanError(
@@ -336,13 +341,12 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
                 f"group granularity is 0x{stride:x} bytes"
             )
         first = int(free.argmax())
-        reserved = np.zeros_like(used)
-        reserved[labels[first : first + n]] = True
-        used |= reserved
+        mine = _distinct(block_ids[first : first + n])
+        blocked |= np.isin(block_ids, mine)
         candidate[first + n] = True
         placed.append(Region(owner, first * block, size))
         # every member of the reserved blocks' cosets, as (bank tuple, subarray)
-        coords = map(geo.unpack, (ids[reserved][:, None] ^ coset).ravel().tolist())
+        coords = map(geo.unpack, (mine[:, None] ^ coset).ravel().tolist())
         groups[owner] = frozenset((c.bank_tuple, geo.subarray_of(c.row)) for c in coords)
     return SilozPlan(MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa))), groups)
 

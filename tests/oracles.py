@@ -29,7 +29,9 @@ from vmhammer import (
     find_aggressors,
     row_footprint,
 )
+from vmhammer.harness import AccessTrace, TraceError
 from vmhammer.layout import plan_layout
+from vmhammer.mapping import check_int
 
 
 def brute_coord(mapping: AddressMapping, pa: int) -> tuple[int, ...]:
@@ -337,6 +339,34 @@ def brute_replay(
             state.refresh()
             since_refresh = 0
     return state
+
+
+def brute_parse_trace(text: str, limit: int | None = None) -> AccessTrace:
+    """The trace parser as it was when it built one (kind, pa, data) tuple per
+    line, kept as the reference for ``parse_trace``."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind = parts[0].upper()
+        try:
+            if kind == "R" and len(parts) == 2:
+                entry = ("read", int(parts[1], 16), None)
+            elif kind == "W" and len(parts) == 3:
+                data = int(parts[2], 16)
+                check_int("data", data, 0, 256)
+                entry = ("write", int(parts[1], 16), data)
+            else:
+                raise ValueError
+            check_int("pa", entry[1], 0)
+        except ValueError:
+            raise TraceError(f"line {lineno}: malformed trace entry {raw.strip()!r}") from None
+        if limit is not None and entry[1] >= limit:
+            raise TraceError(f"line {lineno}: pa 0x{entry[1]:x} not below 0x{limit:x}")
+        entries.append(entry)
+    return AccessTrace(tuple(entries))
 
 
 def brute_row_pas(

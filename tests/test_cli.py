@@ -739,14 +739,19 @@ def test_gen_trace_out_of_memory_is_one_error(argv, vmhammer_under_1gib):
     assert peak_kib < 200 << 10, peak_kib
 
 
-def test_citadel_plan_of_a_44_bit_space_is_one_plan_error(tmp_path, vmhammer_under_1gib):
-    # 2^30 row chunks of 16 KiB: refused before the chunk-row array is allocated
-    path = write_json(tmp_path / "wide.json", {
+def write_44_bit_mapping(tmp_path):
+    """2 banks of 2^30 rows of 8 KiB: the bank at PA 13, the rows from PA 14."""
+    return write_json(tmp_path / "wide.json", {
         "geometry": {"channels": 1, "ranks": 1, "bankgroups": 1, "banks": 2,
                      "rows": 1 << 30, "columns": 8192, "rows_per_subarray": 512},
         "functions": {"bank": [[13]], "row": [[b] for b in range(14, 44)],
                       "column": [[b] for b in range(13)]},
     })
+
+
+def test_citadel_plan_of_a_44_bit_space_is_one_plan_error(tmp_path, vmhammer_under_1gib):
+    # 2^30 row chunks of 16 KiB: refused before the chunk-row array is allocated
+    path = write_44_bit_mapping(tmp_path)
     proc, peak_kib = vmhammer_under_1gib(["plan", "citadel", path, "--sizes", "1MiB,1MiB"])
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     assert assert_one_error(proc.stderr) == {
@@ -754,6 +759,22 @@ def test_citadel_plan_of_a_44_bit_space_is_one_plan_error(tmp_path, vmhammer_und
         "message": "the space holds 1073741824 blocks of 0x4000 bytes; a plan holds at most 16777216",
     }
     assert peak_kib < 200 << 10, peak_kib
+
+
+def test_siloz_plan_of_a_2_to_the_24_block_space(tmp_path, vmhammer_under_1gib):
+    # 2^24 blocks of 1 MiB, the most a plan holds: planned without relabelling
+    # the whole space, so the peak stays near the block ids and their sums
+    path = write_44_bit_mapping(tmp_path)
+    proc, peak_kib = vmhammer_under_1gib(["plan", "siloz", path, "--sizes", "1MiB,1MiB"])
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    plan = json.loads(proc.stdout)
+    assert plan["layout"]["regions"] == [
+        {"owner": "vm0", "size": 1 << 20, "start_pa": "0x00000000000"},
+        {"owner": "vm1", "size": 1 << 20, "start_pa": "0x00000800000"},
+    ]
+    assert plan["groups"] == {"vm0": [["0:0:0:0", 0], ["0:0:0:1", 0]],
+                              "vm1": [["0:0:0:0", 1], ["0:0:0:1", 1]]}
+    assert peak_kib < 600 << 10, peak_kib
 
 
 @pytest.mark.parametrize(

@@ -507,9 +507,9 @@ def test_chunk_equals_one_access_per_entry():
             for state in states:
                 state.access(pa, kind, byte)
         before = len(states[0].flips)
+        trace = AccessTrace(entries)  # int64 PAs, and bytes with -1 for a read
         states[0]._access_chunk(
-            gf2.image_array(mapping._forward_tables, [pa for _, pa, _ in entries]),
-            entries, [(pa, byte) for kind, pa, byte in entries if kind == "write"],
+            gf2.image_array(mapping._forward_tables, trace.pas), trace.pas, trace.data
         )
         for kind, pa, byte in entries:
             states[1].access(pa, kind, byte)

@@ -40,6 +40,7 @@ from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout, row_chu
 from vmhammer.mapping import AddressMapping, Geometry, MappingError, default_geometry
 
 from oracles import (
+    brute_parse_trace,
     brute_replay,
     brute_row_pas,
     brute_seeded_attack,
@@ -688,11 +689,10 @@ def test_load_matrix_scenarios(tmp_path):
 def test_parse_trace_forms():
     text = "# preamble\nR 0x100\nW 0x200 0xff\n\n r 0x8  # inline note\nw 0x0 0x05\n"
     trace = parse_trace(text)
-    assert trace.entries == (
-        ("read", 0x100, None),
-        ("write", 0x200, 0xFF),
-        ("read", 0x8, None),
-        ("write", 0x0, 0x05),
+    assert trace.pas.tolist() == [0x100, 0x200, 0x8, 0x0]
+    assert trace.data.tolist() == [-1, 0xFF, -1, 0x05]  # -1 marks a read
+    assert trace == AccessTrace(
+        (("read", 0x100, None), ("write", 0x200, 0xFF), ("read", 0x8, None), ("write", 0x0, 0x05))
     )
     assert len(trace) == 4
 
@@ -724,12 +724,14 @@ def test_format_trace_roundtrip():
 
 
 def test_trace_synthesizer_shapes():
-    assert [pa for _, pa, _ in sequential_trace(0x40, 4).entries] == [0x40, 0x41, 0x42, 0x43]
-    assert [pa for _, pa, _ in strided_trace(0, 0x8000, 3).entries] == [0, 0x8000, 0x10000]
-    assert [pa for _, pa, _ in toggle_trace(0x100, 0x8040, 4).entries] == [
-        0x100, 0x8140, 0x100, 0x8140,
-    ]
-    assert all(kind == "read" for kind, _, _ in sequential_trace(0, 8).entries)
+    assert sequential_trace(0x40, 4).pas.tolist() == [0x40, 0x41, 0x42, 0x43]
+    assert strided_trace(0, 0x8000, 3).pas.tolist() == [0, 0x8000, 0x10000]
+    assert strided_trace(0x30, -0x10, 4).pas.tolist() == [0x30, 0x20, 0x10, 0x0]
+    assert strided_trace(0x30, 1 << 70, 1).pas.tolist() == [0x30]
+    assert toggle_trace(0x100, 0x8040, 4).pas.tolist() == [0x100, 0x8140, 0x100, 0x8140]
+    assert toggle_trace(0x100, 0x8040, 3).pas.tolist() == [0x100, 0x8140, 0x100]
+    assert toggle_trace(0x100, 1 << 70, 1).pas.tolist() == [0x100]
+    assert (sequential_trace(0, 8).data == -1).all()
 
 
 @pytest.mark.parametrize(
@@ -752,7 +754,7 @@ def test_trace_synthesizers_reject_non_integers(call, name):
 
 def test_matvec_trace_frozen_order():
     # 2x2 matrix at 0x0, 8-byte elements, vector at 0x20: matrix/vector interleave
-    pas = [pa for _, pa, _ in matvec_trace(2, 2, 0x0).entries]
+    pas = matvec_trace(2, 2, 0x0).pas.tolist()
     assert pas == [0x00, 0x20, 0x08, 0x28, 0x10, 0x20, 0x18, 0x28]
     rows, cols, base = 3, 5, 0x100
     vector = base + rows * cols * 8
@@ -760,7 +762,7 @@ def test_matvec_trace_frozen_order():
     for i in range(rows):
         for j in range(cols):
             expected += [base + (i * cols + j) * 8, vector + j * 8]
-    assert [pa for _, pa, _ in matvec_trace(rows, cols, base).entries] == expected
+    assert matvec_trace(rows, cols, base).pas.tolist() == expected
 
 
 def test_trace_limit_enforcement():
@@ -937,24 +939,117 @@ class _Address(int):
 )
 def test_replay_raises_what_access_raises(presets, entry, at):
     """A bad entry of a trace built without parse_trace raises the error
-    SimState.access raises for it, wherever its chunk lies."""
+    SimState.access raises for it, wherever it lies: the AccessTrace
+    constructor raises it, or, for a PA outside the space, replay_trace. A PA
+    outside int64 is the constructor's own error."""
     mapping = presets["simple"]
     kind, pa, data = entry
     with pytest.raises(Exception) as expected:
         SimState(mapping, reduced_hammer()).access(pa, kind, data)
-    good = sequential_trace(0, at + 10).entries
-    trace = AccessTrace(good[:at] + (entry,) + good[at:])
+    if pa == 1 << 70:
+        assert str(expected.value) == f"pa {hex(pa)} outside [0, 0x100000000)"
+        message = f"pa {pa} outside [{-1 << 63}, {1 << 63})"
+    else:
+        message = str(expected.value)
+    good = [("read", pa, None) for pa in range(at + 10)]
     with pytest.raises(type(expected.value)) as got:
-        replay_trace(trace, mapping, reduced_hammer())
+        replay_trace(AccessTrace(good[:at] + [entry] + good[at:]), mapping, reduced_hammer())
     assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == message
 
 
 def test_replay_raises_for_the_first_bad_entry(presets):
-    trace = AccessTrace((("read", 0, None), ("foo", 0x40, None), ("read", -1, None)))
     with pytest.raises(ValueError) as info:
+        trace = AccessTrace((("read", 0, None), ("foo", 0x40, None), ("read", -1, None)))
         replay_trace(trace, presets["simple"], reduced_hammer())
     assert str(info.value) == "kind must be 'read' or 'write', got 'foo'"
+    with pytest.raises(ValueError) as info:  # both in the space's range check
+        trace = AccessTrace((("read", 0, None), ("read", -1, None), ("read", 1 << 32, None)))
+        replay_trace(trace, presets["simple"], reduced_hammer())
+    assert str(info.value) == "pa -0x1 outside [0, 0x100000000)"
+
+
+def test_trace_arrays_are_read_only():
+    trace = AccessTrace((("read", 0x40, None), ("write", 0x80, 0x7)))
+    for array in (trace.pas, trace.data):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert trace == parse_trace("R 0x40\nW 0x80 0x07\n")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(trace)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([("read", 0, None), ("read", 0)], "not enough values to unpack"),
+        ([("read", 0, None), ("read", 0, None, 4)], "too many values to unpack"),
+        ([("read", 0, None), (["read"], 0, None)], "kind must be 'read' or 'write', got ['read']"),
+        ([("read", 0, 1.5), ("write", 0, np.int64(3))], "data must be an integer, got "),
+        ([("write", 0, 255), ("write", 0, -1)], "data -1 outside [0, 256)"),
+        ([("read", -1 << 63, None), ("read", (-1 << 63) - 1, None)], "pa -9223372036854775809"),
+    ],
+)
+def test_trace_constructor_refuses_the_first_bad_entry(entries, message):
+    """The bulk tests find every bad entry, and the error names the first."""
+    with pytest.raises(ValueError) as info:
+        AccessTrace(entries)
+    assert str(info.value).startswith(message)
+    assert AccessTrace(entries[:1]).data.tolist() in ([-1], [255])
+
+
+def test_traces_past_int64_are_refused():
+    with pytest.raises(TraceError, match="^line 2: pa 0x8000000000000000 not below 0x8000000000000000$"):
+        parse_trace("R 0x7fffffffffffffff\nR 0x8000000000000000\n")
+    with pytest.raises(ValueError, match="^trace overflows the region: pa 0x8000000000000007 not"):
+        sequential_trace((1 << 63) - 1, 9)
+    assert strided_trace((1 << 63) - 1, -1, 2).pas.tolist() == [(1 << 63) - 1, (1 << 63) - 2]
+
+
+def test_parse_trace_matches_oracle():
+    """Seeded random texts, valid and not, give the same entries or the same
+    TraceError message from parse_trace and the tuple-building reference
+    parser, with and without a limit."""
+    rng = random.Random(23)
+    limits = [None, 1 << 32, 0x1000]
+
+    def hexa(value):
+        return rng.choice(["0x", "0X", ""]) + f"{value:x}" if value >= 0 else f"-0x{-value:x}"
+
+    def line():
+        pa = rng.choice([rng.randrange(0x1000), rng.randrange(1 << 33), 0x1000, 1 << 32])
+        pa = -pa if rng.random() < 0.03 else pa
+        byte = rng.randrange(300) if rng.random() < 0.1 else rng.randrange(256)
+        forms = [
+            f"{rng.choice('Rr')} {hexa(pa)}",
+            f"{rng.choice('Ww')}  {hexa(pa)}\t{hexa(byte)}",
+            f"  # note {pa}",
+            "",
+            f"X {hexa(pa)}",
+            f"R {hexa(pa)} {hexa(byte)}",
+            f"W {hexa(pa)}",
+            f"R zz{pa}",
+            f"R {hexa(pa)}  # inline",
+        ]
+        weights = [40, 30, 5, 5, 1, 1, 1, 1, 5]
+        return rng.choices(forms, weights)[0]
+
+    valid = 0
+    for _ in range(1500):
+        text = "\n".join(line() for _ in range(rng.randint(0, 12)))
+        limit = rng.choice(limits)
+        try:
+            expected = brute_parse_trace(text, limit)
+        except TraceError as exc:
+            with pytest.raises(TraceError) as got:
+                parse_trace(text, limit)
+            assert str(got.value) == str(exc)
+            continue
+        got = parse_trace(text, limit)
+        assert got == expected
+        assert format_trace(got) == format_trace(expected)
+        valid += 1
+    assert 300 <= valid <= 1200
 
 
 def test_replay_takes_int_subclasses_as_access_does(presets):
