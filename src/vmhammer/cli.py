@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from typing import NoReturn
 
@@ -199,7 +200,14 @@ def _hex_int(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors instead of printing usage text, so main reports
-    them as one JSON error object with exit status 2."""
+    them as one JSON error object with exit status 2. A value that starts
+    with a minus and a digit, such as ``-0x40``, is a negative number and
+    not a flag, as Python 3.13's argparse reads it; older ones see only
+    ``-8``-style decimals so."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str) -> NoReturn:
         raise argparse.ArgumentError(None, message)

@@ -11,10 +11,12 @@ unpacked once for its record; ``deterministic_mode`` makes the first a sure flip
 ``_maybe_flip`` is the one routine that draws or latches, with draws of their
 own for each activation past ``hc_first``, so a run of them equals as many
 single activations. ``_activate`` is the counting step of ``activate_row``
-and ``access``. Replay counts a chunk of accesses, given as arrays of PAs
-and bytes, at once (``_access_chunk``) in a few numpy passes; only activations
-past ``hc_first`` reach Python. ``check_access`` is the one check of an
-access's kind, byte and PA type, for ``access`` and for a trace's entries.
+and ``access``. ``replay`` takes a trace's arrays of PAs and bytes, checks
+every PA before it changes anything, and counts ``REPLAY_CHUNK`` accesses at
+once in a few numpy passes; only activations past ``hc_first`` reach Python.
+``_close_windows`` is the one routine that closes refresh windows, for
+``refresh`` and for replay. ``check_access`` is the one check of an access's
+kind, byte and PA type, for ``access`` and for a trace's entries.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 REFRESH_EVERY = 100_000  # default activations per refresh window
+REPLAY_CHUNK = 8192  # trace entries translated and counted per numpy pass
 
 
 def check_access(pa: int, kind: str, data: int | None) -> None:
@@ -164,7 +167,8 @@ class SimState:
     The mapping is fixed at construction because flip records carry both the
     victim coordinate and its physical address, which requires the inverse
     translation during activation. Every ``refresh_every`` activations since
-    the window opened, the state calls its own ``refresh``. A byte never
+    the window opened, the state closes the window itself, as ``refresh``
+    does, whether they came one by one or in a replay. A byte never
     written or flipped reads ``fill``, the pattern memory was filled with.
     """
 
@@ -231,10 +235,24 @@ class SimState:
     def refresh(self) -> None:
         """Close the refresh window and open a new one: clear activation
         counts and latches."""
-        self.act_count.clear()
-        self._det_flipped.clear()
-        self._window = 0
-        self.stats.refresh_windows += 1
+        self._close_windows(1)
+
+    def replay(self, pas: np.ndarray, data: np.ndarray) -> None:
+        """The accesses of a trace's int64 arrays, as ``access`` makes them one
+        by one: to ``pas[i]``, writing byte ``data[i]`` or, at -1, reading.
+        Every PA is checked against the space before the state changes, and
+        the first one outside raises ``Geometry.check_pa``'s error; then each
+        ``REPLAY_CHUNK`` entries are translated in one numpy pass and counted
+        at once. The bytes are taken as ``AccessTrace`` checked them."""
+        geo = self.geometry
+        # total_bytes may be 2^63, one past int64; its predecessor is not
+        outside = np.flatnonzero((pas < 0) | (pas > geo.total_bytes - 1))
+        if len(outside):
+            geo.check_pa(int(pas[outside[0]]))
+        tables = [np.array(table, dtype=np.int64) for table in self.mapping._forward_tables]
+        for lo in range(0, len(pas), REPLAY_CHUNK):
+            chunk = pas[lo : lo + REPLAY_CHUNK]
+            self._access_chunk(gf2.image_array(tables, chunk), chunk, data[lo : lo + REPLAY_CHUNK])
 
     # -- side-effect-free inspection ----------------------------------------
 
@@ -259,7 +277,8 @@ class SimState:
         ``lexsort`` by (window, row) ranks each miss in its window; each run of
         activations past it (one row, one window, no write between) is one
         ``_maybe_flip`` call, in trace order, after the writes up to its first
-        entry. The other writes land at once."""
+        entry and the closing of the windows before its own. The other writes
+        land at once, and the windows the chunk fills close at its end."""
         miss = self._open_rows(vecs & self._row_mask)
         missed = vecs[miss] & self._row_mask  # row keys, in trace order
         self.stats.row_buffer_hits += len(vecs) - len(missed)
@@ -270,10 +289,10 @@ class SimState:
         before = np.array([self.act_count.get(row, 0) for row in rows.tolist()], dtype=np.int64)
         writes = np.flatnonzero(data >= 0)  # the chunk's writes, by position
         write_pas, write_bytes = pas[writes].tolist(), data[writes].tolist()
-        latch, stored = 0, 0  # the window the latches belong to; the writes stored
+        start, closed, stored = self._window, 0, 0  # windows closed and writes stored so far
         if (before + n > self.params.hc_first).any():
             m = len(missed)
-            windows = (self._window + np.arange(m)) // self.refresh_every
+            windows = (start + np.arange(m)) // self.refresh_every
             ranked = np.lexsort((missed, windows))  # stable: trace order within a row
             firsts = _run_starts(windows[ranked], missed[ranked])
             counts = np.empty(m, dtype=np.int64)  # each miss's row count in its window
@@ -290,20 +309,27 @@ class SimState:
                 if written > stored:  # the writes up to the run
                     self.contents.update(zip(write_pas[stored:written], write_bytes[stored:written]))
                     stored = written
-                if window != latch:
-                    self._det_flipped.clear()
-                    latch = window
+                if window > closed:
+                    self._close_windows(window - closed)
+                    closed = window
                 self._maybe_flip(key, count, length)
         self.contents.update(zip(write_pas[stored:], write_bytes[stored:]))
-        crossings, self._window = divmod(self._window + len(missed), self.refresh_every)
-        if crossings > latch:
-            self._det_flipped.clear()
+        crossings, left = divmod(start + len(missed), self.refresh_every)
+        if crossings > closed:
+            self._close_windows(crossings - closed)
         if crossings:  # only the misses after the last refresh count in the new window
-            self.act_count.clear()
-            self.stats.refresh_windows += crossings
-            rows, n = np.unique(missed[len(missed) - self._window :], return_counts=True)
+            rows, n = np.unique(missed[len(missed) - left :], return_counts=True)
             before = 0
         self.act_count.update(zip(rows.tolist(), (before + n).tolist()))
+        self._window = left
+
+    def _close_windows(self, count: int) -> None:
+        """Close ``count`` refresh windows and open a new one: clear activation
+        counts and latches, which no closed window passes on."""
+        self.act_count.clear()
+        self._det_flipped.clear()
+        self._window = 0
+        self.stats.refresh_windows += count
 
     def _open_rows(self, keys: np.ndarray) -> np.ndarray:
         """Which of row keys ``keys``, in order, miss the row buffer, found with

@@ -104,9 +104,10 @@ def image(tables: tuple[list[int], ...], x: int) -> int:
     return out
 
 
-def image_array(tables: tuple[list[int], ...], xs: np.ndarray) -> np.ndarray:
-    """``image`` of every entry of int64 array xs, one lookup per byte."""
+def image_array(tables: Sequence[Sequence[int]], xs: np.ndarray) -> np.ndarray:
+    """``image`` of every entry of int64 array xs, one lookup per byte. Tables
+    that are int64 arrays already are used as they are, not copied."""
     out = np.zeros(len(xs), dtype=np.int64)
     for t, table in enumerate(tables):
-        out ^= np.array(table, dtype=np.int64)[(xs >> 8 * t) & 0xFF]
+        out ^= np.asarray(table, dtype=np.int64)[(xs >> 8 * t) & 0xFF]
     return out

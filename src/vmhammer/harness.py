@@ -5,6 +5,8 @@ aggressors on a state whose unwritten bytes read the check pattern, then
 classify each recorded bitflip by the owning region. The verdict is MITIGATED
 exactly when no flip lands in victim-owned memory. The refresh window belongs
 to SimState: both run_attack and replay_trace only pass its period through.
+replay_trace hands a trace's two arrays to a fresh state (SimState.replay),
+which checks, translates and counts them.
 
 resolve_mapping is the one place a mapping spec (preset name, file path or
 inline object) becomes an AddressMapping, for scenario files and the command
@@ -26,7 +28,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import gf2
 from .dram import REFRESH_EVERY, BitflipRecord, HammerParams, SimState, Stats, check_access
 from .layout import (
     MITIGATIONS,
@@ -84,8 +85,6 @@ MITIGATED = "MITIGATED"
 NOT_MITIGATED = "NOT_MITIGATED"
 
 RowTuple = tuple[int, int, int, int, int]
-
-REPLAY_CHUNK = 8192  # trace entries translated and counted per numpy pass
 
 
 class ScenarioError(ValueError):
@@ -721,18 +720,7 @@ def replay_trace(
     refresh_every: int = REFRESH_EVERY,
 ) -> tuple[Stats, list[BitflipRecord]]:
     """Drive every trace access through a fresh state that closes its refresh
-    window every ``refresh_every`` activations. The PAs are checked against the
-    space in one pass, raising ``Geometry.check_pa``'s error for the first one
-    outside; each chunk is then translated in one numpy pass and counted at
-    once (``SimState._access_chunk``)."""
+    window every ``refresh_every`` activations (``SimState.replay``)."""
     state = SimState(mapping, params, refresh_every)
-    geo = mapping.geometry
-    # total_bytes may be 2^63, one past int64; its predecessor is not
-    outside = np.flatnonzero((trace.pas < 0) | (trace.pas > geo.total_bytes - 1))
-    if len(outside):
-        geo.check_pa(int(trace.pas[outside[0]]))
-    for lo in range(0, len(trace), REPLAY_CHUNK):
-        pas = trace.pas[lo : lo + REPLAY_CHUNK]
-        vecs = gf2.image_array(mapping._forward_tables, pas)
-        state._access_chunk(vecs, pas, trace.data[lo : lo + REPLAY_CHUNK])
+    state.replay(trace.pas, trace.data)
     return state.stats, state.collect_flips()

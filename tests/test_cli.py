@@ -612,6 +612,27 @@ def test_gen_trace_argument_validation(capsys):
         assert json.loads(err)["error"]["message"].startswith(f"{field} must be >= 1"), args
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("strided", "--base", "0x100000", "--count", "3", "--stride", "-0x40"),
+        ("toggle", "--base", "0x100000", "--count", "3", "--mask", "-0x8000"),
+        ("sequential", "--count", "3", "--base", "-0x40"),
+    ],
+    ids=["stride", "mask", "base"],
+)
+def test_negative_hex_flag_values(capsys, args):
+    """A negative hex value after its flag parses as it does after ``=``:
+    the same stdout, stderr and exit status, and no usage error."""
+    *rest, flag, value = args
+    spaced = run_cli(capsys, "gen-trace", *rest, flag, value)
+    joined = run_cli(capsys, "gen-trace", *rest, f"{flag}={value}")
+    assert spaced == joined
+    assert "ArgumentError" not in spaced[2]
+    if flag == "--stride":
+        assert spaced == (0, "R 0x100000\nR 0xfffc0\nR 0xfff80\n", "")
+
+
 def test_replay_trace_flips_under_hammering(capsys, tmp_path):
     trace_path = tmp_path / "hammer.trace"
     code, out, err = run_cli(

@@ -17,9 +17,8 @@ from vmhammer import (
     MappingError,
     SimState,
     builtin_mappings,
-    gf2,
 )
-from vmhammer.dram import InvariantError
+from vmhammer.dram import REPLAY_CHUNK, InvariantError
 from vmhammer.harness import AccessTrace, replay_trace
 
 from oracles import (
@@ -474,7 +473,7 @@ def _full_snapshot(state: SimState):
 
 
 def test_chunk_equals_one_access_per_entry():
-    """``_access_chunk`` leaves the state that one ``access`` per entry leaves,
+    """``replay`` leaves the state that one ``access`` per entry leaves,
     refresh windows, latches, flips and random state included, on chunks whose
     rows pass hc_first with writes between their activations, some of them on
     the bytes the hot rows' neighbours hold."""
@@ -508,14 +507,36 @@ def test_chunk_equals_one_access_per_entry():
                 state.access(pa, kind, byte)
         before = len(states[0].flips)
         trace = AccessTrace(entries)  # int64 PAs, and bytes with -1 for a read
-        states[0]._access_chunk(
-            gf2.image_array(mapping._forward_tables, trace.pas), trace.pas, trace.data
-        )
+        states[0].replay(trace.pas, trace.data)
         for kind, pa, byte in entries:
             states[1].access(pa, kind, byte)
         assert _full_snapshot(states[0]) == _full_snapshot(states[1])
         flipped += len(states[0].flips) > before
     assert flipped >= 50
+
+
+@pytest.mark.parametrize("at", [0, 2 * REPLAY_CHUNK + 7], ids=["first-chunk", "third-chunk"])
+def test_replay_checks_every_pa_before_it_changes_the_state(at):
+    """A PA outside the space raises ``check_pa``'s error, wherever it lies,
+    and leaves a state with history just as it was."""
+    mapping = tiny_simple()
+    total = mapping.geometry.total_bytes
+    state = SimState(mapping, det_params(hc_first=2), refresh_every=8)
+    hammer(state, 5, 10)  # flips in rows 4 and 6, and one refresh
+    rng = random.Random(24)
+    for _ in range(20):
+        state.access(rng.randrange(total), *rng.choice([("read", None), ("write", 0x5A)]))
+    assert state.flips and state.stats.refresh_windows and state.act_count
+    before = _full_snapshot(state)
+    pas = np.array([rng.randrange(total) for _ in range(3 * REPLAY_CHUNK)], dtype=np.int64)
+    pas[at] = total
+    data = np.where(np.arange(len(pas)) % 3 == 0, 0xA5, -1)
+    with pytest.raises(ValueError) as expected:
+        mapping.geometry.check_pa(total)
+    with pytest.raises(ValueError) as error:
+        state.replay(pas, data)
+    assert str(error.value) == str(expected.value)
+    assert _full_snapshot(state) == before
 
 
 # -- confinement -------------------------------------------------------------------

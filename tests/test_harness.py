@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vmhammer
-from vmhammer.dram import REFRESH_EVERY, HammerParams, SimState
+from vmhammer.dram import REFRESH_EVERY, REPLAY_CHUNK, HammerParams, SimState
 from vmhammer.harness import (
-    REPLAY_CHUNK,
     AccessTrace,
     Scenario,
     ScenarioError,
