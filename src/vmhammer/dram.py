@@ -10,13 +10,13 @@ unpacked once for its record; ``deterministic_mode`` makes the first a sure flip
 
 ``_maybe_flip`` is the one routine that draws or latches, with draws of their
 own for each activation past ``hc_first``, so a run of them equals as many
-single activations. ``_activate`` is the counting step of ``activate_row``
-and ``access``. ``replay`` takes a trace's arrays of PAs and bytes, checks
-every PA before it changes anything, and counts ``REPLAY_CHUNK`` accesses at
-once in a few numpy passes; only activations past ``hc_first`` reach Python.
-``_close_windows`` is the one routine that closes refresh windows, for
-``refresh`` and for replay. ``check_access`` is the one check of an access's
-kind, byte and PA type, for ``access`` and for a trace's entries.
+single activations. ``_activate`` counts a run of any length, split at window
+ends, for ``activate_row`` and ``access``. ``replay`` takes a trace's arrays
+of PAs and bytes, checks every entry before it changes anything, and counts
+``REPLAY_CHUNK`` accesses at once in a few numpy passes; only activations
+past ``hc_first`` reach Python. ``_close_windows`` is the one routine that
+closes refresh windows. ``check_access`` is the one check of an access's
+kind, byte and PA type, for ``access``, a trace's entries and replay.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ def check_access(pa: int, kind: str, data: int | None) -> None:
     if kind == "write":
         check_int("data", data, 0, 256)
     check_int("pa", pa)
-
-
-def _tally(keys: np.ndarray) -> list[tuple[int, int]]:
-    """Each distinct key of ``keys``, ascending, with its number of occurrences."""
-    values, counts = np.unique(keys, return_counts=True)
-    return list(zip(values.tolist(), counts.tolist()))
 
 
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
@@ -211,7 +205,7 @@ class SimState:
         if self.open_row.get(key & self._bank_mask) == key:
             self.stats.row_buffer_hits += 1
             return True
-        self._activate(key)
+        self._activate(key, 1)
         return False
 
     def activate_row(self, coord: DramCoordinate, times: int = 1) -> None:
@@ -219,18 +213,14 @@ class SimState:
 
         Models a flush+access loop that defeats the row buffer: each counts as
         an access that always misses, re-opening the row even if already open.
-        The run goes to ``_activate`` in steps, and only the refresh window's
-        end ends a step. Each activation of a step past ``hc_first`` gets its
-        own random draws, in order; in deterministic mode the crossing latches
-        every neighbour until the refresh, whichever activation it falls on.
+        The run is one ``_activate`` call. Each activation past ``hc_first``
+        gets its own random draws, in order; in deterministic mode the
+        crossing latches every neighbour until the refresh, whichever
+        activation it falls on.
         """
         check_int("times", times, 1)
         self.geometry.check_coord(coord)
-        key = self.geometry.pack(coord) & self._row_mask
-        while times:
-            step = min(times, self.refresh_every - self._window)
-            self._activate(key, step)
-            times -= step
+        self._activate(self.geometry.pack(coord) & self._row_mask, times)
 
     def refresh(self) -> None:
         """Close the refresh window and open a new one: clear activation
@@ -240,15 +230,20 @@ class SimState:
     def replay(self, pas: np.ndarray, data: np.ndarray) -> None:
         """The accesses of a trace's int64 arrays, as ``access`` makes them one
         by one: to ``pas[i]``, writing byte ``data[i]`` or, at -1, reading.
-        Every PA is checked against the space before the state changes, and
-        the first one outside raises ``Geometry.check_pa``'s error; then each
-        ``REPLAY_CHUNK`` entries are translated in one numpy pass and counted
-        at once. The bytes are taken as ``AccessTrace`` checked them."""
+        Every entry is checked before the state changes: arrays of different
+        lengths raise ``ValueError``, and the first entry with a byte outside
+        -1..255 or a PA outside the space raises ``access``'s error, the byte's
+        first. Then each ``REPLAY_CHUNK`` entries are translated in one numpy
+        pass and counted at once."""
         geo = self.geometry
+        if len(pas) != len(data):
+            raise ValueError(f"pas and data differ in length: {len(pas)} and {len(data)}")
         # total_bytes may be 2^63, one past int64; its predecessor is not
-        outside = np.flatnonzero((pas < 0) | (pas > geo.total_bytes - 1))
-        if len(outside):
-            geo.check_pa(int(pas[outside[0]]))
+        bad = np.flatnonzero((pas < 0) | (pas > geo.total_bytes - 1) | (data < -1) | (data > 255))
+        if len(bad):
+            pa, byte = int(pas[bad[0]]), int(data[bad[0]])
+            check_access(pa, "read" if byte == -1 else "write", byte)
+            geo.check_pa(pa)
         tables = [np.array(table, dtype=np.int64) for table in self.mapping._forward_tables]
         for lo in range(0, len(pas), REPLAY_CHUNK):
             chunk = pas[lo : lo + REPLAY_CHUNK]
@@ -282,9 +277,6 @@ class SimState:
         miss = self._open_rows(vecs & self._row_mask)
         missed = vecs[miss] & self._row_mask  # row keys, in trace order
         self.stats.row_buffer_hits += len(vecs) - len(missed)
-        per_bank = self.stats.bank_activations
-        for bank, n in _tally(missed & self._bank_mask):
-            per_bank[bank] = per_bank.get(bank, 0) + n
         rows, n = np.unique(missed, return_counts=True)
         before = np.array([self.act_count.get(row, 0) for row in rows.tolist()], dtype=np.int64)
         writes = np.flatnonzero(data >= 0)  # the chunk's writes, by position
@@ -333,36 +325,45 @@ class SimState:
 
     def _open_rows(self, keys: np.ndarray) -> np.ndarray:
         """Which of row keys ``keys``, in order, miss the row buffer, found with
-        one stable sort by bank; each bank's last key is left open."""
+        one stable sort by bank; each bank's misses are added to its
+        activations, and its last key is left open."""
         order = np.argsort(keys & self._bank_mask, kind="stable")
         by_bank = keys[order]
         banks = by_bank & self._bank_mask
-        starts = np.flatnonzero(np.diff(banks, prepend=-1))  # each bank's first key
-        ends = np.flatnonzero(np.diff(banks, append=-1))  # and its last
+        starts = _run_starts(banks)  # each bank's first key
         first_banks = banks[starts].tolist()
         previous = np.roll(by_bank, 1)  # a hit equals its bank's previous key
         previous[starts] = [self.open_row.get(bank, -1) for bank in first_banks]
+        sorted_miss = by_bank != previous
         miss = np.empty(len(keys), dtype=bool)
-        miss[order] = by_bank != previous
-        self.open_row.update(zip(first_banks, by_bank[ends].tolist()))
+        miss[order] = sorted_miss
+        misses = np.add.reduceat(sorted_miss, starts, dtype=np.int64).tolist()
+        lasts = by_bank[np.append(starts[1:], len(keys)) - 1].tolist()  # each bank's last key
+        per_bank = self.stats.bank_activations
+        for bank, n, last in zip(first_banks, misses, lasts):
+            per_bank[bank] = per_bank.get(bank, 0) + n
+            self.open_row[bank] = last
         return miss
 
-    def _activate(self, key: int, n: int = 1) -> None:
-        """``n`` back-to-back activations of row ``key``, the counting step of
-        ``activate_row`` and ``access``; ``Stats`` derives the activations,
-        accesses and precharges from its per-bank counts. The flip check runs
-        once, for the ``n`` activations that end at the row's new count, and the
-        refresh when the window fills, so a caller keeps ``n`` within the window."""
+    def _activate(self, key: int, times: int) -> None:
+        """``times`` back-to-back activations of row ``key``, the counting step
+        of ``activate_row`` and ``access``; ``Stats`` derives the activations,
+        accesses and precharges from its per-bank counts. The run is split at
+        window ends, and each step runs the flip check once and closes its
+        window if it fills it."""
         bank = key & self._bank_mask
         per_bank = self.stats.bank_activations
-        per_bank[bank] = per_bank.get(bank, 0) + n
+        per_bank[bank] = per_bank.get(bank, 0) + times
         self.open_row[bank] = key
-        count = self.act_count.get(key, 0) + n
-        self.act_count[key] = count
-        self._maybe_flip(key, count, n)
-        self._window += n
-        if self._window == self.refresh_every:
-            self.refresh()
+        while times:
+            step = min(times, self.refresh_every - self._window)
+            count = self.act_count.get(key, 0) + step
+            self.act_count[key] = count
+            self._maybe_flip(key, count, step)
+            self._window += step
+            times -= step
+            if self._window == self.refresh_every:
+                self._close_windows(1)
 
     def _maybe_flip(self, key: int, count: int, n: int = 1) -> None:
         """The flip chances of row ``key``'s last ``n`` activations, which took

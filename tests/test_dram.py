@@ -19,7 +19,7 @@ from vmhammer import (
     builtin_mappings,
 )
 from vmhammer.dram import REPLAY_CHUNK, InvariantError
-from vmhammer.harness import AccessTrace, replay_trace
+from vmhammer.harness import AccessTrace, replay_trace, strided_trace
 
 from oracles import (
     BruteState,
@@ -513,6 +513,27 @@ def test_chunk_equals_one_access_per_entry():
         assert _full_snapshot(states[0]) == _full_snapshot(states[1])
         flipped += len(states[0].flips) > before
     assert flipped >= 50
+    # every access opens a new row, in the eight bank tuples in turn, over three
+    # chunks and more, with windows of 1,000 activations closing mid-chunk
+    stride = (1 << 15) + (1 << 13) + (1 << 6)  # a row, a bank group and PA 6 further
+    trace = strided_trace(0, stride, 3 * REPLAY_CHUNK + 5)
+    states = [SimState(builtin_mappings()["bank-xor"], HammerParams(), 1000) for _ in range(2)]
+    states[0].replay(trace.pas, trace.data)
+    for pa in trace.pas.tolist():
+        states[1].access(pa)
+    assert _full_snapshot(states[0]) == _full_snapshot(states[1])
+    assert states[0].stats.row_buffer_hits == 0 and len(states[0].stats.bank_activations) == 8
+
+
+def _state_with_history(rng: random.Random) -> SimState:
+    """A ``tiny_simple`` state with flips, a closed window, counts and writes."""
+    state = SimState(tiny_simple(), det_params(hc_first=2), refresh_every=8)
+    hammer(state, 5, 10)  # flips in rows 4 and 6, and one refresh
+    for _ in range(20):
+        state.access(rng.randrange(state.geometry.total_bytes),
+                     *rng.choice([("read", None), ("write", 0x5A)]))
+    assert state.flips and state.stats.refresh_windows and state.act_count
+    return state
 
 
 @pytest.mark.parametrize("at", [0, 2 * REPLAY_CHUNK + 7], ids=["first-chunk", "third-chunk"])
@@ -521,12 +542,8 @@ def test_replay_checks_every_pa_before_it_changes_the_state(at):
     and leaves a state with history just as it was."""
     mapping = tiny_simple()
     total = mapping.geometry.total_bytes
-    state = SimState(mapping, det_params(hc_first=2), refresh_every=8)
-    hammer(state, 5, 10)  # flips in rows 4 and 6, and one refresh
     rng = random.Random(24)
-    for _ in range(20):
-        state.access(rng.randrange(total), *rng.choice([("read", None), ("write", 0x5A)]))
-    assert state.flips and state.stats.refresh_windows and state.act_count
+    state = _state_with_history(rng)
     before = _full_snapshot(state)
     pas = np.array([rng.randrange(total) for _ in range(3 * REPLAY_CHUNK)], dtype=np.int64)
     pas[at] = total
@@ -536,6 +553,48 @@ def test_replay_checks_every_pa_before_it_changes_the_state(at):
     with pytest.raises(ValueError) as error:
         state.replay(pas, data)
     assert str(error.value) == str(expected.value)
+    assert _full_snapshot(state) == before
+
+
+@pytest.mark.parametrize(
+    "bytes_at, pa_outside_at, message",
+    [
+        ({9: 300}, None, "data 300 outside [0, 256)"),
+        ({2 * REPLAY_CHUNK + 7: -5}, None, "data -5 outside [0, 256)"),
+        ({9: 300, 10: -5}, 10, "data 300 outside [0, 256)"),
+        ({9: -5}, 9, "data -5 outside [0, 256)"),  # one entry: its byte first, as access
+        ({10: 300}, 9, None),  # an earlier PA outside: check_pa's error
+    ],
+    ids=["300", "minus-5-third-chunk", "first-of-two", "byte-before-pa", "pa-first"],
+)
+def test_replay_checks_every_byte_before_it_changes_the_state(bytes_at, pa_outside_at, message):
+    """A byte outside -1..255 raises ``access``'s error for the first bad entry,
+    the byte's before its PA's, and leaves a state with history just as it was."""
+    rng = random.Random(25)
+    state = _state_with_history(rng)
+    before = _full_snapshot(state)
+    total = state.geometry.total_bytes
+    pas = np.array([rng.randrange(total) for _ in range(3 * REPLAY_CHUNK)], dtype=np.int64)
+    data = np.where(np.arange(len(pas)) % 3 == 0, 0xA5, -1)
+    for at, byte in bytes_at.items():
+        data[at] = byte
+    if pa_outside_at is not None:
+        pas[pa_outside_at] = total
+    if message is None:
+        with pytest.raises(ValueError) as expected:
+            state.geometry.check_pa(total)
+        message = str(expected.value)
+    with pytest.raises(ValueError) as error:
+        state.replay(pas, data)
+    assert str(error.value) == message
+    assert _full_snapshot(state) == before
+
+
+def test_replay_refuses_arrays_of_different_lengths():
+    state = _state_with_history(random.Random(25))
+    before = _full_snapshot(state)
+    with pytest.raises(ValueError, match=r"^pas and data differ in length: 2 and 1$"):
+        state.replay(np.array([0x40, 0x80]), np.array([300]))
     assert _full_snapshot(state) == before
 
 
