@@ -231,13 +231,17 @@ class SimState:
         """The accesses of a trace's int64 arrays, as ``access`` makes them one
         by one: to ``pas[i]``, writing byte ``data[i]`` or, at -1, reading.
         Every entry is checked before the state changes: arrays of different
-        lengths raise ``ValueError``, and the first entry with a byte outside
-        -1..255 or a PA outside the space raises ``access``'s error, the byte's
-        first. Then each ``REPLAY_CHUNK`` entries are translated in one numpy
-        pass and counted at once."""
+        lengths or of a dtype that is not an integer one raise ``ValueError``,
+        and the first entry with a byte outside -1..255 or a PA outside the
+        space raises ``access``'s error, the byte's first. Then each
+        ``REPLAY_CHUNK`` entries are translated in one numpy pass and counted
+        at once."""
         geo = self.geometry
         if len(pas) != len(data):
             raise ValueError(f"pas and data differ in length: {len(pas)} and {len(data)}")
+        for name, array in (("pas", pas), ("data", data)):
+            if array.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an integer array, got dtype {array.dtype}")
         # total_bytes may be 2^63, one past int64; its predecessor is not
         bad = np.flatnonzero((pas < 0) | (pas > geo.total_bytes - 1) | (data < -1) | (data > 255))
         if len(bad):

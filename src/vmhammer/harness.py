@@ -21,10 +21,8 @@ import hashlib
 import json
 import os
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -133,6 +131,10 @@ class Scenario:
     label: str = "inline"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mapping, AddressMapping):
+            raise ScenarioError(f"mapping must be an AddressMapping, got {self.mapping!r}")
+        if not isinstance(self.hammer, HammerParams):
+            raise ScenarioError(f"hammer must be a HammerParams, got {self.hammer!r}")
         for name in ("mitigation", "attacker_vm", "victim_vm", "label"):
             value = getattr(self, name)
             if not isinstance(value, str):
@@ -233,12 +235,14 @@ def resolve_mapping(
 
 
 def with_overrides(scenario: Scenario, **fields) -> Scenario:
-    """A copy of scenario with the given HammerParams and Scenario fields
-    replaced."""
-    hammer = {name: fields.pop(name) for name in _field_names(HammerParams) & fields.keys()}
-    return dataclasses.replace(
-        scenario, hammer=dataclasses.replace(scenario.hammer, **hammer), **fields
-    )
+    """A copy of scenario with the given Scenario fields replaced, ``hammer``
+    included, then the given HammerParams fields replaced in its hammer. Any
+    other name raises ScenarioError."""
+    params = _field_names(HammerParams)
+    _reject_unknown("overrides", fields, _field_names(Scenario) | params)
+    hammer = {name: fields.pop(name) for name in params & fields.keys()}
+    scenario = dataclasses.replace(scenario, **fields)
+    return dataclasses.replace(scenario, hammer=dataclasses.replace(scenario.hammer, **hammer))
 
 
 def scenario_from_dict(data: dict, base_dir: str | None = None) -> Scenario:
@@ -540,21 +544,26 @@ class AccessTrace:
     """A memory access trace, two read-only int64 arrays: ``pas[i]`` is entry
     i's PA and ``data[i]`` its byte for a write, -1 for a read.
 
-    ``AccessTrace(entries)`` takes (kind, pa, data) entries and tests them in
-    bulk. For a bad entry it raises the error ``SimState.access`` raises, for
-    the first one in trace order, and for a PA outside int64 ``check_int``'s;
-    ``replay_trace`` checks the PAs against its geometry. Traces compare by
-    their arrays and are not hashable."""
+    ``AccessTrace(entries)`` takes any iterable of (kind, pa, data) entries
+    and checks each in one pass. For a bad entry it raises the error
+    ``SimState.access`` raises, for the first one in trace order, and for a
+    PA outside int64 ``check_int``'s; ``replay_trace`` checks the PAs against
+    its geometry. Traces compare by their arrays and are not hashable."""
 
-    def __init__(self, entries: Sequence[tuple[str, int, int | None]]) -> None:
-        entries = tuple(entries)
-        try:
-            self._freeze(*_columns(entries))
-        except (LookupError, TypeError, ValueError, OverflowError):
-            for kind, pa, byte in entries:  # raise the first bad entry's own error
+    def __init__(self, entries: Iterable[tuple[str, int, int | None]]) -> None:
+        pas, data = [], []
+        for kind, pa, byte in entries:
+            if kind == "read":
+                byte = -1
+            elif kind != "write" or type(byte) is not int or not 0 <= byte < 256:
+                check_access(pa, kind, byte)  # access's own error, or an int subclass passes
+            if type(pa) is not int or not -PA_END <= pa < PA_END:
                 check_access(pa, kind, byte)
                 check_int("pa", pa, -PA_END, PA_END)
-            raise
+            pas.append(pa)
+            data.append(byte)
+        pas = np.array(pas, dtype=np.int64)  # drop the list before data's array is made
+        self._freeze(pas, data)
 
     @classmethod
     def _of(cls, pas, data) -> AccessTrace:
@@ -575,32 +584,6 @@ class AccessTrace:
         if not isinstance(other, AccessTrace):
             return NotImplemented
         return np.array_equal(self.pas, other.pas) and np.array_equal(self.data, other.data)
-
-
-_WRITES = {"read": False, "write": True}
-
-
-def _is_int_type(t: type) -> bool:
-    return issubclass(t, int) and t is not bool
-
-
-def _columns(entries: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The PAs and bytes (-1 for a read) of (kind, pa, data) entries, tested in
-    bulk: kinds, PA and byte types, byte range, PAs in int64. Raises, not with
-    ``access``'s message, if any entry is bad."""
-    if sum(map(len, entries)) != 3 * len(entries):  # with itemgetter(2) below, all are 3
-        raise ValueError("an entry is not (kind, pa, data)")
-    writes = bytes(map(_WRITES.__getitem__, map(itemgetter(0), entries)))  # KeyError: a kind
-    pas = list(map(itemgetter(1), entries))
-    data = list(compress(map(itemgetter(2), entries), writes))
-    if not all(map(_is_int_type, set(map(type, pas)) | set(map(type, data)))):
-        raise ValueError("a PA or a written byte is not an int")
-    written = np.array(data, dtype=np.int64)
-    if ((written < 0) | (written > 255)).any():
-        raise ValueError("a written byte is outside 0..255")
-    values = np.full(len(pas), -1, dtype=np.int64)
-    values[np.frombuffer(writes, dtype=bool)] = written
-    return np.fromiter(pas, np.int64, len(pas)), values
 
 
 def parse_trace(text: str, limit: int | None = None) -> AccessTrace:

@@ -29,6 +29,7 @@ from vmhammer import (
     find_aggressors,
     row_footprint,
 )
+from vmhammer.dram import check_access
 from vmhammer.harness import AccessTrace, TraceError
 from vmhammer.layout import plan_layout
 from vmhammer.mapping import check_int
@@ -367,6 +368,19 @@ def brute_parse_trace(text: str, limit: int | None = None) -> AccessTrace:
             raise TraceError(f"line {lineno}: pa 0x{entry[1]:x} not below 0x{limit:x}")
         entries.append(entry)
     return AccessTrace(tuple(entries))
+
+
+def brute_access_trace(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The PAs and bytes (-1 for a read) of (kind, pa, data) entries, each
+    unpacked and checked in trace order as ``SimState.access`` checks it,
+    then its PA inside int64: the reference for ``AccessTrace(entries)``."""
+    pas, data = [], []
+    for kind, pa, byte in entries:
+        check_access(pa, kind, byte)
+        check_int("pa", pa, -(2**63), 2**63)
+        pas.append(pa)
+        data.append(byte if kind == "write" else -1)
+    return np.array(pas, dtype=np.int64), np.array(data, dtype=np.int64)
 
 
 def brute_row_pas(

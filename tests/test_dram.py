@@ -598,6 +598,28 @@ def test_replay_refuses_arrays_of_different_lengths():
     assert _full_snapshot(state) == before
 
 
+@pytest.mark.parametrize(
+    "pas, data, message",
+    [
+        ([0x40, 0x80], [1.5, -1.0], "data must be an integer array, got dtype float64"),
+        ([0x40, 0x80], [True, False], "data must be an integer array, got dtype bool"),
+        ([64.0, 128.0], [-1, -1], "pas must be an integer array, got dtype float64"),
+        ([0x40, 0x80], np.array([7, -1], dtype=object), "data must be an integer array, got dtype object"),
+        ([1.5, 0x80], [1.5, -1], "pas must be an integer array, got dtype float64"),
+    ],
+    ids=["data-float", "data-bool", "pas-float", "data-object", "both-float"],
+)
+def test_replay_refuses_arrays_that_are_not_integer(pas, data, message):
+    """A dtype other than a signed or unsigned integer raises, naming the array,
+    and leaves a state with history just as it was."""
+    state = _state_with_history(random.Random(25))
+    before = _full_snapshot(state)
+    with pytest.raises(ValueError) as error:
+        state.replay(np.asarray(pas), np.asarray(data))
+    assert str(error.value) == message
+    assert _full_snapshot(state) == before
+
+
 # -- confinement -------------------------------------------------------------------
 
 

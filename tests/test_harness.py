@@ -39,6 +39,7 @@ from vmhammer.layout import UNUSED, PlanError, classify_pa, pack_layout, row_chu
 from vmhammer.mapping import AddressMapping, Geometry, MappingError, default_geometry
 
 from oracles import (
+    brute_access_trace,
     brute_parse_trace,
     brute_replay,
     brute_row_pas,
@@ -122,6 +123,38 @@ def test_scenario_rejects_bad_fields(presets):
         make_scenario(presets, hammer_count=1.0e3)
     with pytest.raises(ScenarioError, match="victim_vm"):
         make_scenario(presets, victim_vm=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("hammer", {"hc_first": 64}, "hammer must be a HammerParams, got {'hc_first': 64}"),
+        ("mapping", "simple", "mapping must be an AddressMapping, got 'simple'"),
+    ],
+)
+def test_scenario_refuses_a_hammer_or_mapping_of_another_type(presets, field, value, message):
+    """Scenario and with_overrides alike, before hash() or run_attack can fail."""
+    with pytest.raises(ScenarioError) as info:
+        make_scenario(presets, **{field: value})
+    assert str(info.value) == message
+    with pytest.raises(ScenarioError) as info:
+        with_overrides(make_scenario(presets), **{field: value})
+    assert str(info.value) == message
+
+
+def test_with_overrides_takes_a_whole_hammer_then_its_fields(presets):
+    base = make_scenario(presets)
+    hammer = reduced_hammer(hc_first=77, rng_seed=5)
+    assert with_overrides(base, hammer=hammer).hammer == hammer
+    both = with_overrides(base, rng_seed=9, hammer=hammer, label="both")
+    assert both.hammer == dataclasses.replace(hammer, rng_seed=9)
+    assert both.label == "both" and base.hammer == reduced_hammer()
+    assert with_overrides(base).hash() == base.hash()
+
+
+def test_with_overrides_refuses_names_that_are_no_field(presets):
+    with pytest.raises(ScenarioError, match=r"^overrides has unknown fields: bogus, seed$"):
+        with_overrides(make_scenario(presets), seed=1, hc_first=100, bogus=1)
 
 
 def test_effective_hammer_count(presets):
@@ -995,6 +1028,48 @@ def test_trace_constructor_refuses_the_first_bad_entry(entries, message):
         AccessTrace(entries)
     assert str(info.value).startswith(message)
     assert AccessTrace(entries[:1]).data.tolist() in ([-1], [255])
+
+
+def test_trace_constructor_matches_oracle():
+    """Seeded entry lists, valid and not, some passed as generators, give the
+    same arrays or the same exception type and message from AccessTrace and
+    the entry-by-entry reference."""
+    rng = random.Random(27)
+    pas = [0, 0x40, (1 << 63) - 1, -1 << 63, -1, _Address(0x80), 1.5, True, np.int64(0),
+           1 << 63, (-1 << 63) - 1, 1 << 70, _Address(1 << 63), None, "0x40"]
+    pa_weights = [30, 30, 3, 3, 3, 5] + [1] * 9
+    written = [0, 0xA5, 255, _Address(7), None, 256, -1, True, 1.5, np.int64(3), _Address(256)]
+    byte_weights = [20, 20, 5, 5] + [1] * 7
+    odd = [("foo", 0x40, None), (["read"], 0, None), ("read", 0), ("read", 0, None, 4),
+           ("write", 0x40), "abc", ["write", 0x40, 9], ("READ", 0, None)]
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.02:
+            return rng.choice(odd)
+        pa = rng.choices(pas, pa_weights)[0]
+        if roll < 0.6:
+            return ("read", pa, rng.choice([None, 3, 1.5]))
+        return ("write", pa, rng.choices(written, byte_weights)[0])
+
+    valid = 0
+    for _ in range(2000):
+        entries = [entry() for _ in range(rng.randint(0, 20))]
+        source = (e for e in entries) if rng.random() < 0.3 else entries
+        try:
+            expected = brute_access_trace(entries)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                AccessTrace(source)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            continue
+        got = AccessTrace(source)
+        assert got.pas.dtype == got.data.dtype == np.int64
+        assert got.pas.tolist() == expected[0].tolist()
+        assert got.data.tolist() == expected[1].tolist()
+        valid += 1
+    assert 400 <= valid <= 1600
 
 
 def test_traces_past_int64_are_refused():
