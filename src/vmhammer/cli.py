@@ -24,8 +24,6 @@ from . import __version__
 from .dram import HammerParams
 from .harness import (
     AttackReport,
-    ScenarioError,
-    TraceError,
     builtin_matrix,
     format_trace,
     load_matrix_scenarios,
@@ -36,7 +34,6 @@ from .harness import (
     parse_trace,
     render_json,
     replay_trace,
-    report_to_json,
     resolve_mapping,
     run_attack,
     run_matrix,
@@ -46,7 +43,7 @@ from .harness import (
     with_overrides,
 )
 from .layout import MITIGATIONS, PlanError, plan_layout
-from .mapping import DramCoordinate, MappingError, validate
+from .mapping import DramCoordinate, validate
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -58,10 +55,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(args, data: dict) -> None:
-    _emit(args, render_json(data))
 
 
 def _error(exc: Exception) -> None:
@@ -85,7 +78,7 @@ def _given(args, names) -> dict:
 def cmd_validate_map(args) -> int:
     mapping, _ = resolve_mapping(args.mapping)
     report = validate(mapping)
-    _emit_json(args, report.to_dict())
+    _emit(args, render_json(report.to_dict()))
     return 0 if report.valid else DOMAIN_ERROR
 
 
@@ -104,9 +97,9 @@ def cmd_translate(args) -> int:
     else:
         pa = int(args.address, 16)
         coord = mapping.pa_to_coord(pa)
-    _emit_json(
+    _emit(
         args,
-        {"pa": f"0x{pa:0{digits}x}", "coordinate": coord.to_dict(geo)},
+        render_json({"pa": f"0x{pa:0{digits}x}", "coordinate": coord.to_dict(geo)}),
     )
     return 0
 
@@ -118,14 +111,14 @@ def cmd_plan(args) -> int:
         raise ValueError("--sizes must list at least one VM size")
     layout, siloz_plan = plan_layout(mapping, args.mitigation, sizes, args.guard_rows)
     plan = layout if siloz_plan is None else siloz_plan
-    _emit_json(args, plan.to_dict(mapping.geometry.pa_digits))
+    _emit(args, render_json(plan.to_dict(mapping.geometry.pa_digits)))
     return 0
 
 
 def cmd_attack(args) -> int:
     scenario = with_overrides(load_scenario(args.scenario), **_given(args, OVERRIDE_FIELDS))
     report = run_attack(scenario)
-    _emit(args, report_to_json(report))
+    _emit(args, render_json(report.to_dict()))
     if args.expect_mitigated and report.verdict != "MITIGATED":
         return DOMAIN_ERROR
     return 0
@@ -162,7 +155,7 @@ def cmd_matrix(args) -> int:
                 r.to_dict() if isinstance(r, AttackReport) else r for r in reports
             ],
         }
-        _emit_json(args, payload)
+        _emit(args, render_json(payload))
     failed = any(not isinstance(r, AttackReport) for r in reports)
     return DOMAIN_ERROR if failed else 0
 
@@ -175,12 +168,12 @@ def cmd_replay_trace(args) -> int:
     stats, flips = replay_trace(trace, mapping, params, **_given(args, ("refresh_every",)))
     geo = mapping.geometry
     digits = geo.pa_digits
-    _emit_json(
+    _emit(
         args,
-        {
+        render_json({
             "stats": stats.to_dict(),
             "flips": [f.to_dict(geo, digits) for f in flips],
-        },
+        }),
     )
     return 0
 
@@ -321,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # a failed list allocation carries no message
         _error(MemoryError(str(exc) or "out of memory"))
         return USAGE_ERROR
-    except (MappingError, ScenarioError, TraceError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _error(exc)
         return USAGE_ERROR
 

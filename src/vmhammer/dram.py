@@ -288,7 +288,8 @@ class SimState:
         start, closed, stored = self._window, 0, 0  # windows closed and writes stored so far
         if (before + n > self.params.hc_first).any():
             m = len(missed)
-            windows = (start + np.arange(m)) // self.refresh_every
+            # a period past the chunk puts every miss in window 0, and need not fit int64
+            windows = (start + np.arange(m)) // min(self.refresh_every, start + m)
             ranked = np.lexsort((missed, windows))  # stable: trace order within a row
             firsts = _run_starts(windows[ranked], missed[ranked])
             counts = np.empty(m, dtype=np.int64)  # each miss's row count in its window

@@ -75,7 +75,6 @@ __all__ = [
     "load_matrix_scenarios",
     "builtin_matrix",
     "matrix_summary",
-    "report_to_json",
     "render_json",
 ]
 
@@ -397,10 +396,6 @@ def render_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def report_to_json(report: AttackReport) -> str:
-    return render_json(report.to_dict())
-
-
 def run_attack(scenario: Scenario) -> AttackReport:
     """Plan, hammer, classify. Deterministic for equal scenarios.
 
@@ -658,7 +653,9 @@ def strided_trace(
     ends = (base_pa, base_pa + (count - 1) * stride)
     _check_span(min(ends), max(ends), limit)
     step = stride if count > 1 else 0  # a lone read's stride need not fit int64
-    return _reads(base_pa + np.arange(count, dtype=np.int64) * step)
+    pas = np.full(count, step, dtype=np.int64)  # unlike arange, refuses a count numpy cannot size
+    pas[0] = base_pa
+    return _reads(np.cumsum(pas, out=pas))
 
 
 def matvec_trace(rows: int, cols: int, base_pa: int, limit: int | None = None) -> AccessTrace:
@@ -693,7 +690,9 @@ def toggle_trace(
     check_int("count", count, 1)
     pair = [base_pa, base_pa ^ mask] if count > 1 else [base_pa]
     _check_span(min(pair), max(pair), limit)
-    return _reads(np.resize(np.array(pair, dtype=np.int64), count))
+    pas = np.full(count, pair[-1], dtype=np.int64)  # refuses a count numpy cannot size
+    pas[0::2] = base_pa
+    return _reads(pas)
 
 
 def replay_trace(

@@ -15,7 +15,7 @@ translations are XORs of per-byte lookups built from them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -35,21 +35,6 @@ __all__ = [
     "default_geometry",
     "builtin_mappings",
 ]
-
-# Fixed coordinate order used for matrix rows and coordinate-vector packing;
-# column comes last, so a row tuple is the low bits of a coordinate vector.
-COORD_KINDS = ("channel", "rank", "bankgroup", "bank", "row", "column")
-
-GEOMETRY_FIELDS = (
-    "channels",
-    "ranks",
-    "bankgroups",
-    "banks",
-    "rows",
-    "columns",
-    "rows_per_subarray",
-)
-
 
 class MappingError(ValueError):
     """Malformed or non-invertible mapping definition."""
@@ -97,6 +82,11 @@ class DramCoordinate(NamedTuple):
         return dict(self._asdict(), subarray=geometry.subarray_of(self.row))
 
 
+# Fixed coordinate order used for matrix rows and coordinate-vector packing;
+# column comes last, so a row tuple is the low bits of a coordinate vector.
+COORD_KINDS = DramCoordinate._fields
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Power-of-two extents of one DRAM configuration.
@@ -114,7 +104,7 @@ class Geometry:
     rows_per_subarray: int
 
     def __post_init__(self) -> None:
-        for name in GEOMETRY_FIELDS:
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             check_int(f"geometry.{name}", value, error=MappingError)
             if value < 1 or value & (value - 1):
@@ -219,19 +209,20 @@ class Geometry:
         return [v for v in range(max(row - radius, first), min(row + radius, last) + 1) if v != row]
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in GEOMETRY_FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Geometry":
         if not isinstance(data, Mapping):
             raise MappingError("geometry must be an object")
-        missing = [name for name in GEOMETRY_FIELDS if name not in data]
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
         if missing:
             raise MappingError(f"geometry is missing fields: {', '.join(missing)}")
-        extra = [name for name in data if name not in GEOMETRY_FIELDS]
+        extra = [name for name in data if name not in names]
         if extra:
             raise MappingError(f"geometry has unknown fields: {', '.join(extra)}")
-        return cls(**{name: data[name] for name in GEOMETRY_FIELDS})
+        return cls(**{name: data[name] for name in names})
 
 
 def _normalize_function(
@@ -304,13 +295,6 @@ class AddressMapping:
         return tuple(sum(1 << b for b in term) for fn in self.bit_functions for term in fn)
 
     @cached_property
-    def _inverse_rows(self) -> tuple[int, ...]:
-        report = validate(self)
-        if not report.valid:
-            raise MappingError(f"mapping is not invertible: {report.error}")
-        return report.inverse_rows
-
-    @cached_property
     def columns(self) -> tuple[int, ...]:
         """Forward matrix columns: the coordinate vector of each single-bit PA."""
         return _transpose(self.matrix_rows, self.geometry.address_width)
@@ -318,7 +302,10 @@ class AddressMapping:
     @cached_property
     def inverse_columns(self) -> tuple[int, ...]:
         """Inverse matrix columns: the PA of each single-bit coordinate vector."""
-        return _transpose(self._inverse_rows, self.geometry.address_width)
+        report = validate(self)
+        if not report.valid:
+            raise MappingError(f"mapping is not invertible: {report.error}")
+        return _transpose(report.inverse_rows, self.geometry.address_width)
 
     @cached_property
     def _forward_tables(self) -> tuple[list[int], ...]:

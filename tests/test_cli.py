@@ -8,9 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vmhammer import cli
 from vmhammer.cli import main
-from vmhammer.harness import load_scenario
-from vmhammer.mapping import validate
+from vmhammer.harness import ScenarioError, TraceError, load_scenario
+from vmhammer.layout import PlanError
+from vmhammer.mapping import InvariantError, MappingError, validate
 
 from oracles import tiny_noncontig
 
@@ -615,6 +617,22 @@ def test_gen_trace_argument_validation(capsys):
 @pytest.mark.parametrize(
     "args",
     [
+        ("sequential", "--count", "9223372036854775807"),
+        ("strided", "--stride", "0", "--count", "9223372036854775807"),
+        ("toggle", "--mask", "0x40", "--count", "100000000000000000000"),
+    ],
+    ids=["sequential", "strided", "toggle"],
+)
+def test_gen_trace_counts_past_numpy_sizes_are_one_error(capsys, args):
+    # numpy refuses these lengths before allocating, so this runs in-process
+    code, out, err = run_cli(capsys, "gen-trace", *args)
+    assert (code, out) == (2, ""), args
+    assert assert_one_error(err)["type"] in ("ValueError", "MemoryError"), args
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("strided", "--base", "0x100000", "--count", "3", "--stride", "-0x40"),
         ("toggle", "--base", "0x100000", "--count", "3", "--mask", "-0x8000"),
         ("sequential", "--count", "3", "--base", "-0x40"),
@@ -650,6 +668,21 @@ def test_replay_trace_flips_under_hammering(capsys, tmp_path):
     assert flipped_rows == {0, 1, 2}  # neighbors of hammered rows 0 and 1
 
 
+def test_replay_trace_takes_a_refresh_period_past_int64(capsys, tmp_path):
+    trace = tmp_path / "toggle.trace"
+    code, out, err = run_cli(
+        capsys, "gen-trace", "toggle", "--mask", "0x8000", "--count", "200",
+        "--output", str(trace),
+    )
+    assert (code, out, err) == (0, "", "")
+    flags = ("replay-trace", str(trace), "simple", "--hc-first", "10", "--flip-probability", "0.5")
+    code, data = stdout_json(capsys, *flags, "--refresh-every", "100000000000000000000")
+    assert code == 0
+    assert data["stats"]["activations"] == 200 and data["flips"]
+    # the default period is past the trace too, so nothing differs
+    assert (code, data) == stdout_json(capsys, *flags)
+
+
 def test_replay_trace_rejects_zero_refresh_period(capsys, tmp_path):
     trace = tmp_path / "one.trace"
     trace.write_text("R 0x10\n")
@@ -678,6 +711,22 @@ def test_output_flag_writes_file(capsys, tmp_path):
     )
     assert (code, out, err) == (0, "", "")
     assert json.loads(target.read_text())["valid"] is True
+
+
+def test_input_errors_are_value_errors_and_bugs_are_not(capsys, monkeypatch):
+    """main reports every ValueError as one JSON error; an internal check's
+    failure is no ValueError, so it surfaces as a traceback."""
+    for error in (MappingError, ScenarioError, TraceError, PlanError):
+        assert issubclass(error, ValueError), error
+    assert not issubclass(InvariantError, ValueError)
+
+    def broken(mapping):
+        raise InvariantError("planted")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    with pytest.raises(InvariantError, match="planted"):
+        main(["validate-map", "simple"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_usage_errors(capsys):

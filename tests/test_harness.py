@@ -25,8 +25,8 @@ from vmhammer.harness import (
     matvec_trace,
     parse_size,
     parse_trace,
+    render_json,
     replay_trace,
-    report_to_json,
     run_attack,
     run_matrix,
     scenario_from_dict,
@@ -461,7 +461,7 @@ def test_report_dict_shape(presets):
     assert data["seeded_rows"] == [list(rt) for rt in report.seeded_rows]
     assert [f["owner"] for f in data["flips"]] == list(report.flip_owners)
     assert "siloz" in data
-    text = report_to_json(report)
+    text = render_json(report.to_dict())
     assert text.endswith("\n")
     assert json.loads(text) == json.loads(json.dumps(data))
 
@@ -537,7 +537,7 @@ def test_reports_are_pinned(presets):
 
 def test_report_is_deterministic(presets):
     sc = make_scenario(presets, mitigation="siloz", vm_sizes=(16 * MIB, 16 * MIB))
-    assert report_to_json(run_attack(sc)) == report_to_json(run_attack(sc))
+    assert render_json(run_attack(sc).to_dict()) == render_json(run_attack(sc).to_dict())
 
 
 def test_probabilistic_attack_is_seed_deterministic(presets):
@@ -545,10 +545,10 @@ def test_probabilistic_attack_is_seed_deterministic(presets):
     sc = make_scenario(presets, hammer=hammer)
     first = run_attack(sc)
     assert first.flips  # p=1.0 past the threshold must flip
-    assert report_to_json(first) == report_to_json(run_attack(sc))
+    assert render_json(first.to_dict()) == render_json(run_attack(sc).to_dict())
     other = dataclasses.replace(sc, hammer=reduced_hammer(
         deterministic_mode=False, flip_probability=1.0, rng_seed=8))
-    assert report_to_json(run_attack(other)) != report_to_json(first)
+    assert render_json(run_attack(other).to_dict()) != render_json(first.to_dict())
 
 
 def test_sweep_observes_exactly_the_recorded_flips():
@@ -784,6 +784,22 @@ def test_trace_synthesizers_reject_non_integers(call, name):
         call()
 
 
+@pytest.mark.parametrize("count", [(1 << 63) - 512, (1 << 63) - 1, 1 << 63, 10**20])
+@pytest.mark.parametrize(
+    "synth",
+    [
+        lambda n: sequential_trace(0, n),
+        lambda n: strided_trace(0, 0, n),
+        lambda n: toggle_trace(0, 0x40, n),
+    ],
+    ids=["sequential", "strided", "toggle"],
+)
+def test_synthesizers_give_count_reads_or_raise(synth, count):
+    # numpy refuses each of these lengths before it allocates anything
+    with pytest.raises((ValueError, MemoryError)):
+        synth(count)
+
+
 def test_matvec_trace_frozen_order():
     # 2x2 matrix at 0x0, 8-byte elements, vector at 0x20: matrix/vector interleave
     pas = matvec_trace(2, 2, 0x0).pas.tolist()
@@ -847,6 +863,24 @@ def test_replay_refresh_clears_hammer_progress(presets):
 def test_replay_rejects_bad_refresh(presets):
     with pytest.raises(ValueError, match="refresh_every"):
         replay_trace(sequential_trace(0, 2), presets["simple"], reduced_hammer(), 0)
+
+
+def test_refresh_periods_past_int64_replay_as_single_accesses(presets):
+    """A period past int64, like any past the trace, closes no window: replay
+    equals one access per entry at each such period, and the periods agree."""
+    trace = toggle_trace(0, 0x8000, 20_000)
+    params = HammerParams(hc_first=10, flip_probability=0.5)
+    results = []
+    for every in (1 << 62, 1 << 64, 10**20):
+        stats, flips = replay_trace(trace, presets["simple"], params, every)
+        state = SimState(presets["simple"], params, every)
+        for pa in trace.pas.tolist():
+            state.access(pa)
+        assert stats.to_dict() == state.stats.to_dict(), every
+        assert flips == state.collect_flips(), every
+        results.append((stats.to_dict(), flips))
+    assert results[0] == results[1] == results[2]
+    assert stats.refresh_windows == 0 and len(flips) > 10_000
 
 
 def test_replay_is_deterministic(presets):

@@ -76,6 +76,24 @@ def test_geometry_rejects_bad_fields():
         Geometry.from_dict({**good, "channels": 1 << 32})
 
 
+def test_geometry_field_errors_keep_their_wording_and_order():
+    """Missing fields are named in Geometry's field order, unknown ones in the
+    order given, and the first bad field in field order is the one refused."""
+    good = default_geometry().to_dict()
+    assert list(good) == [
+        "channels", "ranks", "bankgroups", "banks", "rows", "columns", "rows_per_subarray",
+    ]
+    reversed_without = {k: good[k] for k in reversed(good) if k not in ("ranks", "rows_per_subarray")}
+    with pytest.raises(MappingError, match=r"^geometry is missing fields: ranks, rows_per_subarray$"):
+        Geometry.from_dict(reversed_without)
+    with pytest.raises(MappingError, match=r"^geometry has unknown fields: zeta, alpha$"):
+        Geometry.from_dict({**good, "zeta": 1, "alpha": 2})
+    with pytest.raises(MappingError, match=r"^geometry\.banks must be a power-of-two count >= 1, got 0$"):
+        Geometry.from_dict({**good, "rows": 3, "banks": 0})
+    with pytest.raises(MappingError, match=r"^geometry\.ranks must be an integer, got '1'$"):
+        Geometry(**{**good, "ranks": "1", "columns": 3})
+
+
 def test_geometry_dict_roundtrip(geometry):
     assert Geometry.from_dict(geometry.to_dict()) == geometry
 
