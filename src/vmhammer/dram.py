@@ -14,9 +14,9 @@ single activations. ``_activate`` counts a run of any length, split at window
 ends, for ``activate_row`` and ``access``. ``replay`` takes a trace's arrays
 of PAs and bytes, checks every entry before it changes anything, and counts
 ``REPLAY_CHUNK`` accesses at once in a few numpy passes; only activations
-past ``hc_first`` reach Python. ``_close_windows`` is the one routine that
-closes refresh windows. ``check_access`` is the one check of an access's
-kind, byte and PA type, for ``access``, a trace's entries and replay.
+past ``hc_first`` reach Python. ``_close_windows`` closes refresh windows up
+to a total, the only code that does. ``check_access`` is the one check of an
+access's kind, byte and PA type, for ``access``, a trace's entries and replay.
 """
 
 from __future__ import annotations
@@ -223,9 +223,9 @@ class SimState:
         self._activate(self.geometry.pack(coord) & self._row_mask, times)
 
     def refresh(self) -> None:
-        """Close the refresh window and open a new one: clear activation
-        counts and latches."""
-        self._close_windows(1)
+        """Close the refresh window, one past the total closed so far, and open
+        a new one: clear activation counts and latches."""
+        self._close_windows(self.stats.refresh_windows + 1)
 
     def replay(self, pas: np.ndarray, data: np.ndarray) -> None:
         """The accesses of a trace's int64 arrays, as ``access`` makes them one
@@ -276,8 +276,9 @@ class SimState:
         ``lexsort`` by (window, row) ranks each miss in its window; each run of
         activations past it (one row, one window, no write between) is one
         ``_maybe_flip`` call, in trace order, after the writes up to its first
-        entry and the closing of the windows before its own. The other writes
-        land at once, and the windows the chunk fills close at its end."""
+        entry, with windows closed up to the chunk's first total plus the run's
+        window. The other writes land at once; then windows close up to that
+        total plus the chunk's crossings."""
         miss = self._open_rows(vecs & self._row_mask)
         missed = vecs[miss] & self._row_mask  # row keys, in trace order
         self.stats.row_buffer_hits += len(vecs) - len(missed)
@@ -285,7 +286,7 @@ class SimState:
         before = np.array([self.act_count.get(row, 0) for row in rows.tolist()], dtype=np.int64)
         writes = np.flatnonzero(data >= 0)  # the chunk's writes, by position
         write_pas, write_bytes = pas[writes].tolist(), data[writes].tolist()
-        start, closed, stored = self._window, 0, 0  # windows closed and writes stored so far
+        start, base, stored = self._window, self.stats.refresh_windows, 0  # writes stored so far
         if (before + n > self.params.hc_first).any():
             m = len(missed)
             # a period past the chunk puts every miss in window 0, and need not fit int64
@@ -303,30 +304,27 @@ class SimState:
             hot_runs = zip(missed[lasts].tolist(), counts[lasts].tolist(), lengths.tolist(),
                            windows[hot[runs]].tolist(), upto[runs].tolist())
             for key, count, length, window, written in hot_runs:
-                if written > stored:  # the writes up to the run
-                    self.contents.update(zip(write_pas[stored:written], write_bytes[stored:written]))
-                    stored = written
-                if window > closed:
-                    self._close_windows(window - closed)
-                    closed = window
+                self.contents.update(zip(write_pas[stored:written], write_bytes[stored:written]))
+                stored = written  # the writes up to the run
+                self._close_windows(base + window)
                 self._maybe_flip(key, count, length)
         self.contents.update(zip(write_pas[stored:], write_bytes[stored:]))
         crossings, left = divmod(start + len(missed), self.refresh_every)
-        if crossings > closed:
-            self._close_windows(crossings - closed)
+        self._close_windows(base + crossings)
         if crossings:  # only the misses after the last refresh count in the new window
             rows, n = np.unique(missed[len(missed) - left :], return_counts=True)
             before = 0
         self.act_count.update(zip(rows.tolist(), (before + n).tolist()))
         self._window = left
 
-    def _close_windows(self, count: int) -> None:
-        """Close ``count`` refresh windows and open a new one: clear activation
-        counts and latches, which no closed window passes on."""
-        self.act_count.clear()
-        self._det_flipped.clear()
-        self._window = 0
-        self.stats.refresh_windows += count
+    def _close_windows(self, total: int) -> None:
+        """Close refresh windows until ``total`` have closed, clearing activation
+        counts and latches, which no closed window passes on; a no-op once they have."""
+        if total > self.stats.refresh_windows:
+            self.act_count.clear()
+            self._det_flipped.clear()
+            self._window = 0
+            self.stats.refresh_windows = total
 
     def _open_rows(self, keys: np.ndarray) -> np.ndarray:
         """Which of row keys ``keys``, in order, miss the row buffer, found with
@@ -352,10 +350,10 @@ class SimState:
 
     def _activate(self, key: int, times: int) -> None:
         """``times`` back-to-back activations of row ``key``, the counting step
-        of ``activate_row`` and ``access``; ``Stats`` derives the activations,
-        accesses and precharges from its per-bank counts. The run is split at
-        window ends, and each step runs the flip check once and closes its
-        window if it fills it."""
+        of ``activate_row`` and ``access``, added to its bank's count. Each step
+        up to a window end runs the flip check once and closes windows up to the
+        new total; when ``refresh_every <= hc_first`` no window can flip, so the
+        first step also takes every whole window left in the run."""
         bank = key & self._bank_mask
         per_bank = self.stats.bank_activations
         per_bank[bank] = per_bank.get(bank, 0) + times
@@ -365,10 +363,11 @@ class SimState:
             count = self.act_count.get(key, 0) + step
             self.act_count[key] = count
             self._maybe_flip(key, count, step)
-            self._window += step
+            if self.refresh_every <= self.params.hc_first:  # no window of one row can flip
+                step += (times - step) // self.refresh_every * self.refresh_every
             times -= step
-            if self._window == self.refresh_every:
-                self._close_windows(1)
+            crossed, self._window = divmod(self._window + step, self.refresh_every)
+            self._close_windows(self.stats.refresh_windows + crossed)
 
     def _maybe_flip(self, key: int, count: int, n: int = 1) -> None:
         """The flip chances of row ``key``'s last ``n`` activations, which took

@@ -616,6 +616,12 @@ def parse_trace(text: str, limit: int | None = None) -> AccessTrace:
 
 
 def format_trace(trace: AccessTrace) -> str:
+    """The trace's text as ``parse_trace`` reads it back. A negative PA, which
+    ``parse_trace`` rejects, raises ``ValueError`` naming the first such entry."""
+    negative = np.flatnonzero(trace.pas < 0)
+    if len(negative):
+        i = int(negative[0])
+        raise ValueError(f"entry {i}: pa -0x{-int(trace.pas[i]):x} is negative; a trace file has none")
     lines = [
         f"R 0x{pa:x}" if byte < 0 else f"W 0x{pa:x} 0x{byte:02x}"
         for pa, byte in zip(trace.pas.tolist(), trace.data.tolist())

@@ -90,7 +90,7 @@ def test_validate_map_names_the_first_dependent_bit(capsys, tmp_path, presets):
     }
 
 
-def test_validate_map_unknown_source(capsys, tmp_path):
+def test_validate_map_unknown_source(capsys, tmp_path, presets):
     code, out, err = run_cli(capsys, "validate-map", "no-such-preset")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "MappingError"
@@ -100,6 +100,11 @@ def test_validate_map_unknown_source(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate-map", str(garbled))
     assert code == 2
     assert "line 2" in json.loads(err)["error"]["message"]
+
+    listed = write_json(tmp_path / "listed.json", {**presets["simple"].to_dict(), "functions": []})
+    code, out, err = run_cli(capsys, "validate-map", listed)
+    assert (code, out) == (2, "")
+    assert assert_one_error(err) == {"type": "MappingError", "message": "functions must be an object"}
 
 
 # -- translate ----------------------------------------------------------------

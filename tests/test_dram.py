@@ -458,6 +458,36 @@ def test_bulk_hammer_edge_cases(hc_first, every, sites, deterministic):
         assert state.collect_flips() == []
 
 
+def test_hammer_runs_match_single_activations_around_manual_refreshes():
+    """Runs of 1 to 10 * refresh_every activations, with refresh_every on
+    both sides of hc_first, in both flip modes and with manual refreshes
+    between runs, count and flip as the same activations stepped one by one:
+    closing every whole window of a run at once changes nothing."""
+    rng = random.Random(29)
+    mapping = tiny_simple()
+    sides = set()
+    for case in range(400):
+        every, hc_first = rng.randint(1, 40), rng.randint(1, 60)
+        sides.add(every <= hc_first)
+        params = HammerParams(
+            hc_first=hc_first, flip_probability=0.5, deterministic_mode=case % 2 == 0, rng_seed=case
+        )
+        state = SimState(mapping, params, every)
+        expected = BruteState(mapping, params, every)
+        for _ in range(rng.randint(1, 4)):
+            coord = DramCoordinate(0, 0, 0, rng.randrange(2), rng.randrange(16), 0)
+            count = rng.randint(1, 10 * every)
+            state.activate_row(coord, count)
+            for _ in range(count):
+                brute_activate(expected, coord)
+            if rng.random() < 0.4:
+                state.refresh()
+                expected.refresh()
+        assert state.stats.to_dict() == expected.stats.to_dict(), case
+        assert state.collect_flips() == expected.collect_flips(), case
+    assert sides == {True, False}
+
+
 def test_deterministic_latch_rearms_inside_one_call():
     state = SimState(tiny_simple(), det_params(hc_first=2), refresh_every=10)
     hammer(state, 5, 35)  # windows of 10, 10, 10 and 5 all pass hc_first

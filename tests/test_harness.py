@@ -422,6 +422,20 @@ def test_blast_radius_past_the_subarray_costs_nothing(tmp_path, vmhammer_under_1
     assert reports[2**70] == reports[511]
 
 
+def test_windows_that_cannot_flip_close_in_one_step(tmp_path, vmhammer_under_1gib):
+    """At the default refresh period (100,000) a row's window count never
+    passes hc_first 200,000, so a run closes its whole windows in one step:
+    10^15 activations in 10^10 windows take about as long as one."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(scenario_data(
+        hammer={"hc_first": 200_000}, hammer_count=10**15, aggressor_selection="first"
+    )))
+    proc, _ = vmhammer_under_1gib(["attack", str(path)], timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    stats = json.loads(proc.stdout)["stats"]
+    assert (stats["refresh_windows"], stats["activations"]) == (10**10, 10**15)
+
+
 # the vm0 flips of each citadel 8+8 MiB cell where guard < blast radius, by
 # (guard rows, blast radius); every other cell falls back and holds
 CITADEL_FRONTIER = {
@@ -753,6 +767,23 @@ def test_format_trace_roundtrip():
     text = format_trace(trace)
     assert text == "R 0x80000000\nW 0x40 0x05\n"
     assert parse_trace(text) == trace
+    rng = random.Random(29)
+    for _ in range(50):
+        trace = AccessTrace([
+            ("read", pa, None) if rng.random() < 0.5 else ("write", pa, rng.randrange(256))
+            for pa in (rng.randrange(1 << rng.randint(1, 63)) for _ in range(rng.randint(1, 40)))
+        ])
+        assert parse_trace(format_trace(trace)) == trace
+
+
+def test_format_trace_refuses_what_parse_trace_rejects():
+    """A trace may hold a negative PA, which replay refuses as access does,
+    but no trace file does: format_trace names the first such entry."""
+    with pytest.raises(ValueError, match=r"^entry 0: pa -0x5 is negative"):
+        format_trace(AccessTrace([("read", -5, None)]))
+    trace = AccessTrace([("write", 0x40, 1), ("read", -(1 << 63), None), ("read", -1, None)])
+    with pytest.raises(ValueError, match=r"^entry 1: pa -0x8000000000000000 is negative"):
+        format_trace(trace)
 
 
 def test_trace_synthesizer_shapes():
@@ -1043,6 +1074,8 @@ def test_trace_arrays_are_read_only():
     assert trace == parse_trace("R 0x40\nW 0x80 0x07\n")
     with pytest.raises(TypeError, match="unhashable"):
         hash(trace)
+    assert (AccessTrace([]) == 5) is False  # a trace equals no other type
+    assert (AccessTrace([]) != 5) is True
 
 
 @pytest.mark.parametrize(

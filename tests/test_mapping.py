@@ -240,6 +240,11 @@ def test_parse_mapping_reports_json_position():
         ("[]", "top level must be an object"),
         ('{"functions": {}}', "missing top-level field: geometry"),
         ('{"geometry": {}}', "missing top-level field: functions"),
+        (
+            '{"geometry": {"channels": 1, "ranks": 1, "bankgroups": 1, "banks": 1, "rows": 2,'
+            ' "columns": 2, "rows_per_subarray": 2}, "functions": []}',
+            "functions must be an object",
+        ),
     ],
 )
 def test_parse_mapping_rejects_bad_structure(text, message):

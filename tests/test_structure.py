@@ -12,15 +12,25 @@ under src/, so a mention in a comment or a string counts as a use.
   take the package's __version__ for its reports, and translates no address
   itself, so it does not import gf2. cli and the package root are not listed.
 
-Tests may name the internals; these rules hold for src/ only.
+Tests may name the internals; these rules hold for src/ only. Two more rules
+read the syntax tree, so only code counts:
+
+- SimState._close_windows is the one code that closes a refresh window: no
+  other function under src/ assigns a ``refresh_windows`` attribute or
+  clears ``act_count`` or ``_det_flipped``.
+- src/, tests/ and demos/ use only numpy 1.24's API, the oldest numpy the
+  package supports: no numpy attribute added since, and no ``stable=`` to a
+  sort.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "vmhammer"
 
 FORBIDDEN = re.compile(
@@ -89,3 +99,96 @@ def test_modules_import_only_lower_layers(module):
     assert violations(
         lambda p, line: p == path and IMPORT.match(line) and not ok.match(line)
     ) == []
+
+
+WINDOW_OWNER = (PACKAGE / "dram.py", "SimState._close_windows")
+
+# numpy attributes added after 1.24, which its CI entry would not find
+NUMPY_SINCE_1_24 = frozenset((
+    "concat", "permute_dims", "matrix_transpose", "vecdot", "unique_all", "unique_counts",
+    "unique_inverse", "unique_values", "bitwise_count", "isdtype", "astype",
+    "cumulative_sum", "cumulative_prod", "unstack", "matvec", "vecmat", "pow", "acos",
+    "asin", "atan", "atan2", "acosh", "asinh", "atanh", "bitwise_left_shift",
+    "bitwise_right_shift", "bitwise_invert", "trapezoid", "long", "ulong", "exceptions",
+    "dtypes", "strings",
+))
+
+
+def python_nodes(*roots):
+    """Every syntax node of every .py file under ``roots``, as (path, dotted
+    name of the class and function it lies in, node)."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            yield inner, child
+            yield from walk(child, inner)
+
+    paths = sorted(path for root in roots for path in root.rglob("*.py"))
+    assert paths, f"no Python files under {roots}"
+    for path in paths:
+        for scope, node in walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), ""):
+            yield path, scope, node
+
+
+def closes_a_window(node) -> bool:
+    """Whether ``node`` assigns a ``refresh_windows`` attribute or clears
+    ``act_count`` or ``_det_flipped``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner = node.func.value
+        name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+        return node.func.attr == "clear" and name in ("act_count", "_det_flipped")
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Attribute) and target.attr == "refresh_windows":
+            return True
+    return False
+
+
+def newer_numpy(node) -> str | None:
+    """What in ``node`` numpy 1.24 lacks, or None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = [f"{node.value.id}.{node.attr}"]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.Call) and any(k.arg == "stable" for k in node.keywords):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return f"{name}(stable=...)" if "sort" in name else None
+    else:
+        return None
+    for name in names:
+        parts = name.split(".")
+        if parts[0] in ("np", "numpy") and len(parts) > 1 and parts[1] in NUMPY_SINCE_1_24:
+            return name
+    return None
+
+
+def test_only_close_windows_closes_a_window():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: in {scope or 'the module'}"
+        for path, scope, node in python_nodes(SRC)
+        if closes_a_window(node) and (path, scope) != WINDOW_OWNER
+    ]
+    assert found == []
+
+
+def test_numpy_api_is_that_of_numpy_1_24():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {what}"
+        for path, _, node in python_nodes(SRC, ROOT / "tests", ROOT / "demos")
+        for what in [newer_numpy(node)]
+        if what
+    ]
+    assert found == []
