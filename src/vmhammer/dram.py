@@ -14,9 +14,12 @@ single activations. ``_activate`` counts a run of any length, split at window
 ends, for ``activate_row`` and ``access``. ``replay`` takes a trace's arrays
 of PAs and bytes, checks every entry before it changes anything, and counts
 ``REPLAY_CHUNK`` accesses at once in a few numpy passes; only activations
-past ``hc_first`` reach Python. ``_close_windows`` closes refresh windows up
-to a total, the only code that does. ``check_access`` is the one check of an
-access's kind, byte and PA type, for ``access``, a trace's entries and replay.
+past ``hc_first`` reach Python. A chunk's hits come from one stable sort of
+its bank keys in the narrowest unsigned dtype that holds them, which numpy
+sorts by radix up to 16 bits, and ``_run_starts`` finds the runs of any
+integer columns. ``_close_windows`` closes refresh windows up to a total, the
+only code that does. ``check_access`` is the one check of an access's kind,
+byte and PA type, for ``access``, a trace's entries and replay.
 """
 
 from __future__ import annotations
@@ -53,8 +56,11 @@ def check_access(pa: int, kind: str, data: int | None) -> None:
 
 
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
-    """Where a run of entries equal in every one of the nonnegative columns begins."""
-    return np.flatnonzero(np.bitwise_or.reduce([np.diff(c, prepend=-1) for c in columns]))
+    """Where a run of entries equal in every one of the integer columns begins:
+    entry 0, and each entry that differs from the one before in some column."""
+    starts = np.ones(len(columns[0]), dtype=bool)
+    starts[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in columns])
+    return np.flatnonzero(starts)
 
 
 @dataclass(frozen=True)
@@ -279,8 +285,9 @@ class SimState:
         entry, with windows closed up to the chunk's first total plus the run's
         window. The other writes land at once; then windows close up to that
         total plus the chunk's crossings."""
-        miss = self._open_rows(vecs & self._row_mask)
-        missed = vecs[miss] & self._row_mask  # row keys, in trace order
+        keys = vecs & self._row_mask
+        miss = self._open_rows(keys)
+        missed = keys[miss]  # row keys, in trace order
         self.stats.row_buffer_hits += len(vecs) - len(missed)
         rows, n = np.unique(missed, return_counts=True)
         before = np.array([self.act_count.get(row, 0) for row in rows.tolist()], dtype=np.int64)
@@ -329,13 +336,16 @@ class SimState:
     def _open_rows(self, keys: np.ndarray) -> np.ndarray:
         """Which of row keys ``keys``, in order, miss the row buffer, found with
         one stable sort by bank; each bank's misses are added to its
-        activations, and its last key is left open."""
-        order = np.argsort(keys & self._bank_mask, kind="stable")
-        by_bank = keys[order]
-        banks = by_bank & self._bank_mask
+        activations, and its last key is left open. The bank keys are sorted
+        in the narrowest unsigned dtype that holds them, which numpy sorts by
+        radix up to 16 bits; a stable sort gives the same order in any dtype."""
+        bank_of = keys & self._bank_mask
+        order = np.argsort(bank_of.astype(np.min_scalar_type(self._bank_mask)), kind="stable")
+        by_bank, banks = keys[order], bank_of[order]
         starts = _run_starts(banks)  # each bank's first key
         first_banks = banks[starts].tolist()
-        previous = np.roll(by_bank, 1)  # a hit equals its bank's previous key
+        previous = np.empty_like(by_bank)  # a hit equals its bank's previous key
+        previous[1:] = by_bank[:-1]
         previous[starts] = [self.open_row.get(bank, -1) for bank in first_banks]
         sorted_miss = by_bank != previous
         miss = np.empty(len(keys), dtype=bool)

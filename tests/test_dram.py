@@ -18,7 +18,7 @@ from vmhammer import (
     SimState,
     builtin_mappings,
 )
-from vmhammer.dram import REPLAY_CHUNK, InvariantError
+from vmhammer.dram import REPLAY_CHUNK, InvariantError, _run_starts
 from vmhammer.harness import AccessTrace, replay_trace, strided_trace
 
 from oracles import (
@@ -553,6 +553,55 @@ def test_chunk_equals_one_access_per_entry():
         states[1].access(pa)
     assert _full_snapshot(states[0]) == _full_snapshot(states[1])
     assert states[0].stats.row_buffer_hits == 0 and len(states[0].stats.bank_activations) == 8
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["probabilistic", "deterministic"])
+@pytest.mark.parametrize("bank_bits, key_dtype", [(13, np.uint16), (20, np.uint32)])
+def test_replay_sorts_wide_bank_keys(bank_bits, key_dtype, deterministic):
+    """On bank tuples 13 and 20 bits wide, whose bank keys sort as uint16 and
+    uint32, ``replay`` leaves the state that one ``access`` per entry leaves,
+    over three chunks of reads and writes to two rows in each of six banks,
+    pairs of which differ only in the top bit: misses, a row left open across a
+    chunk boundary, and rows past hc_first in windows that close mid-chunk."""
+    rng = random.Random(bank_bits)
+    widths = [bank_bits // 4] * 3 + [bank_bits - 3 * (bank_bits // 4)]  # channel .. bank bits
+    geometry = Geometry(*(1 << w for w in widths), rows=16, columns=4, rows_per_subarray=8)
+    mapping = random_invertible_mapping(rng, geometry)
+    banks = [low | top for low in rng.sample(range(256), 3) for top in (0, 1 << bank_bits - 1)]
+    pool = [
+        mapping.coord_to_pa(geometry.unpack(bank | row << geometry.coord_offsets[4]))
+        for bank in banks
+        for row in rng.sample(range(geometry.rows), 2)
+    ]
+    entries = [
+        ("write", pa, rng.randrange(256)) if rng.random() < 0.2 else ("read", pa, None)
+        for pa in (rng.choice(pool) for _ in range(2 * REPLAY_CHUNK + 100))
+    ]
+    entries[REPLAY_CHUNK] = ("read", entries[REPLAY_CHUNK - 1][1], None)  # the open row again
+    params = HammerParams(hc_first=100, flip_probability=0.01,
+                          deterministic_mode=deterministic, rng_seed=bank_bits)
+    states = [SimState(mapping, params, refresh_every=2500) for _ in range(2)]
+    trace = AccessTrace(entries)
+    states[0].replay(trace.pas, trace.data)
+    hits = [states[1].access(pa, kind, byte) for kind, pa, byte in entries]
+    assert _full_snapshot(states[0]) == _full_snapshot(states[1])
+    assert hits[REPLAY_CHUNK] and not all(hits) and states[0].flips
+    assert states[0].stats.refresh_windows >= 2
+    assert np.min_scalar_type(states[0]._bank_mask) == key_dtype
+    assert np.min_scalar_type(max(states[0].stats.bank_activations)) == key_dtype
+
+
+def test_run_starts_matches_a_loop():
+    """``_run_starts`` gives entry 0 and each entry that differs from the one
+    before in some column, on int64 columns with negative values."""
+    rng = np.random.default_rng(30)
+    for length in [0, 1, 2, *rng.integers(3, 60, size=30).tolist()]:
+        for width in (1, 2, 3):
+            columns = [rng.integers(-3, 3, size=length) for _ in range(width)]
+            rows = list(zip(*(c.tolist() for c in columns)))
+            expected = [i for i in range(length) if i == 0 or rows[i] != rows[i - 1]]
+            assert _run_starts(*columns).tolist() == expected
+    assert _run_starts(np.array([-1, -1]), np.array([-1, 0])).tolist() == [0, 1]
 
 
 def _state_with_history(rng: random.Random) -> SimState:
