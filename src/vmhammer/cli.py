@@ -312,6 +312,12 @@ def main(argv: list[str] | None = None) -> int:
         _error(exc)
         return DOMAIN_ERROR
     except MemoryError as exc:  # a failed list allocation carries no message
+        # the tracebacks along the chain hold the failed run's frames and all
+        # they allocated; free them, or writing the error runs out too
+        link: BaseException | None = exc
+        while link is not None:
+            link.__traceback__ = None
+            link = link.__context__
         _error(MemoryError(str(exc) or "out of memory"))
         return USAGE_ERROR
     except (ValueError, OSError) as exc:

@@ -3,10 +3,15 @@
 A matrix is a list of Python ints, one per row; bit i of a row is the entry
 in column i. Python ints are unbounded, so any width works. ``reduce_basis``
 is the one elimination step: ``analyze`` runs it on rows tagged with their
-indices to read off rank, inverse and a dependency. A linear map is
-also given by its columns, the images of the unit vectors; from those,
-``image_tables`` translates single vectors or int64 arrays of them, and ``span``
-enumerates images of whole subspaces (the arrays within numpy's int64).
+indices to read off rank, inverse and a dependency. Elimination is indexed by
+pivot: the basis is kept as a leading bit -> vector dict plus a mask of those
+bits, and a vector is reduced only by the pivots set in it, highest first, so
+it costs one XOR per pivot it meets, not one step per basis vector.
+
+A linear map is also given by its columns, the images of the unit vectors;
+from those, ``image_tables`` translates single vectors or int64 arrays of
+them, and ``span`` enumerates images of whole subspaces (the arrays within
+numpy's int64), writing each doubling step in place.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ __all__ = ["analyze", "reduce_basis", "span", "image_tables", "image", "image_ar
 def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | None]:
     """Rank, inverse and first dependency of rows, each width bits wide.
 
-    ``reduce_basis`` is the one elimination step. With n = len(rows), row i
+    ``reduce_basis``'s elimination is the one step. With n = len(rows), row i
     enters it tagged as row << n | 1 << i, so the low n bits of every vector
     name the input rows XORed into it, and a vector whose row part (v >> n)
     is zero names rows that XOR to zero.
@@ -31,7 +36,8 @@ def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | N
       inverse     when the rows form an invertible width x width matrix, the
                   inverse as row masks: bit p of inverse[c] set means input
                   row p participates in the combination producing unit
-                  vector e_c (1 << (c + n) reduced by the basis); else None.
+                  vector e_c (1 << (c + n) reduced by the basis, one XOR
+                  per pivot met); else None.
       dependency  when the rows are linearly dependent, the least basis
                   vector with a zero row part. Its top bit is the first row
                   that is an XOR of earlier rows, and its other bits are
@@ -39,19 +45,13 @@ def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | N
                   independent); else None.
     """
     n = len(rows)
-    basis = reduce_basis([row << n | 1 << i for i, row in enumerate(rows)])
-    rank = sum(1 for b in basis if b >> n)
+    lead, pivots = _eliminate([row << n | 1 << i for i, row in enumerate(rows)])
+    rank = sum(1 for p in lead if p >= n)
     if rank < n:
-        return rank, None, min(b for b in basis if not b >> n)
+        return rank, None, lead[min(lead)]  # least leading bit, so least vector
     if n != width:
         return rank, None, None
-    inverse = []
-    for c in range(width):
-        x = 1 << (c + n)
-        for b in basis:
-            x = min(x, x ^ b)
-        inverse.append(x)
-    return rank, inverse, None
+    return rank, [_reduce(1 << (c + n), lead, pivots) for c in range(width)], None
 
 
 def reduce_basis(vectors: list[int]) -> list[int]:
@@ -59,16 +59,41 @@ def reduce_basis(vectors: list[int]) -> list[int]:
 
     The basis is in descending order with distinct leading bits, so reducing
     any x by each element in turn (x = min(x, x ^ b)) leaves the least member
-    of x's coset.
+    of x's coset. Each vector is reduced only by the basis vectors whose
+    leading bit it holds at that point, found through a mask of leading bits,
+    highest first: O(len(vectors) * rank) XORs at most, and one per pivot met.
     """
-    basis: list[int] = []
+    lead, _ = _eliminate(vectors)
+    return [lead[p] for p in sorted(lead, reverse=True)]
+
+
+def _eliminate(vectors: list[int]) -> tuple[dict[int, int], int]:
+    """The basis ``reduce_basis`` builds, as a leading bit -> vector dict,
+    and the mask of those leading bits."""
+    lead: dict[int, int] = {}
+    pivots = 0
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
+        v = _reduce(v, lead, pivots)
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+            p = v.bit_length() - 1
+            lead[p] = v
+            pivots |= 1 << p
+    return lead, pivots
+
+
+def _reduce(x: int, lead: dict[int, int], pivots: int) -> int:
+    """x reduced by the basis in ``lead``: the least member of its coset.
+
+    A basis vector touches no bit above its own leading bit, so XORing the
+    one at the highest pivot set in x clears that pivot and leaves higher
+    ones as they were; x ends holding no pivot, the same as
+    ``x = min(x, x ^ b)`` over the basis in descending order.
+    """
+    hit = x & pivots
+    while hit:
+        x ^= lead[hit.bit_length() - 1]
+        hit = x & pivots
+    return x
 
 
 def span(vectors: Sequence[int]) -> np.ndarray:
@@ -81,7 +106,7 @@ def span(vectors: Sequence[int]) -> np.ndarray:
     out = np.zeros(1 << len(vectors), dtype=np.int64)
     filled = 1
     for v in vectors:
-        out[filled : 2 * filled] = out[:filled] ^ v
+        np.bitwise_xor(out[:filled], v, out=out[filled : 2 * filled])
         filled *= 2
     return out
 

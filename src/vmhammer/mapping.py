@@ -363,9 +363,19 @@ class ValidationReport:
 
 
 def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
-    return tuple(
-        sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(width)
-    )
+    """The width columns of a matrix given by its rows, each a width-bit
+    mask: bit i of column j is bit j of row i. Walks each row's set bits
+    only; a row with a bit at or above width, or a negative one, is a bug
+    and raises InvariantError."""
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        if row >> width:
+            raise InvariantError(f"row {i} ({row:#x}) does not fit {width} bits")
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return tuple(columns)
 
 
 def _bit_labels(mapping: AddressMapping) -> list[tuple[str, int]]:

@@ -27,12 +27,9 @@ def preset(request, presets):
     return presets[request.param]
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
-def _vmhammer_under_1gib(argv, timeout=60):
-    """Run ``python -m vmhammer *argv`` under a 1 GiB address-space cap.
+def _vmhammer_under_1gib(argv, timeout=60, cap=1 << 30):
+    """Run ``python -m vmhammer *argv`` under an address-space cap of ``cap``
+    bytes, 1 GiB unless given, set in the child only.
 
     Returns the finished process and its own peak RSS in KiB, read from
     the rusage ``os.wait4`` gives for that one child. Raises
@@ -44,7 +41,7 @@ def _vmhammer_under_1gib(argv, timeout=60):
             [sys.executable, "-m", "vmhammer", *argv],
             stdout=out,
             stderr=err,
-            preexec_fn=_limit_address_space,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
             env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         )
         deadline = time.monotonic() + timeout

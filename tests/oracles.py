@@ -35,6 +35,47 @@ from vmhammer.layout import plan_layout
 from vmhammer.mapping import check_int
 
 
+def brute_reduce_basis(vectors: list[int]) -> list[int]:
+    """``gf2.reduce_basis`` as it was first written: each vector reduced by
+    every basis vector in turn, width^2 steps, and the basis re-sorted
+    descending after each insertion."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def brute_analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | None]:
+    """``gf2.analyze`` over ``brute_reduce_basis``, with each inverse row
+    reduced by every basis vector in turn (width x n steps)."""
+    n = len(rows)
+    basis = brute_reduce_basis([row << n | 1 << i for i, row in enumerate(rows)])
+    rank = sum(1 for b in basis if b >> n)
+    if rank < n:
+        return rank, None, min(b for b in basis if not b >> n)
+    if n != width:
+        return rank, None, None
+    inverse = []
+    for c in range(width):
+        x = 1 << (c + n)
+        for b in basis:
+            x = min(x, x ^ b)
+        inverse.append(x)
+    return rank, inverse, None
+
+
+def brute_transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Columns of the matrix with these rows, one bit test per entry; bits
+    at or above width are not read."""
+    return tuple(
+        sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(width)
+    )
+
+
 def brute_coord(mapping: AddressMapping, pa: int) -> tuple[int, ...]:
     """Coordinate of one PA computed bit by bit from the raw bit functions."""
     parts = []

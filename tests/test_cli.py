@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from vmhammer import cli
 from vmhammer.cli import main
-from vmhammer.harness import ScenarioError, TraceError, load_scenario
+from vmhammer.harness import ScenarioError, TraceError, load_scenario, render_json
 from vmhammer.layout import PlanError
 from vmhammer.mapping import InvariantError, MappingError, validate
 
-from oracles import tiny_noncontig
+from oracles import brute_analyze, tiny_noncontig
 
 
 def run_cli(capsys, *argv):
@@ -78,16 +78,23 @@ def test_validate_map_names_the_first_dependent_bit(capsys, tmp_path, presets):
     broken = presets["simple"].to_dict()
     broken["functions"].update(bank=[[0]], bankgroup=[[13], [1]])
     path = write_json(tmp_path / "broken.json", broken)
-    code, data = stdout_json(capsys, "validate-map", path)
-    assert code == 1
-    assert data == {
+    assert run_cli(capsys, "validate-map", path) == (1, render_json({
         "valid": False,
         "address_width": 32,
         "output_bits": 32,
         "rank": 30,
         "error": "rank 30 of 32: output bits are linearly dependent",
         "witness": [{"coordinate": "bank", "bit": 0}, {"coordinate": "column", "bit": 0}],
-    }
+    }), "")
+
+
+def test_validate_map_prints_the_oracle_report_bytes(capsys, presets):
+    # the inverse rows follow from the quadratic elimination in oracles.py
+    for name, mapping in presets.items():
+        rank, inverse, _ = brute_analyze(list(mapping.matrix_rows), 32)
+        expected = {"valid": True, "address_width": 32, "output_bits": 32, "rank": rank,
+                    "inverse_rows": [f"0x{m:x}" for m in inverse]}
+        assert run_cli(capsys, "validate-map", name) == (0, render_json(expected), ""), name
 
 
 def test_validate_map_unknown_source(capsys, tmp_path, presets):
@@ -812,6 +819,18 @@ def test_gen_trace_out_of_memory_is_one_error(argv, vmhammer_under_1gib):
     error = assert_one_error(proc.stderr)
     assert error["type"] == "MemoryError" and error["message"]
     assert peak_kib < 200 << 10, peak_kib
+
+
+def test_matrix_out_of_memory_is_one_error(vmhammer_under_1gib):
+    # 2^63 deterministic activations latch flip records window after window
+    # until memory runs out; the chained MemoryError's tracebacks hold those
+    # records, and they are freed before the error is written
+    proc, _ = vmhammer_under_1gib(
+        ["matrix", "--hammer-count", "9223372036854775807"], cap=256 << 20
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    error = assert_one_error(proc.stderr)
+    assert error["type"] == "MemoryError" and error["message"], error
 
 
 def write_44_bit_mapping(tmp_path):

@@ -1,4 +1,5 @@
-"""Bit-matrix elimination against an enumerate-the-span reference."""
+"""Bit-matrix elimination against an enumerate-the-span reference and
+against the quadratic elimination it replaced, kept in oracles.py."""
 
 import random
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmhammer.gf2 import analyze, image, image_tables, reduce_basis, span
+
+from oracles import brute_analyze, brute_reduce_basis
 
 
 def span_size(rows):
@@ -97,18 +100,26 @@ def test_rank_matches_span_enumeration(rows):
     assert 2 ** analyze(rows, 8)[0] == span_size(rows)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_analyze_inverse_roundtrips(seed):
-    rng = random.Random(seed)
-    width = rng.randint(1, 12)
+def shuffled_invertible(rng: random.Random, width: int) -> list[int]:
+    """A random invertible width x width matrix: a permuted identity mixed by
+    row additions."""
     rows = [1 << i for i in range(width)]
     rng.shuffle(rows)
     for _ in range(width * 3):
         i, j = rng.randrange(width), rng.randrange(width)
         if i != j:
             rows[i] ^= rows[j]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_analyze_inverse_roundtrips(seed):
+    rng = random.Random(seed)
+    width = rng.randint(1, 63)
+    rows = shuffled_invertible(rng, width)
     r, inverse, dep = analyze(rows, width)
+    assert (r, inverse, dep) == brute_analyze(rows, width)
     assert r == width and dep is None
     identity = [1 << i for i in range(width)]
     assert matmul(rows, inverse) == identity
@@ -170,3 +181,42 @@ def test_image_tables_match_brute_force(data):
     assert len(tables) == (width + 7) // 8
     for x in data.draw(st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=20)):
         assert image(tables, x) == brute_image(columns, x)
+
+
+@st.composite
+def bit_matrices(draw):
+    """(rows, width) with width 1-63: sparse rows (at most three bits), dense
+    rows or an invertible square matrix; square or not, possibly empty, and
+    with up to three extra rows that XOR two rows already drawn (a zero row
+    when both are the same)."""
+    width = draw(st.integers(min_value=1, max_value=63))
+    shape = draw(st.sampled_from(["sparse", "dense", "invertible"]))
+    if shape == "invertible":
+        rows = shuffled_invertible(random.Random(draw(st.integers(0, 2**32 - 1))), width)
+    else:
+        if shape == "sparse":
+            row = st.sets(st.integers(0, width - 1), max_size=3).map(
+                lambda bits: sum(1 << b for b in bits)
+            )
+        else:
+            row = st.integers(min_value=0, max_value=(1 << width) - 1)
+        n = draw(st.one_of(st.just(width), st.integers(min_value=0, max_value=width + 4)))
+        rows = draw(st.lists(row, min_size=n, max_size=n))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3)):
+        if rows:
+            rows.insert(j % (len(rows) + 1), rows[i % len(rows)] ^ rows[j % len(rows)])
+    return rows, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(bit_matrices())
+def test_elimination_matches_the_quadratic_oracle(matrix):
+    rows, width = matrix
+    assert reduce_basis(rows) == brute_reduce_basis(rows)  # same vectors, same order
+    assert analyze(rows, width) == brute_analyze(rows, width)
+
+
+def test_elimination_of_no_rows():
+    assert reduce_basis([]) == brute_reduce_basis([]) == []
+    assert analyze([], 0) == brute_analyze([], 0) == (0, [], None)
+    assert analyze([], 5) == brute_analyze([], 5) == (0, None, None)

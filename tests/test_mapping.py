@@ -25,12 +25,13 @@ from vmhammer import (
     validate,
 )
 from vmhammer import gf2
-from vmhammer.mapping import check_int
+from vmhammer.mapping import InvariantError, _transpose, check_int
 from vmhammer.layout import group_stride, row_chunk_stride
 
 from oracles import (
     all_coords,
     brute_coord,
+    brute_transpose,
     brute_valid,
     pack_coords,
     random_geometry,
@@ -322,6 +323,27 @@ def test_validation_report_dict(presets):
         "rank": None,
         "error": "3 output bits do not cover the 32-bit address space",
     }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_transpose_matches_the_bit_by_bit_oracle(data):
+    width = data.draw(st.integers(min_value=1, max_value=63))
+    row = st.one_of(
+        st.integers(min_value=0, max_value=(1 << width) - 1),
+        st.sets(st.integers(0, width - 1), max_size=3).map(lambda bits: sum(1 << b for b in bits)),
+    )
+    rows = tuple(data.draw(st.lists(row, max_size=width + 4)))
+    columns = _transpose(rows, width)
+    assert columns == brute_transpose(rows, width)
+    assert _transpose(columns, len(rows)) == rows
+
+
+def test_transpose_rejects_a_row_wider_than_width():
+    assert _transpose((0b101, 0b010), 3) == (0b01, 0b10, 0b01)
+    for row in (1 << 3, 0b1111, 1 << 70, -1):
+        with pytest.raises(InvariantError, match="row 1 .* does not fit 3 bits"):
+            _transpose((0b001, row), 3)
 
 
 def test_tiny_noncontig_exhaustive():
