@@ -32,7 +32,6 @@ from .layout import (
     PlanError,
     Region,
     SilozPlan,
-    boundary_fallback,
     check_layout,
     classify_pa,
     find_aggressors,

@@ -33,7 +33,6 @@ from .layout import (
     MemoryLayout,
     PlanError,
     SilozPlan,
-    boundary_fallback,
     classify_pa,
     find_aggressors,
     plan_layout,
@@ -399,6 +398,10 @@ def render_json(data) -> str:
 def run_attack(scenario: Scenario) -> AttackReport:
     """Plan, hammer, classify. Deterministic for equal scenarios.
 
+    The aggressors are selected from the sites find_aggressors picks for the
+    two footprints. With no mitigation, sites that carry no victim rows (no
+    attacker row is adjacent) are refused rather than hammered.
+
     Every byte reads check_pattern until a flip changes it, so a flip's
     old_value is the pattern, or the byte as an earlier flip left it.
     """
@@ -409,12 +412,8 @@ def run_attack(scenario: Scenario) -> AttackReport:
     attacker = row_footprint(mapping, layout.region_of(scenario.attacker_vm))
     victim = row_footprint(mapping, layout.region_of(scenario.victim_vm))
     sites = find_aggressors(mapping, attacker, victim, scenario.hammer.blast_radius)
-    if not sites:
-        if scenario.mitigation == "none":
-            raise ScenarioError(
-                "no attacker row is adjacent to the victim; nothing to hammer"
-            )
-        sites = boundary_fallback(mapping, attacker, victim)
+    if scenario.mitigation == "none" and not any(site.victim_rows for site in sites):
+        raise ScenarioError("no attacker row is adjacent to the victim; nothing to hammer")
     selected = _select_aggressors(sites, scenario.aggressor_selection)
     state = SimState(mapping, scenario.hammer, scenario.refresh_every, scenario.check_pattern)
     for site in selected:

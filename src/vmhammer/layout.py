@@ -16,7 +16,9 @@ any validated linear mapping by splitting the region into aligned power-of-two
 blocks and enumerating each block's image with ``gf2.span`` over the mapping's
 columns, XORed with the image of the block's base. A footprint is a sorted
 int64 array of distinct packed coordinate vectors with the column bits
-cleared; aggressor discovery takes two of them and caches nothing.
+cleared. find_aggressors is the one call that picks the rows to hammer: it
+takes two footprints, returns the attacker rows adjacent to the victim or,
+when none is, the nearest ones, and caches nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "plan_siloz",
     "plan_citadel",
     "find_aggressors",
-    "boundary_fallback",
     "row_chunk_stride",
     "group_stride",
 ]
@@ -539,16 +540,25 @@ def find_aggressors(
     victim: np.ndarray,
     blast_radius: int,
 ) -> list[AggressorSite]:
-    """Attacker rows within blast radius of a victim row, exhaustively, from
-    the attacker's and the victim's footprints.
+    """The attacker rows to hammer, exhaustively, from the attacker's and the
+    victim's footprints: the rows within blast radius of a victim row or,
+    when none is, the rows nearest to the victim footprint.
 
     Adjacency requires the same bank tuple and the same subarray, and a row
-    distance of 1..blast_radius (a row shared by both VMs is not adjacency).
-    Each site carries a representative PA at column 0 of the aggressor row.
-    Sites are in (channel, rank, bankgroup, bank, row) order.
+    distance of 1..blast_radius (a row shared by both VMs is not adjacency);
+    an adjacent site carries its victim rows. With no adjacent row, each
+    attacker row is paired with its nearest victim row in its bank tuple, or
+    in any bank tuple when its own holds none, the lower row on a tie, and
+    the rows ranking lowest by (other subarray, row distance) are the sites,
+    with no victim rows. Each site carries a representative PA at column 0
+    of the aggressor row. Sites are in (channel, rank, bankgroup, bank, row)
+    order; an empty footprint gives none.
     """
+    check_int("blast_radius", blast_radius, 1)
+    if not (len(attacker) and len(victim)):
+        return []
     geo = mapping.geometry
-    offset = geo.coord_offsets[4]
+    offset, width = geo.coord_offsets[4], geo.coord_width("row")
     # the row is the top field, so adding d << offset moves a vector to row
     # + d of the same bank tuple; a row pushed out of [0, rows) leaves the
     # range of victim vectors. No two rows of one subarray lie further apart
@@ -563,6 +573,19 @@ def find_aggressors(
         victims = tuple(v for v in geo.neighbours(row, blast_radius) if hit[v - row][i])
         if victims:
             sites.append(_site(mapping, vec, victims))
+    if not sites:
+        rows = attacker >> offset
+
+        def bank_major(packed: np.ndarray) -> np.ndarray:
+            return (packed & ((1 << offset) - 1)) << width | packed >> offset
+
+        nearest, in_bank = _nearest(np.sort(bank_major(victim)), bank_major(attacker), width)
+        nearest &= geo.rows - 1
+        # the footprint is sorted by row, its top field
+        nearest[~in_bank], _ = _nearest(victim >> offset, rows[~in_bank], width)
+        other_subarray = (geo.subarray_of(nearest) != geo.subarray_of(rows)).astype(np.int64)
+        rank = other_subarray << width | np.abs(rows - nearest)
+        sites = [_site(mapping, vec, ()) for vec in attacker[rank == rank.min()].tolist()]
     return sorted(sites, key=lambda site: site.coord)
 
 
@@ -577,32 +600,3 @@ def _nearest(values: np.ndarray, x: np.ndarray, shift: int) -> tuple[np.ndarray,
     hi_ok = (i < len(values)) & (hi >> shift == x >> shift)
     take_lo = lo_ok & (~hi_ok | (x - lo <= hi - x))
     return np.where(take_lo, lo, hi), lo_ok | hi_ok
-
-
-def boundary_fallback(
-    mapping: AddressMapping, attacker: np.ndarray, victim: np.ndarray
-) -> list[AggressorSite]:
-    """Attacker rows nearest to the victim footprint, same subarray preferred,
-    from the attacker's and the victim's footprints.
-
-    For when no attacker row is adjacent to a victim row. Each attacker row
-    is paired with its nearest victim row in its bank tuple, or in any bank
-    tuple when its own holds none, the lower row on a tie. The rows ranking
-    lowest by (other subarray, row distance) are the sites, in coordinate
-    order and with no victim rows.
-    """
-    geo = mapping.geometry
-    offset, width = geo.coord_offsets[4], geo.coord_width("row")
-    rows = attacker >> offset
-
-    def bank_major(packed: np.ndarray) -> np.ndarray:
-        return (packed & ((1 << offset) - 1)) << width | packed >> offset
-
-    nearest, in_bank = _nearest(np.sort(bank_major(victim)), bank_major(attacker), width)
-    nearest &= geo.rows - 1
-    # the footprint is sorted by row, its top field
-    nearest[~in_bank], _ = _nearest(victim >> offset, rows[~in_bank], width)
-    other_subarray = (geo.subarray_of(nearest) != geo.subarray_of(rows)).astype(np.int64)
-    rank = other_subarray << width | np.abs(rows - nearest)
-    chosen = attacker[rank == rank.min()].tolist()
-    return sorted((_site(mapping, vec, ()) for vec in chosen), key=lambda site: site.coord)

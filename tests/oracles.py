@@ -25,7 +25,6 @@ from vmhammer import (
     Scenario,
     SilozPlan,
     SimState,
-    boundary_fallback,
     find_aggressors,
     row_footprint,
 )
@@ -90,10 +89,17 @@ def brute_coord(mapping: AddressMapping, pa: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def coords_of(mapping: AddressMapping, pas: np.ndarray) -> np.ndarray:
-    """Vectorized translation of a PA array; returns an (n, 6) array."""
-    out = np.zeros((len(pas), 6), dtype=np.int64)
-    for k, kind in enumerate(COORD_KINDS):
+ROW_KINDS = COORD_KINDS[:5]  # every coordinate but the column: the row tuple
+RowTuple = tuple[int, int, int, int, int]
+
+
+def coords_of(
+    mapping: AddressMapping, pas: np.ndarray, kinds: tuple[str, ...] = COORD_KINDS
+) -> np.ndarray:
+    """Vectorized translation of a PA array into the coordinates ``kinds``
+    (all six by default); returns an (n, len(kinds)) array."""
+    out = np.zeros((len(pas), len(kinds)), dtype=np.int64)
+    for k, kind in enumerate(kinds):
         value = np.zeros(len(pas), dtype=np.int64)
         for bit_index, xor_bits in enumerate(mapping.function(kind)):
             bit = np.zeros(len(pas), dtype=np.int64)
@@ -134,17 +140,19 @@ def brute_valid(mapping: AddressMapping) -> bool:
 
 def brute_footprint(
     mapping: AddressMapping, start: int, size: int
-) -> set[tuple[int, int, int, int, int]]:
+) -> set[RowTuple]:
     """Row tuples touched by a region, one translation per byte.
 
-    The bytes are translated 1 MiB at a time to bound memory.
+    Only the row-tuple coordinates are translated, since no column bit
+    enters a footprint. The bytes are translated 1 MiB at a time to bound
+    memory.
     """
     geo = mapping.geometry
     extents = (geo.channels, geo.ranks, geo.bankgroups, geo.banks, geo.rows)
     values: set[int] = set()
     for lo in range(start, start + size, 1 << 20):
         pas = np.arange(lo, min(lo + (1 << 20), start + size), dtype=np.int64)
-        coords = coords_of(mapping, pas)
+        coords = coords_of(mapping, pas, ROW_KINDS)
         packed = np.zeros(len(pas), dtype=np.int64)
         for k, extent in enumerate(extents):
             packed = packed * extent + coords[:, k]
@@ -182,35 +190,30 @@ def brute_groups(
     return {((ch, rk, bg, bk), row // geometry.rows_per_subarray) for ch, rk, bg, bk, row in rows}
 
 
+def brute_vm_rows(mapping: AddressMapping, layout: MemoryLayout, vm: str) -> set[RowTuple]:
+    """The row tuples a VM's region touches, one translation per byte."""
+    region = layout.region_of(vm)
+    return brute_footprint(mapping, region.start_pa, region.size)
+
+
 def brute_aggressors(
-    mapping: AddressMapping,
-    layout: MemoryLayout,
-    attacker_vm: str,
-    victim_vm: str,
-    blast_radius: int,
-) -> dict[tuple[int, int, int, int, int], list[int]]:
+    geometry: Geometry, attacker: set[RowTuple], victim: set[RowTuple], blast_radius: int
+) -> dict[RowTuple, list[int]]:
     """Attacker rows adjacent to victim rows, with their victim row indices.
 
     Distance zero (a row split between both VMs) is excluded: hammering a
     row requires exclusive activations of it, and flips land beside the
     aggressor, not inside it.
     """
-    geo = mapping.geometry
-    attacker = brute_footprint(
-        mapping, layout.region_of(attacker_vm).start_pa, layout.region_of(attacker_vm).size
-    )
-    victim = brute_footprint(
-        mapping, layout.region_of(victim_vm).start_pa, layout.region_of(victim_vm).size
-    )
-    out: dict[tuple[int, int, int, int, int], list[int]] = {}
+    out: dict[RowTuple, list[int]] = {}
     for ch, rk, bg, bk, row in attacker:
-        sub = row // geo.rows_per_subarray
+        sub = row // geometry.rows_per_subarray
         hits = []
         for dist in range(1, blast_radius + 1):
             for victim_row in (row - dist, row + dist):
-                if not 0 <= victim_row < geo.rows:
+                if not 0 <= victim_row < geometry.rows:
                     continue
-                if victim_row // geo.rows_per_subarray != sub:
+                if victim_row // geometry.rows_per_subarray != sub:
                     continue
                 if (ch, rk, bg, bk, victim_row) in victim:
                     hits.append(victim_row)
@@ -220,8 +223,8 @@ def brute_aggressors(
 
 
 def brute_boundary_fallback(
-    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
-) -> list[tuple[int, int, int, int, int]]:
+    geometry: Geometry, attacker: set[RowTuple], victim: set[RowTuple]
+) -> list[RowTuple]:
     """Attacker rows nearest to the victim footprint, same subarray preferred.
 
     Each attacker row is paired with its nearest victim row in the same bank
@@ -229,13 +232,7 @@ def brute_boundary_fallback(
     row on a tie. The rows whose pair ranks lowest by (other subarray, row
     distance) are returned, sorted.
     """
-    per = mapping.geometry.rows_per_subarray
-    attacker = brute_footprint(
-        mapping, layout.region_of(attacker_vm).start_pa, layout.region_of(attacker_vm).size
-    )
-    victim = brute_footprint(
-        mapping, layout.region_of(victim_vm).start_pa, layout.region_of(victim_vm).size
-    )
+    per = geometry.rows_per_subarray
     victim_rows_by_bank: dict[tuple[int, ...], list[int]] = {}
     for row_tuple in victim:
         victim_rows_by_bank.setdefault(row_tuple[:4], []).append(row_tuple[4])
@@ -248,6 +245,24 @@ def brute_boundary_fallback(
         ranks[row_tuple] = (victim_row // per != row // per, dist)
     best = min(ranks.values())
     return sorted(rt for rt, rank in ranks.items() if rank == best)
+
+
+def brute_sites(
+    mapping: AddressMapping,
+    layout: MemoryLayout,
+    attacker_vm: str,
+    victim_vm: str,
+    blast_radius: int,
+) -> list[tuple[RowTuple, list[int]]]:
+    """The rows to hammer, in order, each with its victim rows: the
+    ``brute_aggressors`` rows or, when none is adjacent, the
+    ``brute_boundary_fallback`` rows with no victim rows."""
+    attacker = brute_vm_rows(mapping, layout, attacker_vm)
+    victim = brute_vm_rows(mapping, layout, victim_vm)
+    adjacent = brute_aggressors(mapping.geometry, attacker, victim, blast_radius)
+    if adjacent:
+        return sorted(adjacent.items())
+    return [(rt, []) for rt in brute_boundary_fallback(mapping.geometry, attacker, victim)]
 
 
 class BruteStats:
@@ -430,7 +445,7 @@ def brute_row_pas(
     """Physical addresses of every byte of one row, found by translating
     every PA of the space."""
     pas = np.arange(mapping.geometry.total_bytes, dtype=np.int64)
-    in_row = (coords_of(mapping, pas)[:, :5] == row_tuple).all(axis=1)
+    in_row = (coords_of(mapping, pas, ROW_KINDS) == row_tuple).all(axis=1)
     return pas[in_row].tolist()
 
 
@@ -446,9 +461,7 @@ def brute_seeded_attack(scenario: Scenario) -> BruteState:
         mapping, scenario.mitigation, scenario.vm_sizes, scenario.guard_global_rows
     )
     attacker, victim = vm_footprints(mapping, layout, scenario.attacker_vm, scenario.victim_vm)
-    sites = find_aggressors(mapping, attacker, victim, blast) or boundary_fallback(
-        mapping, attacker, victim
-    )
+    sites = find_aggressors(mapping, attacker, victim, blast)
     selection = scenario.aggressor_selection
     if selection == "first":
         sites = sites[:1]

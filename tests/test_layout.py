@@ -18,7 +18,6 @@ from vmhammer import (
     MemoryLayout,
     PlanError,
     Region,
-    boundary_fallback,
     check_layout,
     classify_pa,
     find_aggressors,
@@ -29,14 +28,13 @@ from vmhammer import (
 from vmhammer.layout import _fitting_windows, pack_layout, plan_layout, row_chunk_stride
 
 from oracles import (
-    brute_aggressors,
-    brute_boundary_fallback,
     brute_chunk_stride,
     brute_citadel,
     brute_citadel_feasible,
     brute_footprint,
     brute_groups,
     brute_siloz,
+    brute_sites,
     footprint_rows,
     random_geometry,
     random_invertible_mapping,
@@ -568,12 +566,29 @@ def test_citadel_refusals_are_fast(geometry):
 # -- aggressor discovery --------------------------------------------------------------
 
 
+def site_row_tuple(site) -> tuple[int, int, int, int, int]:
+    c = site.coord
+    return (c.channel, c.rank, c.bankgroup, c.bank, c.row)
+
+
+def check_sites(mapping, layout, attacker_vm, victim_vm, blast):
+    """find_aggressors on the two VMs' footprints against ``brute_sites``:
+    the adjacent rows with their victim rows or, when none is adjacent, the
+    fallback rows with none. Returns the sites."""
+    sites = find_aggressors(mapping, *vm_footprints(mapping, layout, attacker_vm, victim_vm), blast)
+    actual = [(site_row_tuple(s), list(s.victim_rows)) for s in sites]
+    assert actual == brute_sites(mapping, layout, attacker_vm, victim_vm, blast)
+    for site in sites:
+        assert mapping.pa_to_coord(site.pa) == site.coord and site.coord.column == 0
+    return sites
+
+
 def test_find_aggressors_adjacent_8mib(presets, geometry):
     mapping = presets["simple"]
     layout = MemoryLayout(
         (Region("vm0", 0, 8 * MIB), Region("vm1", 8 * MIB, 8 * MIB))
     )
-    sites = find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), 1)
+    sites = check_sites(mapping, layout, "vm1", "vm0", 1)
     by_row = {site.coord.row: site for site in sites}
     assert 256 in by_row
     assert by_row[256].victim_rows == (255,)
@@ -581,31 +596,38 @@ def test_find_aggressors_adjacent_8mib(presets, geometry):
     # row 256 is the only vm1 row adjacent to vm0 in the same subarray
     assert set(by_row) == {256}
     assert len(sites) == 4  # one per bankgroup
-    expected = brute_aggressors(mapping, layout, "vm1", "vm0", 1)
-    actual = {
-        (s.coord.channel, s.coord.rank, s.coord.bankgroup, s.coord.bank, s.coord.row): list(
-            s.victim_rows
-        )
-        for s in sites
-    }
-    assert actual == expected
 
 
 def test_find_aggressors_empty_under_siloz(presets):
     mapping = presets["simple"]
     plan = plan_siloz(mapping, [16 * MIB, 16 * MIB])
-    assert find_aggressors(mapping, *vm_footprints(mapping, plan.layout, "vm1", "vm0"), 1) == []
+    sites = find_aggressors(mapping, *vm_footprints(mapping, plan.layout, "vm1", "vm0"), 1)
+    assert sites and not any(site.victim_rows for site in sites)
 
 
 def test_find_aggressors_empty_under_citadel(presets):
     mapping = presets["simple"]
     layout = plan_citadel(mapping, [256 * MIB, 256 * MIB], 1)
-    assert find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), 1) == []
+    sites = find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), 1)
+    assert sites and not any(site.victim_rows for site in sites)
 
 
-def site_row_tuple(site) -> tuple[int, int, int, int, int]:
-    c = site.coord
-    return (c.channel, c.rank, c.bankgroup, c.bank, c.row)
+def test_find_aggressors_empty_footprint(presets):
+    mapping = presets["simple"]
+    empty = row_footprint(mapping, Region("vm0", 0, 0))
+    full = row_footprint(mapping, Region("vm1", 0, MIB))
+    assert len(empty) == 0 and len(full)
+    for attacker, victim in ((empty, full), (full, empty), (empty, empty)):
+        assert find_aggressors(mapping, attacker, victim, 1) == []
+
+
+@pytest.mark.parametrize("radius", [0, -1, True])
+def test_find_aggressors_refuses_radius(presets, radius):
+    mapping = presets["simple"]
+    attacker = row_footprint(mapping, Region("vm1", 8 * MIB, MIB))
+    victim = row_footprint(mapping, Region("vm0", 0, 8 * MIB))
+    with pytest.raises(ValueError, match="blast_radius"):
+        find_aggressors(mapping, attacker, victim, radius)
 
 
 def test_find_aggressors_matches_oracle():
@@ -621,37 +643,24 @@ def test_find_aggressors_matches_oracle():
         blast = rng.randint(1, 3)
         vm1_below = MemoryLayout((Region("vm1", 0, size1), Region("vm0", size1, size0)))
         for layout in (pack_layout(mapping, (size0, size1)), vm1_below):
-            sites = find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), blast)
-            actual = {site_row_tuple(s): list(s.victim_rows) for s in sites}
-            expected = brute_aggressors(mapping, layout, "vm1", "vm0", blast)
-            assert actual == expected
-            assert [site_row_tuple(s) for s in sites] == sorted(expected)
-            if expected:
+            sites = check_sites(mapping, layout, "vm1", "vm0", blast)
+            if sites[0].victim_rows:
                 nonempty += 1
             attacker_rows = brute_footprint(
                 mapping, layout.region_of("vm1").start_pa, layout.region_of("vm1").size
             )
             for site in sites:
-                coord = mapping.pa_to_coord(site.pa)
-                assert coord == site.coord and coord.column == 0
                 # the row is the attacker's even when its column-0 byte is not
                 assert site_row_tuple(site) in attacker_rows
     assert nonempty >= 20
 
 
-def check_boundary_fallback(mapping, layout, attacker_vm, victim_vm):
-    sites = boundary_fallback(mapping, *vm_footprints(mapping, layout, attacker_vm, victim_vm))
-    expected = brute_boundary_fallback(mapping, layout, attacker_vm, victim_vm)
-    assert [site_row_tuple(s) for s in sites] == expected
-    for site in sites:
-        assert site.victim_rows == ()
-        assert mapping.pa_to_coord(site.pa) == site.coord and site.coord.column == 0
-    return sites
-
-
 def test_boundary_fallback_matches_oracle(presets):
+    """The fallback rows, through find_aggressors: the same random layouts
+    in both directions, then more until 120 fallback comparisons are made."""
     rng = random.Random(0xFA11)
-    for trial in range(60):
+    fallbacks = trial = 0
+    while trial < 60 or fallbacks < 120:
         geometry = random_geometry(rng, max_total=1 << rng.randint(12, 14))
         maker = random_split_mapping if trial % 2 else random_invertible_mapping
         mapping = maker(rng, geometry)
@@ -663,12 +672,15 @@ def test_boundary_fallback_matches_oracle(presets):
         layout = MemoryLayout(
             (Region(low, a * unit, (b - a) * unit), Region(high, c * unit, (d - c) * unit))
         )
-        check_boundary_fallback(mapping, layout, "vm1", "vm0")
-        check_boundary_fallback(mapping, layout, "vm0", "vm1")
+        for attacker_vm, victim_vm in (("vm1", "vm0"), ("vm0", "vm1")):
+            sites = check_sites(mapping, layout, attacker_vm, victim_vm, 1)
+            fallbacks += not sites[0].victim_rows
+        trial += 1
     # bank 1 holds no victim row, so every attacker row is ranked against
     # all victim rows: each vm1 row has a vm0 row of the same index
     layout = MemoryLayout(
         (Region("vm0", 0, 8 * MIB), Region("vm1", 2048 * MIB, 8 * MIB))
     )
-    sites = check_boundary_fallback(presets["simple"], layout, "vm1", "vm0")
+    sites = check_sites(presets["simple"], layout, "vm1", "vm0", 1)
+    assert not sites[0].victim_rows
     assert len(sites) == 4 * 256 and {s.coord.bank for s in sites} == {1}

@@ -7,6 +7,8 @@ under src/, so a mention in a comment or a string counts as a use.
   activate_row, refresh and replay, so only dram.py names the internals.
 - AccessTrace._of and _freeze build a trace without checking its entries, so
   only harness.py names them.
+- Aggressor discovery's helpers _nearest and _site belong to the one call
+  that picks the rows to hammer, so only layout.py names them.
 - Layers, lowest first: gf2; mapping; dram and layout; harness. A module
   imports only the vmhammer modules listed for it in LAYERS; harness may also
   take the package's __version__ for its reports, and translates no address
@@ -45,6 +47,7 @@ OWNERS = {
         PACKAGE / "dram.py",
     ),
     **dict.fromkeys(("_of", "_freeze"), PACKAGE / "harness.py"),
+    **dict.fromkeys(("_nearest", "_site"), PACKAGE / "layout.py"),
 }
 
 # module -> the vmhammer names it may import from
