@@ -13,12 +13,20 @@ plan_layout is the one dispatch from a mitigation name to its planner.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
-blocks and enumerating each block's image with ``gf2.span`` over the mapping's
-columns, XORed with the image of the block's base. A footprint is a sorted
-int64 array of distinct packed coordinate vectors with the column bits
-cleared. find_aggressors is the one call that picks the rows to hammer: it
-takes two footprints, returns the attacker rows adjacent to the victim or,
-when none is, the nearest ones, and caches nothing.
+blocks. A block's row tuples are a coset of the span of the mapping's low
+columns, and one ``gf2.span`` lists them strictly increasing: back-substitute
+the basis so each leading bit is set in one vector only, span it in ascending
+leading-bit order and XOR in the image of the block's base reduced by that
+basis. A footprint is a strictly increasing int64 array of packed coordinate
+vectors with the column bits cleared: one block's span as it comes, or
+several blocks' spans merged by a stable sort.
+
+find_aggressors is the one call that picks the rows to hammer: it takes two
+footprints, returns the attacker rows adjacent to the victim or, when none is,
+the nearest ones, and caches nothing. It bisects the sorted footprints with
+``np.searchsorted``, and its nearest-row fallback ranks only the ends of the
+runs of consecutive rows in a bank tuple (and the rows that may tie at
+distance 0), since any other attacker row has a neighbour that ranks lower.
 """
 
 from __future__ import annotations
@@ -193,8 +201,13 @@ def _aligned_blocks(start: int, size: int) -> list[tuple[int, int]]:
 
 def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     """Exact set of row tuples a region touches under a validated mapping: a
-    sorted int64 array of distinct packed coordinate vectors with the column
-    bits cleared, so sorted by row first (the top field)."""
+    strictly increasing int64 array of packed coordinate vectors with the
+    column bits cleared, so sorted by row first (the top field).
+
+    Each aligned block's row tuples come out of ``_sorted_coset`` strictly
+    increasing, so a one-block region needs no sort and several blocks need
+    only a stable sort, which merges their runs, before repeats are dropped.
+    """
     geo = mapping.geometry
     check_int("region start_pa", region.start_pa)
     check_int("region size", region.size)
@@ -207,14 +220,38 @@ def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     parts = [np.zeros(0, dtype=np.int64)]
     for base, k in _aligned_blocks(region.start_pa, region.size):
         anchor = gf2.image(mapping._forward_tables, base) & row_tuple
-        parts.append(gf2.span(gf2.reduce_basis(images[:k])) ^ anchor)
-    return _distinct(np.concatenate(parts))
+        parts.append(_sorted_coset(gf2.reduce_basis(images[:k]), anchor))
+    if len(parts) <= 2:  # no block, or one: strictly increasing already
+        return parts[-1]
+    # a stable sort merges the blocks' ascending runs
+    return _distinct(np.sort(np.concatenate(parts), kind="stable"))
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of values, ascending: a sort, then neighbouring
-    repeats dropped (np.unique is ~20x slower and imports numpy.ma)."""
-    packed = np.sort(values)
+def _sorted_coset(basis: list[int], anchor: int) -> np.ndarray:
+    """The coset anchor ^ span(basis), strictly increasing, for a basis in
+    ``gf2.reduce_basis``'s descending order.
+
+    Back-substituted, each basis vector holds its own leading bit and no
+    other's, and the anchor reduced by the basis holds none. Two members then
+    differ first at the highest leading bit of the vectors that tell them
+    apart, and the one holding that vector is the greater; so spanning the
+    vectors in ascending leading-bit order lists the members ascending.
+    """
+
+    def least(x: int, vectors: list[int]) -> int:
+        for vector in vectors:
+            x = min(x, x ^ vector)
+        return x
+
+    ascending = [least(vector, basis[i + 1 :]) for i, vector in reversed(list(enumerate(basis)))]
+    coset = gf2.span(ascending)
+    coset ^= least(anchor, basis)
+    return coset
+
+
+def _distinct(packed: np.ndarray) -> np.ndarray:
+    """The distinct entries of the ascending packed: neighbouring repeats
+    dropped (np.unique is ~20x slower and imports numpy.ma)."""
     keep = np.ones(len(packed), dtype=bool)
     keep[1:] = packed[1:] != packed[:-1]
     return packed[keep]
@@ -342,7 +379,7 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
                 f"group granularity is 0x{stride:x} bytes"
             )
         first = int(free.argmax())
-        mine = _distinct(block_ids[first : first + n])
+        mine = _distinct(np.sort(block_ids[first : first + n]))
         blocked |= np.isin(block_ids, mine)
         candidate[first + n] = True
         placed.append(Region(owner, first * block, size))
@@ -544,17 +581,42 @@ def find_aggressors(
     victim's footprints: the rows within blast radius of a victim row or,
     when none is, the rows nearest to the victim footprint.
 
+    Each footprint must be what ``row_footprint`` returns, a strictly
+    increasing 1-D int64 array, since every search below bisects it;
+    anything else raises ValueError naming it.
+
     Adjacency requires the same bank tuple and the same subarray, and a row
     distance of 1..blast_radius (a row shared by both VMs is not adjacency);
     an adjacent site carries its victim rows. With no adjacent row, each
     attacker row is paired with its nearest victim row in its bank tuple, or
     in any bank tuple when its own holds none, the lower row on a tie, and
     the rows ranking lowest by (other subarray, row distance) are the sites,
-    with no victim rows. Each site carries a representative PA at column 0
-    of the aggressor row. Sites are in (channel, rank, bankgroup, bank, row)
-    order; an empty footprint gives none.
+    with no victim rows.
+
+    Only three kinds of attacker row are ranked: the first and last row of
+    each run of consecutive rows in a bank tuple, every row the victim also
+    holds (it pairs with itself at distance 0), and every row of a bank tuple
+    that holds no victim row (rows of any index there may tie at distance 0).
+    Any other row x lies inside a run and is not a victim row, so its
+    neighbour one row toward its nearest victim row v is an attacker row
+    whose own nearest victim row is strictly nearer, and in its own subarray
+    whenever v is in x's: that neighbour ranks strictly lower. Such a v is
+    itself the first or last row of a run of victim rows, so only those ends
+    are searched in a bank tuple.
+
+    Each site carries a representative PA at column 0 of the aggressor row.
+    Sites are in (channel, rank, bankgroup, bank, row) order; an empty
+    footprint gives none.
     """
     check_int("blast_radius", blast_radius, 1)
+    for name, footprint in (("attacker", attacker), ("victim", victim)):
+        if not (
+            isinstance(footprint, np.ndarray)
+            and footprint.ndim == 1
+            and footprint.dtype == np.int64
+            and bool(np.all(footprint[1:] > footprint[:-1]))
+        ):
+            raise ValueError(f"{name} must be a strictly increasing 1-D int64 footprint")
     if not (len(attacker) and len(victim)):
         return []
     geo = mapping.geometry
@@ -565,7 +627,7 @@ def find_aggressors(
     # than rows_per_subarray - 1, so no longer offset can find a victim.
     reach = min(blast_radius, geo.rows_per_subarray - 1)
     deltas = [d for d in range(-reach, reach + 1) if d]
-    hit = {d: np.isin(attacker + (d << offset), victim) for d in deltas}
+    hit = {d: _member(victim, attacker, d << offset) for d in deltas}
     sites = []
     for i in np.flatnonzero(np.any([hit[d] for d in deltas], axis=0)).tolist():
         vec = int(attacker[i])
@@ -574,19 +636,54 @@ def find_aggressors(
         if victims:
             sites.append(_site(mapping, vec, victims))
     if not sites:
-        rows = attacker >> offset
+        bank = (1 << offset) - 1  # the bank tuple's bits
+        narrow = np.min_scalar_type(bank)
+        attacker_banks = (attacker & bank).astype(narrow)
+        # a stable radix argsort of the narrow bank bits groups the rows by
+        # bank tuple, each tuple's rows still ascending
+        order = np.argsort(attacker_banks, kind="stable")
+        candidates = attacker[order]
+        victim_ends = victim[np.argsort((victim & bank).astype(narrow), kind="stable")]
+        victim_ends = victim_ends[_run_ends(victim_ends, offset)]  # one or more per bank tuple
+        holds_victim = np.zeros(bank + 1, dtype=bool)
+        holds_victim[victim_ends & bank] = True
+        shared = _member(victim, attacker)[order]  # nearest to itself
+        pick = _run_ends(candidates, offset) | shared | ~holds_victim[attacker_banks[order]]
+        candidates, shared = candidates[pick], shared[pick]
+        rows = candidates >> offset
 
-        def bank_major(packed: np.ndarray) -> np.ndarray:
-            return (packed & ((1 << offset) - 1)) << width | packed >> offset
+        def key(packed: np.ndarray) -> np.ndarray:
+            return (packed & bank) << width | packed >> offset
 
-        nearest, in_bank = _nearest(np.sort(bank_major(victim)), bank_major(attacker), width)
+        nearest, in_bank = _nearest(key(victim_ends), key(candidates), width)
         nearest &= geo.rows - 1
         # the footprint is sorted by row, its top field
         nearest[~in_bank], _ = _nearest(victim >> offset, rows[~in_bank], width)
+        nearest[shared] = rows[shared]
         other_subarray = (geo.subarray_of(nearest) != geo.subarray_of(rows)).astype(np.int64)
         rank = other_subarray << width | np.abs(rows - nearest)
-        sites = [_site(mapping, vec, ()) for vec in attacker[rank == rank.min()].tolist()]
+        sites = [_site(mapping, vec, ()) for vec in candidates[rank == rank.min()].tolist()]
     return sorted(sites, key=lambda site: site.coord)
+
+
+def _member(values: np.ndarray, x: np.ndarray, plus: int = 0) -> np.ndarray:
+    """Whether each x + plus is an entry of values, both ascending and
+    values nonempty. Only the x whose sum lies in values' range are searched."""
+    found = np.zeros(len(x), dtype=bool)
+    lo, hi = np.searchsorted(x, [values[0] - plus, values[-1] - plus + 1]).tolist()
+    within = x[lo:hi] + plus
+    found[lo:hi] = values[np.searchsorted(values, within)] == within
+    return found
+
+
+def _run_ends(packed: np.ndarray, offset: int) -> np.ndarray:
+    """Whether each of the packed rows, grouped by bank tuple with rows
+    ascending, starts or ends a run of consecutive rows of one bank tuple:
+    one row up in the same tuple is 1 << offset more."""
+    gap = packed[1:] - packed[:-1] != 1 << offset
+    ends = np.ones(len(packed), dtype=bool)
+    ends[1:-1] = gap[:-1] | gap[1:]
+    return ends
 
 
 def _nearest(values: np.ndarray, x: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,14 @@ from vmhammer import (
     plan_siloz,
     row_footprint,
 )
-from vmhammer.layout import _fitting_windows, pack_layout, plan_layout, row_chunk_stride
+from vmhammer import gf2
+from vmhammer.layout import (
+    _fitting_windows,
+    _sorted_coset,
+    pack_layout,
+    plan_layout,
+    row_chunk_stride,
+)
 
 from oracles import (
     brute_chunk_stride,
@@ -162,9 +169,25 @@ def test_footprint_matches_bytewise_oracle():
             start = rng.randrange(total)
             size = rng.randrange(1, total - start + 1)
             fp = row_footprint(mapping, Region("x", start, size))
+            # strictly increasing int64, as aggressor discovery requires
+            assert fp.dtype == np.int64 and fp.ndim == 1 and np.all(fp[1:] > fp[:-1])
             assert footprint_rows(mapping.geometry, fp) == frozenset(
                 brute_footprint(mapping, start, size)
             )
+
+
+def test_sorted_coset_is_strictly_increasing():
+    # a back-substituted basis spanned in ascending leading-bit order, XORed
+    # with the reduced anchor, lists the coset ascending at every width
+    rng = random.Random(0x5027)
+    for _ in range(300):
+        width = rng.randint(1, 62)
+        vectors = [rng.getrandbits(width) for _ in range(rng.randint(0, min(width, 10)))]
+        basis = gf2.reduce_basis(vectors)
+        anchor = rng.getrandbits(width)
+        coset = _sorted_coset(basis, anchor)
+        assert coset.dtype == np.int64 and np.all(coset[1:] > coset[:-1]), (width, vectors, anchor)
+        assert coset.tolist() == sorted(gf2.span(basis) ^ anchor)
 
 
 def test_chunk_stride_matches_oracle():
@@ -619,6 +642,51 @@ def test_find_aggressors_empty_footprint(presets):
     assert len(empty) == 0 and len(full)
     for attacker, victim in ((empty, full), (full, empty), (empty, empty)):
         assert find_aggressors(mapping, attacker, victim, 1) == []
+
+
+def test_find_aggressors_refuses_unsorted_footprints(presets):
+    # every search bisects a footprint: unchecked, the shuffled victim
+    # below gives 17 of this layout's 1,024 fallback sites
+    mapping = presets["simple"]
+    attacker = row_footprint(mapping, Region("vm1", 2048 * MIB, 8 * MIB))
+    victim = row_footprint(mapping, Region("vm0", 0, 8 * MIB))
+    bad = [
+        np.random.default_rng(0).permutation(victim),
+        victim[::-1],
+        np.repeat(victim, 2),
+        victim.astype(np.int32),
+        victim.reshape(1, -1),
+        victim.tolist(),
+    ]
+    for footprint in bad:
+        with pytest.raises(ValueError, match="^victim must be a strictly increasing"):
+            find_aggressors(mapping, attacker, footprint, 1)
+        with pytest.raises(ValueError, match="^attacker must be a strictly increasing"):
+            find_aggressors(mapping, footprint, victim, 1)
+    assert len(find_aggressors(mapping, attacker, victim, 1)) == 1024
+
+
+@pytest.mark.parametrize(
+    "top, n_sites",
+    [
+        # vm0 and vm1 hold the two halves of every row tuple: all 64 shared
+        # rows are sites, not only the ends of each bank's run of rows
+        ({"column": [[11]], "bank": [[5]]}, 64),
+        # bank 1 holds no victim row, and each of its 32 rows ties with the
+        # victim row of its index in bank 0
+        ({"column": [[5]], "bank": [[11]]}, 32),
+    ],
+)
+def test_boundary_fallback_distance_zero_ties(top, n_sites):
+    # one-row subarrays, so no row is adjacent and every site is at distance 0
+    geometry = Geometry(channels=1, ranks=1, bankgroups=1, banks=2, rows=32, columns=64,
+                        rows_per_subarray=1)
+    functions = {"column": [[b] for b in range(5)] + top["column"], "bank": top["bank"],
+                 "row": [[b] for b in range(6, 11)]}
+    mapping = AddressMapping.build(geometry, functions)
+    layout = MemoryLayout((Region("vm0", 0, 2048), Region("vm1", 2048, 2048)))
+    sites = check_sites(mapping, layout, "vm1", "vm0", 1)
+    assert len(sites) == n_sites and not any(site.victim_rows for site in sites)
 
 
 @pytest.mark.parametrize("radius", [0, -1, True])
