@@ -15,7 +15,7 @@ translations are XORs of per-byte lookups built from them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -209,7 +209,7 @@ class Geometry:
         return [v for v in range(max(row - radius, first), min(row + radius, last) + 1) if v != row]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Geometry":

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, JSON output, and file plumbing."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -539,6 +540,15 @@ def test_matrix_builtin_grid_table(capsys):
     assert lines[0].split() == ["mitigation", "simple", "bank-xor", "bank-xor-noncontig-row"]
     assert [line.split()[0] for line in lines[1:]] == ["none", "siloz", "citadel"]
     assert out.count("✓") == 9 and "✗" not in out
+
+
+def test_matrix_output_bytes_are_pinned(capsys):
+    # the built-in grid's JSON, byte for byte: indent, key order, escapes and number forms
+    code, out, err = run_cli(capsys, "matrix")
+    assert (code, err, len(out)) == (0, "", 47898)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9e59c035c3a3453c11e1f45f91bb08ebd048792bf7233db16d181e036aa9eab7"
+    )
 
 
 def test_main_calls_in_one_process_are_independent(capsys):

@@ -1,9 +1,11 @@
 """Scenario plumbing, attack verdicts, matrix runs, and trace replay."""
 
 import dataclasses
+import enum
 import hashlib
 import json
 import random
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -505,11 +507,23 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_reports_are_pinned(presets):
+@pytest.fixture(scope="module")
+def dense_reports():
+    """The report dicts of the six mitigated built-in cells hammered for three
+    refresh windows per site, each activation past hc_first drawing: 3,655 flips."""
+    cells = (sc for sc in builtin_matrix() if sc.mitigation != "none")
+    return [
+        run_attack(with_overrides(sc, deterministic_mode=False, hc_first=1000,
+                                  flip_probability=1e-3, blast_radius=2,
+                                  hammer_count=250_000, rng_seed=i)).to_dict()
+        for i, sc in enumerate(cells)
+    ]
+
+
+def test_reports_are_pinned(presets, dense_reports):
     """Seeded results, deterministic and probabilistic, bit for bit."""
 
-    def pinned_keys(scenario):
-        data = run_attack(scenario).to_dict()
+    def pinned_keys(data):
         return {k: data[k] for k in REPORT_KEYS if k in data}
 
     matrix = builtin_matrix()
@@ -519,13 +533,7 @@ def test_reports_are_pinned(presets):
         for sc in matrix
         for seed in range(3)
     ]
-    # three refresh windows per site, each activation past hc_first drawing
-    dense = [
-        with_overrides(sc, deterministic_mode=False, hc_first=1000, flip_probability=1e-3,
-                       blast_radius=2, hammer_count=250_000, rng_seed=i)
-        for i, sc in enumerate(sc for sc in matrix if sc.mitigation != "none")
-    ]
-    dense_keys = [pinned_keys(sc) for sc in dense]
+    dense_keys = [pinned_keys(data) for data in dense_reports]
     assert sum(len(keys["flips"]) for keys in dense_keys) == 3655
     params = HammerParams(hc_first=40, flip_probability=0.5, rng_seed=3)
     replays = []
@@ -538,8 +546,8 @@ def test_reports_are_pinned(presets):
                 "flips": [f.to_dict(geo, geo.pa_digits) for f in flips],
             })
     assert sum(len(r["flips"]) for r in replays) == 7575
-    assert [_digest([pinned_keys(sc) for sc in matrix]),
-            _digest([pinned_keys(sc) for sc in swept]),
+    assert [_digest([pinned_keys(run_attack(sc).to_dict()) for sc in matrix]),
+            _digest([pinned_keys(run_attack(sc).to_dict()) for sc in swept]),
             _digest(replays),
             _digest(dense_keys)] == [
         "c6eaa04762a9b6313d851dd06dc0c6098f3f2f8b2e9bc661f1e5e0d3f84fdc67",
@@ -547,6 +555,24 @@ def test_reports_are_pinned(presets):
         "97a3f000fecbcea864ca226e6854cbb66396a04d32f58865fa91fe90e45a2ae6",
         "75170bfc0f7db2b5e5a1fd0d34eb49e3093914ba350aa67ed8c4331bc2638c93",
     ]
+
+
+def test_dense_reports_render_as_json_dumps_does(dense_reports):
+    text = render_json(dense_reports)
+    assert text == json.dumps(dense_reports, indent=2, sort_keys=True) + "\n"
+    assert text.count('"bit_index"') == 3655
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(hammer=reduced_hammer(deterministic_mode=False, flip_probability=0.5, rng_seed=9)),
+    dict(mitigation="siloz", vm_sizes=(16 * MIB, 16 * MIB)),
+], ids=["probabilistic", "siloz"])
+def test_report_hash_is_the_scenario_hash(presets, overrides):
+    sc = make_scenario(presets, **overrides)
+    data = run_attack(sc).to_dict()
+    assert data["scenario"] == sc.canonical_dict()
+    assert data["scenario"]["hammer"] == dataclasses.asdict(sc.hammer)
+    assert data["scenario_hash"] == sc.hash()
 
 
 def test_report_is_deterministic(presets):
@@ -626,6 +652,73 @@ def test_attack_matches_seeded_oracle(data):
     expected = brute_seeded_attack(scenario)
     assert list(report.flips) == expected.collect_flips()
     assert report.stats.to_dict() == expected.stats.to_dict()
+
+
+# -- rendering --------------------------------------------------------------------
+
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028é€😀') | st.characters(), max_size=8)
+JSON_LEAVES = (
+    JSON_TEXT
+    | st.integers(min_value=-(1 << 80), max_value=1 << 80)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, float("nan"), float("inf"), -float("inf")])
+    | st.booleans()
+    | st.none()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def json_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_render_json_matches_json_dumps(value):
+    assert render_json(value) == json_text(value)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str, enum.Enum):
+    QUOTED = 'a "b"\n'
+
+
+def test_render_json_renders_subclasses_as_json_does():
+    value = {
+        "counter": Counter("abracadabra"),
+        "level": Level.HIGH,
+        "levels": {Level.LOW: [Level.HIGH], 0: (Level.LOW,)},
+        "tag": Tag.QUOTED,
+        "numpy float": np.float64(0.1),
+        "float keys": {2.5: 1, -0.0: 2, float("inf"): 3},
+        "bool keys": {True: 1, False: 0},
+        "none key": {None: []},
+        "named tuple": namedtuple("Point", "x y")(1, [Level.LOW, "é"]),
+    }
+    assert render_json(value) == json_text(value)
+    assert render_json(Tag.QUOTED) == json_text(Tag.QUOTED)
+
+
+@pytest.mark.parametrize("refused", [
+    {1, 2}, frozenset(), b"ab", np.int64(1), np.bool_(True), np.array([1]), object(),
+    {(1, 2): "a tuple key"},
+], ids=repr)
+def test_render_json_refuses_what_json_refuses(refused):
+    for value in (refused, [refused], {"k": refused}):
+        with pytest.raises(TypeError):
+            json_text(value)
+        with pytest.raises(TypeError):
+            render_json(value)
 
 
 # -- matrix runs ------------------------------------------------------------------

@@ -5,6 +5,7 @@ the exhaustive and property tests then hold the fast paths to the same
 answers.
 """
 
+import dataclasses
 import json
 import random
 
@@ -97,6 +98,22 @@ def test_geometry_field_errors_keep_their_wording_and_order():
 
 def test_geometry_dict_roundtrip(geometry):
     assert Geometry.from_dict(geometry.to_dict()) == geometry
+
+
+def test_geometry_dict_holds_only_its_fields():
+    geometry = default_geometry()
+    assert geometry.total_bytes and geometry.coord_offsets and geometry._fields  # now cached
+    assert set(vars(geometry)) > {"total_bytes", "coord_offsets", "_fields"}
+    assert geometry.to_dict() == {
+        "channels": geometry.channels,
+        "ranks": geometry.ranks,
+        "bankgroups": geometry.bankgroups,
+        "banks": geometry.banks,
+        "rows": geometry.rows,
+        "columns": geometry.columns,
+        "rows_per_subarray": geometry.rows_per_subarray,
+    }
+    assert list(geometry.to_dict()) == [f.name for f in dataclasses.fields(Geometry)]
 
 
 def test_neighbours_stop_at_the_subarray(geometry):

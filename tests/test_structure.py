@@ -23,6 +23,8 @@ read the syntax tree, so only code counts:
 - src/, tests/ and demos/ use only numpy 1.24's API, the oldest numpy the
   package supports: no numpy attribute added since, and no ``stable=`` to a
   sort.
+- harness.render_json is the one indented renderer: no json.dump or
+  json.dumps call under src/ passes ``indent``.
 """
 
 import ast
@@ -178,6 +180,15 @@ def newer_numpy(node) -> str | None:
     return None
 
 
+def indented_dump(node) -> bool:
+    """Whether ``node`` calls ``dump`` or ``dumps`` with an ``indent``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords)
+
+
 def test_only_close_windows_closes_a_window():
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}: in {scope or 'the module'}"
@@ -193,5 +204,14 @@ def test_numpy_api_is_that_of_numpy_1_24():
         for path, _, node in python_nodes(SRC, ROOT / "tests", ROOT / "demos")
         for what in [newer_numpy(node)]
         if what
+    ]
+    assert found == []
+
+
+def test_render_json_is_the_one_indented_renderer():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: in {scope or 'the module'}"
+        for path, scope, node in python_nodes(SRC)
+        if indented_dump(node)
     ]
     assert found == []
