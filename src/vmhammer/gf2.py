@@ -1,12 +1,15 @@
 """Bit-packed linear algebra over GF(2).
 
 A matrix is a list of Python ints, one per row; bit i of a row is the entry
-in column i. Python ints are unbounded, so any width works. ``reduce_basis``
-is the one elimination step: ``analyze`` runs it on rows tagged with their
-indices to read off rank, inverse and a dependency. Elimination is indexed by
-pivot: the basis is kept as a leading bit -> vector dict plus a mask of those
-bits, and a vector is reduced only by the pivots set in it, highest first, so
-it costs one XOR per pivot it meets, not one step per basis vector.
+in column i. Python ints are unbounded, so any width works. ``_eliminate`` is
+the one elimination and ``_reduce`` the one reduction; every caller goes
+through them. Elimination is indexed by pivot: the basis is kept as a leading
+bit -> vector dict plus a mask of those bits, and a vector is reduced only
+by the pivots set in it, highest first, so it costs one XOR per pivot it
+meets, not one step per basis vector. ``analyze`` runs elimination on rows
+tagged with their indices to read off rank, inverse and a dependency;
+``coset`` lists a coset of a span strictly increasing, and ``least`` reduces
+vectors to the least members of their cosets.
 
 A linear map is also given by its columns, the images of the unit vectors;
 from those, ``image_tables`` translates single vectors or int64 arrays of
@@ -20,16 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["analyze", "reduce_basis", "span", "image_tables", "image", "image_array"]
+__all__ = ["analyze", "coset", "least", "span", "image_tables", "image", "image_array"]
 
 
 def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | None]:
     """Rank, inverse and first dependency of rows, each width bits wide.
 
-    ``reduce_basis``'s elimination is the one step. With n = len(rows), row i
-    enters it tagged as row << n | 1 << i, so the low n bits of every vector
-    name the input rows XORed into it, and a vector whose row part (v >> n)
-    is zero names rows that XOR to zero.
+    ``_eliminate`` is the one step. With n = len(rows), row i enters it
+    tagged as row << n | 1 << i, so the low n bits of every vector name the
+    input rows XORed into it, and a vector whose row part (v >> n) is zero
+    names rows that XOR to zero.
 
     Returns (rank, inverse, dependency):
       rank        the number of basis vectors with a nonzero row part.
@@ -54,22 +57,37 @@ def analyze(rows: list[int], width: int) -> tuple[int, list[int] | None, int | N
     return rank, [_reduce(1 << (c + n), lead, pivots) for c in range(width)], None
 
 
-def reduce_basis(vectors: list[int]) -> list[int]:
-    """A basis of the span of vectors: linearly independent, same span.
+def coset(vectors: Sequence[int], anchor: int) -> np.ndarray:
+    """Every member of anchor ^ span(vectors), once each, as a strictly
+    increasing int64 array; vectors and anchor must fit in int64.
 
-    The basis is in descending order with distinct leading bits, so reducing
-    any x by each element in turn (x = min(x, x ^ b)) leaves the least member
-    of x's coset. Each vector is reduced only by the basis vectors whose
-    leading bit it holds at that point, found through a mask of leading bits,
-    highest first: O(len(vectors) * rank) XORs at most, and one per pivot met.
+    Back-substituted, each basis vector holds its own pivot and no other,
+    and the anchor reduced by the basis holds none. Two members then differ
+    first at the highest pivot of the vectors that tell them apart, and the
+    one holding that vector is the greater; so spanning the vectors in
+    ascending pivot order lists the members ascending.
     """
-    lead, _ = _eliminate(vectors)
-    return [lead[p] for p in sorted(lead, reverse=True)]
+    lead, pivots = _eliminate(vectors)
+    ascending = [_reduce(lead[p], lead, pivots ^ (1 << p)) for p in sorted(lead)]
+    out = span(ascending)
+    out ^= _reduce(anchor, lead, pivots)
+    return out
 
 
-def _eliminate(vectors: list[int]) -> tuple[dict[int, int], int]:
-    """The basis ``reduce_basis`` builds, as a leading bit -> vector dict,
-    and the mask of those leading bits."""
+def least(xs: Sequence[int], vectors: Sequence[int]) -> list[int]:
+    """Each x reduced to the least member of x ^ span(vectors).
+
+    The least member is the one member holding no pivot of the basis, so the
+    map is linear: least(a ^ b) = least(a) ^ least(b).
+    """
+    lead, pivots = _eliminate(vectors)
+    return [_reduce(x, lead, pivots) for x in xs]
+
+
+def _eliminate(vectors: Sequence[int]) -> tuple[dict[int, int], int]:
+    """A basis of the span of vectors, as a leading bit (pivot) -> vector
+    dict, and the mask of those pivots. Each vector is reduced by the basis
+    so far and, if anything is left, joins it under its leading bit."""
     lead: dict[int, int] = {}
     pivots = 0
     for v in vectors:

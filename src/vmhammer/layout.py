@@ -4,22 +4,20 @@ A layout is a list of disjoint regions, each owned by a VM or marked unused.
 Planners place VMs so that an attacker VM cannot disturb a victim VM:
 plan_siloz gives every VM disjoint (bank tuple, subarray) sets, plan_citadel
 leaves whole guard rows between row-contiguous allocations. Both read one
-array of per-block ids built from the mapping's columns: plan_siloz places
-a VM in one pass, plan_citadel tests the chunk-row windows at every start
-of a block of starts at once, in doubling blocks. plan_siloz reports the
-groups of the blocks it reserved, every member of their id cosets as (bank
-tuple, subarray).
+array of per-block ids, the span of the mapping's high columns each reduced
+once by ``gf2.least``: plan_siloz places a VM in one pass, plan_citadel
+tests the chunk-row windows at every start of a block of starts at once, in
+doubling blocks. plan_siloz reports the groups of the blocks it reserved,
+every member of their id cosets (``gf2.coset``) as (bank tuple, subarray).
 plan_layout is the one dispatch from a mitigation name to its planner.
 
 Footprints (which row of which bank a region touches) are computed exactly for
 any validated linear mapping by splitting the region into aligned power-of-two
 blocks. A block's row tuples are a coset of the span of the mapping's low
-columns, and one ``gf2.span`` lists them strictly increasing: back-substitute
-the basis so each leading bit is set in one vector only, span it in ascending
-leading-bit order and XOR in the image of the block's base reduced by that
-basis. A footprint is a strictly increasing int64 array of packed coordinate
-vectors with the column bits cleared: one block's span as it comes, or
-several blocks' spans merged by a stable sort.
+columns, which ``gf2.coset`` lists strictly increasing. A footprint is a
+strictly increasing int64 array of packed coordinate vectors with the column
+bits cleared: one block's coset as it comes, or several blocks' cosets
+merged by a stable sort.
 
 find_aggressors is the one call that picks the rows to hammer: it takes two
 footprints, returns the attacker rows adjacent to the victim or, when none is,
@@ -204,13 +202,13 @@ def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     strictly increasing int64 array of packed coordinate vectors with the
     column bits cleared, so sorted by row first (the top field).
 
-    Each aligned block's row tuples come out of ``_sorted_coset`` strictly
+    Each aligned block's row tuples come out of ``gf2.coset`` strictly
     increasing, so a one-block region needs no sort and several blocks need
     only a stable sort, which merges their runs, before repeats are dropped.
     """
     geo = mapping.geometry
     check_int("region start_pa", region.start_pa)
-    check_int("region size", region.size)
+    check_int("region size", region.size, 0)
     if region.size > 0 and (region.start_pa < 0 or region.end_pa > geo.total_bytes):
         raise ValueError(
             f"region [0x{region.start_pa:x}, 0x{region.end_pa:x}) exceeds the address space"
@@ -220,33 +218,11 @@ def row_footprint(mapping: AddressMapping, region: Region) -> np.ndarray:
     parts = [np.zeros(0, dtype=np.int64)]
     for base, k in _aligned_blocks(region.start_pa, region.size):
         anchor = gf2.image(mapping._forward_tables, base) & row_tuple
-        parts.append(_sorted_coset(gf2.reduce_basis(images[:k]), anchor))
+        parts.append(gf2.coset(images[:k], anchor))
     if len(parts) <= 2:  # no block, or one: strictly increasing already
         return parts[-1]
     # a stable sort merges the blocks' ascending runs
     return _distinct(np.sort(np.concatenate(parts), kind="stable"))
-
-
-def _sorted_coset(basis: list[int], anchor: int) -> np.ndarray:
-    """The coset anchor ^ span(basis), strictly increasing, for a basis in
-    ``gf2.reduce_basis``'s descending order.
-
-    Back-substituted, each basis vector holds its own leading bit and no
-    other's, and the anchor reduced by the basis holds none. Two members then
-    differ first at the highest leading bit of the vectors that tell them
-    apart, and the one holding that vector is the greater; so spanning the
-    vectors in ascending leading-bit order lists the members ascending.
-    """
-
-    def least(x: int, vectors: list[int]) -> int:
-        for vector in vectors:
-            x = min(x, x ^ vector)
-        return x
-
-    ascending = [least(vector, basis[i + 1 :]) for i, vector in reversed(list(enumerate(basis)))]
-    coset = gf2.span(ascending)
-    coset ^= least(anchor, basis)
-    return coset
 
 
 def _distinct(packed: np.ndarray) -> np.ndarray:
@@ -263,12 +239,14 @@ def _distinct(packed: np.ndarray) -> np.ndarray:
 def _block_ids(
     mapping: AddressMapping, block: int, coord_bits: int
 ) -> tuple[np.ndarray, list[int]]:
-    """One id per aligned ``block``-byte block, in PA order, and the reduced
-    basis of the masked low columns.
+    """One id per aligned ``block``-byte block, in PA order, and the masked
+    low columns.
 
     A block's bytes map, masked to ``coord_bits``, onto one coset of the span
-    of that basis; its id is that coset's least member. Two blocks therefore
-    either share every masked vector or share none.
+    of the masked low columns; its id is that coset's least member. Two
+    blocks therefore either share every masked vector or share none. Taking
+    the least member is linear, so reducing each masked high column once and
+    spanning the results gives every id, with no pass per basis vector.
     """
     k = block.bit_length() - 1
     n_blocks = mapping.geometry.total_bytes // block
@@ -276,11 +254,7 @@ def _block_ids(
         raise PlanError(f"the space holds {n_blocks} blocks of 0x{block:x} bytes; "
                         f"a plan holds at most {MAX_PLAN_BLOCKS}")
     masked = [column & coord_bits for column in mapping.columns]
-    basis = gf2.reduce_basis(masked[:k])
-    ids = gf2.span(masked[k:])
-    for vector in basis:
-        np.minimum(ids, ids ^ vector, out=ids)
-    return ids, basis
+    return gf2.span(gf2.least(masked[k:], masked[:k])), masked[:k]
 
 
 def _check_vm_sizes(mapping: AddressMapping, vm_sizes: Sequence[int], unit: int) -> None:
@@ -358,8 +332,8 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
     block = min([stride] + [size & -size for size in vm_sizes])
     in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]
     group_bits = ((1 << geo.coord_offsets[5]) - 1) & ~in_subarray
-    block_ids, basis = _block_ids(mapping, block, group_bits)
-    coset = gf2.span(basis)
+    block_ids, low = _block_ids(mapping, block, group_bits)
+    members = gf2.coset(low, 0)
     n_blocks = len(block_ids)
     blocked = np.zeros(n_blocks, dtype=bool)  # shares a group with a placed VM
     taken = np.zeros(n_blocks + 1, dtype=np.int64)  # blocked blocks before each one
@@ -384,7 +358,7 @@ def plan_siloz(mapping: AddressMapping, vm_sizes: Sequence[int]) -> SilozPlan:
         candidate[first + n] = True
         placed.append(Region(owner, first * block, size))
         # every member of the reserved blocks' cosets, as (bank tuple, subarray)
-        coords = map(geo.unpack, (mine[:, None] ^ coset).ravel().tolist())
+        coords = map(geo.unpack, (mine[:, None] ^ members).ravel().tolist())
         groups[owner] = frozenset((c.bank_tuple, geo.subarray_of(c.row)) for c in coords)
     return SilozPlan(MemoryLayout(tuple(sorted(placed, key=lambda r: r.start_pa))), groups)
 

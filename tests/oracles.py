@@ -35,9 +35,9 @@ from vmhammer.mapping import check_int
 
 
 def brute_reduce_basis(vectors: list[int]) -> list[int]:
-    """``gf2.reduce_basis`` as it was first written: each vector reduced by
-    every basis vector in turn, width^2 steps, and the basis re-sorted
-    descending after each insertion."""
+    """The basis ``gf2._eliminate`` builds, in descending order, as it was
+    first written: each vector reduced by every basis vector in turn, width^2
+    steps, and the basis re-sorted descending after each insertion."""
     basis: list[int] = []
     for v in vectors:
         for b in basis:
@@ -502,6 +502,22 @@ def brute_chunk_stride(mapping: AddressMapping) -> int:
 def brute_chunk_rows(mapping: AddressMapping) -> np.ndarray:
     stride = brute_chunk_stride(mapping)
     return all_coords(mapping)[:, 4].reshape(-1, stride)[:, 0]
+
+
+def brute_block_ids(mapping: AddressMapping, block: int, coord_bits: int) -> np.ndarray:
+    """``layout._block_ids``' ids as first computed: each block's base
+    translated bit by bit and masked to ``coord_bits``, then every id reduced
+    by each vector of ``brute_reduce_basis`` of the masked low columns in
+    turn, x = min(x, x ^ b), which leaves the least member of its coset."""
+    k = block.bit_length() - 1
+    masked = [column & coord_bits for column in mapping.columns]
+    blocks = np.arange(mapping.geometry.total_bytes // block, dtype=np.int64)
+    ids = np.zeros(len(blocks), dtype=np.int64)
+    for j, column in enumerate(masked[k:]):
+        ids ^= np.where(blocks >> j & 1 == 1, column, 0)
+    for b in brute_reduce_basis(masked[:k]):
+        ids = np.minimum(ids, ids ^ b)
+    return ids
 
 
 def brute_citadel_feasible(

@@ -1,22 +1,29 @@
-"""Bit-matrix elimination against an enumerate-the-span reference and
-against the quadratic elimination it replaced, kept in oracles.py."""
+"""Bit-matrix elimination, cosets and least members against an
+enumerate-the-span reference and against the quadratic elimination they
+replaced, kept in oracles.py."""
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmhammer.gf2 import analyze, image, image_tables, reduce_basis, span
+from vmhammer.gf2 import _eliminate, analyze, coset, image, image_tables, least, span
 
 from oracles import brute_analyze, brute_reduce_basis
 
 
-def span_size(rows):
-    """2**rank by brute force: materialize the whole span."""
+def brute_span(rows):
+    """The span of rows as a set, by brute force: every XOR of a subset."""
     span = {0}
     for row in rows:
         span |= {s ^ row for s in span}
-    return len(span)
+    return span
+
+
+def span_size(rows):
+    """2**rank by brute force: materialize the whole span."""
+    return len(brute_span(rows))
 
 
 def brute_image(columns, x):
@@ -156,18 +163,35 @@ def test_span_is_brute_force_enumeration_in_index_order(vectors):
     assert len(set(out)) == span_size(vectors)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coset_is_the_sorted_brute_coset(data):
+    # a back-substituted basis spanned in ascending pivot order, XORed with
+    # the reduced anchor, lists the coset ascending at every width
+    width = data.draw(st.integers(min_value=1, max_value=62))
+    vector = st.integers(min_value=0, max_value=(1 << width) - 1)
+    vectors = data.draw(st.lists(vector, max_size=min(width, 10)))
+    anchor = data.draw(vector)
+    out = coset(vectors, anchor)
+    assert out.dtype == np.int64 and out.ndim == 1
+    assert bool(np.all(out[1:] > out[:-1]))
+    assert out.tolist() == sorted({anchor ^ s for s in brute_span(vectors)})
+    assert len(out) == 2 ** analyze(vectors, width)[0]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=12))
-def test_reduce_basis_keeps_the_span(vectors):
-    basis = reduce_basis(vectors)
-    assert len(basis) == analyze(vectors, 12)[0]
-    members = span(vectors).tolist()
-    assert set(span(basis).tolist()) == set(members)
-    for x in (0, 1, 0x5A5, 0xFFF):  # reducing in basis order leaves the coset's least member
-        reduced = x
-        for b in basis:
-            reduced = min(reduced, reduced ^ b)
-        assert reduced == min(x ^ s for s in members)
+@given(
+    st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=12),
+    st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), min_size=2, max_size=6),
+)
+def test_least_is_the_brute_coset_minimum_and_linear(vectors, xs):
+    members = brute_span(vectors)
+    assert set(coset(vectors, 0).tolist()) == members  # the elimination keeps the span
+    reduced = least(xs, vectors)
+    assert reduced == [min(x ^ s for s in members) for x in xs]
+    # the least member is the one without a pivot bit, so reducing is linear
+    assert least([xs[0] ^ xs[1], 0], vectors) == [reduced[0] ^ reduced[1], 0]
+    assert least([], vectors) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,11 +236,14 @@ def bit_matrices(draw):
 @given(bit_matrices())
 def test_elimination_matches_the_quadratic_oracle(matrix):
     rows, width = matrix
-    assert reduce_basis(rows) == brute_reduce_basis(rows)  # same vectors, same order
+    lead, pivots = _eliminate(rows)
+    assert sorted(lead.values(), reverse=True) == brute_reduce_basis(rows)  # same vectors
+    assert all(v.bit_length() - 1 == p for p, v in lead.items())  # keyed by leading bit
+    assert pivots == sum(1 << p for p in lead)
     assert analyze(rows, width) == brute_analyze(rows, width)
 
 
 def test_elimination_of_no_rows():
-    assert reduce_basis([]) == brute_reduce_basis([]) == []
+    assert _eliminate([]) == ({}, 0) and brute_reduce_basis([]) == []
     assert analyze([], 0) == brute_analyze([], 0) == (0, [], None)
     assert analyze([], 5) == brute_analyze([], 5) == (0, None, None)

@@ -712,7 +712,7 @@ def test_render_json_renders_subclasses_as_json_does():
 @pytest.mark.parametrize("refused", [
     {1, 2}, frozenset(), b"ab", np.int64(1), np.bool_(True), np.array([1]), object(),
     {(1, 2): "a tuple key"},
-], ids=repr)
+], ids=lambda value: "object()" if type(value) is object else repr(value))
 def test_render_json_refuses_what_json_refuses(refused):
     for value in (refused, [refused], {"k": refused}):
         with pytest.raises(TypeError):

@@ -5,6 +5,8 @@ oracles.py; worked placements for the full-scale presets are frozen.
 """
 
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -25,16 +27,17 @@ from vmhammer import (
     plan_siloz,
     row_footprint,
 )
-from vmhammer import gf2
 from vmhammer.layout import (
+    _block_ids,
     _fitting_windows,
-    _sorted_coset,
+    group_stride,
     pack_layout,
     plan_layout,
     row_chunk_stride,
 )
 
 from oracles import (
+    brute_block_ids,
     brute_chunk_stride,
     brute_citadel,
     brute_citadel_feasible,
@@ -151,6 +154,7 @@ def test_footprint_rejects_non_integer_bounds(presets):
         (Region("vm0", np.int64(8192), 8192), "^region start_pa must be an integer, got "),
         (Region("vm0", 0, 8192.0), r"^region size must be an integer, got 8192\.0$"),
         (Region("vm0", 0, False), "^region size must be an integer, got False$"),
+        (Region("x", 8192, -8192), "^region size must be >= 0, got -8192$"),
     ):
         with pytest.raises(ValueError, match=message):
             row_footprint(mapping, region)
@@ -176,18 +180,66 @@ def test_footprint_matches_bytewise_oracle():
             )
 
 
-def test_sorted_coset_is_strictly_increasing():
-    # a back-substituted basis spanned in ascending leading-bit order, XORed
-    # with the reduced anchor, lists the coset ascending at every width
-    rng = random.Random(0x5027)
-    for _ in range(300):
-        width = rng.randint(1, 62)
-        vectors = [rng.getrandbits(width) for _ in range(rng.randint(0, min(width, 10)))]
-        basis = gf2.reduce_basis(vectors)
-        anchor = rng.getrandbits(width)
-        coset = _sorted_coset(basis, anchor)
-        assert coset.dtype == np.int64 and np.all(coset[1:] > coset[:-1]), (width, vectors, anchor)
-        assert coset.tolist() == sorted(gf2.span(basis) ^ anchor)
+def test_block_ids_match_the_quadratic_oracle(presets):
+    # each id is the least member of its block's coset: each masked high
+    # column reduced once against the oracle's reduction of every id
+    rng = random.Random(0xB10C)
+    mappings = [
+        *presets.values(),
+        _reduced_row_mapping(range(15, 27)),
+        _reduced_row_mapping(range(26, 14, -1)),
+    ]
+    for _ in range(20):
+        mappings.append(random_invertible_mapping(rng, random_geometry(rng, max_total=1 << 14)))
+    reduced = 0
+    for mapping in mappings:
+        geo = mapping.geometry
+        offset = geo.coord_offsets[4]
+        in_subarray = (geo.rows_per_subarray - 1) << offset
+        group_bits = ((1 << geo.coord_offsets[5]) - 1) & ~in_subarray
+        cases = [
+            (max(group_stride(mapping), geo.columns), group_bits),  # siloz's
+            (geo.columns, group_bits),
+            (max(row_chunk_stride(mapping), geo.columns), (geo.rows - 1) << offset),  # citadel's
+        ]
+        if geo.total_bytes <= 1 << 14:
+            cases += [(1 << rng.randrange(geo.address_width + 1), rng.getrandbits(geo.address_width))
+                      for _ in range(4)]
+        for block, coord_bits in cases:
+            ids, low = _block_ids(mapping, block, coord_bits)
+            k = block.bit_length() - 1
+            assert low == [column & coord_bits for column in mapping.columns[:k]]
+            assert ids.dtype == np.int64
+            assert ids.tolist() == brute_block_ids(mapping, block, coord_bits).tolist(), (
+                mapping.columns, block, coord_bits
+            )
+            reduced += any(low)
+    assert reduced  # some case has a nonempty basis to reduce by
+
+
+def test_block_ids_hold_one_full_size_array():
+    # 2^24 ids of 1 MiB blocks on a 44-bit space are 128 MiB; reducing the
+    # high columns before the span allocates no second array that size
+    code = (
+        "import resource\n"
+        "from vmhammer import AddressMapping, Geometry\n"
+        "from vmhammer.layout import _block_ids\n"
+        "geo = Geometry(channels=1, ranks=1, bankgroups=1, banks=2, rows=1 << 30,\n"
+        "               columns=8192, rows_per_subarray=512)\n"
+        "mapping = AddressMapping.build(geo, {'column': [[b] for b in range(13)],\n"
+        "    'bank': [[13, 6]], 'row': [[b] for b in range(14, 44)]})\n"
+        "in_subarray = (geo.rows_per_subarray - 1) << geo.coord_offsets[4]\n"
+        "group_bits = ((1 << geo.coord_offsets[5]) - 1) & ~in_subarray\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "ids, low = _block_ids(mapping, 1 << 20, group_bits)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(len(ids), sum(map(bool, low)), grown // 1024)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    n_ids, reduced, grown_mib = map(int, proc.stdout.split())
+    assert (n_ids, reduced) == (1 << 24, 2)  # PA6 and PA13 each feed the bank
+    assert grown_mib < 128 + 64, grown_mib
 
 
 def test_chunk_stride_matches_oracle():

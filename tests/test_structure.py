@@ -9,6 +9,9 @@ under src/, so a mention in a comment or a string counts as a use.
   only harness.py names them.
 - Aggressor discovery's helpers _nearest and _site belong to the one call
   that picks the rows to hammer, so only layout.py names them.
+- gf2._eliminate is the one elimination and gf2._reduce the one reduction;
+  callers reach them through analyze, coset and least, so only gf2.py
+  names them.
 - Layers, lowest first: gf2; mapping; dram and layout; harness. A module
   imports only the vmhammer modules listed for it in LAYERS; harness may also
   take the package's __version__ for its reports, and translates no address
@@ -25,6 +28,9 @@ read the syntax tree, so only code counts:
   sort.
 - harness.render_json is the one indented renderer: no json.dump or
   json.dumps call under src/ passes ``indent``.
+- gf2._reduce is the one reduction: no ``min`` or ``np.minimum`` call under
+  src/ takes an argument holding a ``^``, the quadratic x = min(x, x ^ b)
+  form that tests/oracles.py keeps as the reference.
 """
 
 import ast
@@ -50,6 +56,7 @@ OWNERS = {
     ),
     **dict.fromkeys(("_of", "_freeze"), PACKAGE / "harness.py"),
     **dict.fromkeys(("_nearest", "_site"), PACKAGE / "layout.py"),
+    **dict.fromkeys(("_eliminate", "_reduce"), PACKAGE / "gf2.py"),
 }
 
 # module -> the vmhammer names it may import from
@@ -189,6 +196,19 @@ def indented_dump(node) -> bool:
     return name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords)
 
 
+def xor_minimum(node) -> bool:
+    """Whether ``node`` calls ``min`` or ``minimum`` with an argument that
+    holds an XOR."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    arguments = [*node.args, *(k.value for k in node.keywords)]
+    return name in ("min", "minimum") and any(
+        isinstance(inner, ast.BitXor) for argument in arguments for inner in ast.walk(argument)
+    )
+
+
 def test_only_close_windows_closes_a_window():
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}: in {scope or 'the module'}"
@@ -213,5 +233,16 @@ def test_render_json_is_the_one_indented_renderer():
         f"{path.relative_to(ROOT)}:{node.lineno}: in {scope or 'the module'}"
         for path, scope, node in python_nodes(SRC)
         if indented_dump(node)
+    ]
+    assert found == []
+
+
+def test_gf2_reduce_is_the_one_reduction():
+    for form in ("min(x, x ^ b)", "np.minimum(ids, ids ^ v, out=ids)", "min(x ^ s for s in span)"):
+        assert xor_minimum(ast.parse(form).body[0].value), form
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: in {scope or 'the module'}"
+        for path, scope, node in python_nodes(SRC)
+        if xor_minimum(node)
     ]
     assert found == []
