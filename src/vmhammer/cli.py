@@ -76,14 +76,14 @@ def _given(args, names) -> dict:
 
 
 def cmd_validate_map(args) -> int:
-    mapping, _ = resolve_mapping(args.mapping)
+    mapping = resolve_mapping(args.mapping)
     report = validate(mapping)
     _emit(args, render_json(report.to_dict()))
     return 0 if report.valid else DOMAIN_ERROR
 
 
 def cmd_translate(args) -> int:
-    mapping, _ = resolve_mapping(args.mapping)
+    mapping = resolve_mapping(args.mapping)
     geo = mapping.geometry
     digits = geo.pa_digits
     if ":" in args.address:
@@ -105,7 +105,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    mapping, _ = resolve_mapping(args.mapping)
+    mapping = resolve_mapping(args.mapping)
     sizes = [parse_size(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise ValueError("--sizes must list at least one VM size")
@@ -161,7 +161,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_replay_trace(args) -> int:
-    mapping, _ = resolve_mapping(args.mapping)
+    mapping = resolve_mapping(args.mapping)
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = parse_trace(fh.read(), mapping.geometry.total_bytes)
     params = HammerParams(**_given(args, HAMMER_FIELDS))

@@ -1,17 +1,19 @@
 """Attack scenarios, verdict reports, and trace replay.
 
-run_attack wires the pieces together: plan a layout, hammer the selected
-aggressors on a state whose unwritten bytes read the check pattern, then
-classify each recorded bitflip by the owning region. The verdict is MITIGATED
-exactly when no flip lands in victim-owned memory. The refresh window belongs
-to SimState: both run_attack and replay_trace only pass its period through.
-replay_trace hands a trace's two arrays to a fresh state (SimState.replay),
-which checks, translates and counts them.
+run_attack wires the pieces together: plan a layout, hand it to
+find_aggressors, hammer the selected aggressors on a state whose unwritten
+bytes read the check pattern, then classify each recorded bitflip by the
+owning region. The verdict is MITIGATED exactly when no flip lands in
+victim-owned memory. The refresh window belongs to SimState: both run_attack
+and replay_trace only pass its period through. replay_trace hands a trace's
+two arrays to a fresh state (SimState.replay), which checks, translates and
+counts them.
 
 resolve_mapping is the one place a mapping spec (preset name, file path or
 inline object) becomes an AddressMapping, for scenario files and the command
-line alike; with_overrides is the one way to change a scenario's fields,
-hammer parameters included.
+line alike; a scenario file's default label is the spec's stem.
+with_overrides is the one way to change a scenario's fields, hammer
+parameters included.
 
 render_json is the one renderer of a report's or a command's JSON text. It
 writes json.dumps(indent=2, sort_keys=True)'s bytes itself, in about half
@@ -42,7 +44,6 @@ from .layout import (
     classify_pa,
     find_aggressors,
     plan_layout,
-    row_footprint,
 )
 from .mapping import (
     AddressMapping,
@@ -219,30 +220,28 @@ def _reject_unknown(what: str, data: dict, known: set[str]) -> None:
 
 def resolve_mapping(
     spec, base_dir: str | None = None, geometry: Geometry | None = None
-) -> tuple[AddressMapping, str]:
-    """The mapping a spec names, and the label a scenario takes from it.
+) -> AddressMapping:
+    """The mapping a spec names.
 
     A spec is a preset name, built on ``geometry`` (default: the default
     geometry), an inline {"geometry", "functions"} object, or a mapping-file
-    path, relative to ``base_dir`` (default: the working directory). The
-    label is the preset name, the file's stem, or Scenario's default label.
+    path, relative to ``base_dir`` (default: the working directory).
     """
     if isinstance(spec, dict):
         if "geometry" not in spec or "functions" not in spec:
             raise ScenarioError("inline mapping needs geometry and functions")
-        geometry = Geometry.from_dict(spec["geometry"])
-        return AddressMapping.build(geometry, spec["functions"]), Scenario.label
+        return AddressMapping.build(Geometry.from_dict(spec["geometry"]), spec["functions"])
     if not isinstance(spec, str):
         raise ScenarioError(f"mapping must be a name, path, or object, got {spec!r}")
     presets = builtin_mappings(geometry)
     if spec in presets:
-        return presets[spec], spec
+        return presets[spec]
     path = os.path.join(base_dir or "", spec)
     if not os.path.exists(path):
         raise MappingError(
             f"{spec!r} is neither a preset ({', '.join(sorted(presets))}) nor a file"
         )
-    return load_mapping(path), os.path.splitext(os.path.basename(path))[0]
+    return load_mapping(path)
 
 
 def with_overrides(scenario: Scenario, **fields) -> Scenario:
@@ -283,10 +282,11 @@ def scenario_from_dict(data: dict, base_dir: str | None = None) -> Scenario:
         if not isinstance(spec, str) or spec not in builtin_mappings():
             raise ScenarioError("a top-level geometry applies to preset names only")
         geometry = Geometry.from_dict(data["geometry"])
-    mapping, label = resolve_mapping(spec, base_dir, geometry)
+    mapping = resolve_mapping(spec, base_dir, geometry)
     rest = {k: v for k, v in data.items() if k not in ("mapping", "geometry", "hammer")}
     rest["vm_sizes"] = tuple(parse_size(s) for s in data["vm_sizes"])
-    rest.setdefault("label", label)
+    if isinstance(spec, str):  # a preset's name, or a mapping file's stem
+        rest.setdefault("label", os.path.splitext(os.path.basename(spec))[0])
     if isinstance(rest.get("aggressor_selection"), list):
         rest["aggressor_selection"] = tuple(rest["aggressor_selection"])
     try:
@@ -473,8 +473,9 @@ def run_attack(scenario: Scenario) -> AttackReport:
     """Plan, hammer, classify. Deterministic for equal scenarios.
 
     The aggressors are selected from the sites find_aggressors picks for the
-    two footprints. With no mitigation, sites that carry no victim rows (no
-    attacker row is adjacent) are refused rather than hammered.
+    attacker and victim VMs in the planned layout. With no mitigation, sites
+    that carry no victim rows (no attacker row is adjacent) are refused
+    rather than hammered.
 
     Every byte reads check_pattern until a flip changes it, so a flip's
     old_value is the pattern, or the byte as an earlier flip left it.
@@ -483,9 +484,9 @@ def run_attack(scenario: Scenario) -> AttackReport:
     layout, siloz_plan = plan_layout(
         mapping, scenario.mitigation, scenario.vm_sizes, scenario.guard_global_rows
     )
-    attacker = row_footprint(mapping, layout.region_of(scenario.attacker_vm))
-    victim = row_footprint(mapping, layout.region_of(scenario.victim_vm))
-    sites = find_aggressors(mapping, attacker, victim, scenario.hammer.blast_radius)
+    sites = find_aggressors(
+        mapping, layout, scenario.attacker_vm, scenario.victim_vm, scenario.hammer.blast_radius
+    )
     if scenario.mitigation == "none" and not any(site.victim_rows for site in sites):
         raise ScenarioError("no attacker row is adjacent to the victim; nothing to hammer")
     selected = _select_aggressors(sites, scenario.aggressor_selection)

@@ -26,7 +26,6 @@ from vmhammer import (
     SilozPlan,
     SimState,
     find_aggressors,
-    row_footprint,
 )
 from vmhammer.dram import check_access
 from vmhammer.harness import AccessTrace, TraceError
@@ -172,16 +171,6 @@ def footprint_rows(
 ) -> frozenset[tuple[int, int, int, int, int]]:
     """A footprint's row tuples, unpacked one vector at a time."""
     return frozenset(geometry.unpack(p)[:5] for p in packed.tolist())
-
-
-def vm_footprints(
-    mapping: AddressMapping, layout: MemoryLayout, attacker_vm: str, victim_vm: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The attacker's and the victim's footprints, as aggressor discovery takes them."""
-    return (
-        row_footprint(mapping, layout.region_of(attacker_vm)),
-        row_footprint(mapping, layout.region_of(victim_vm)),
-    )
 
 
 def brute_groups(
@@ -460,8 +449,7 @@ def brute_seeded_attack(scenario: Scenario) -> BruteState:
     layout, _ = plan_layout(
         mapping, scenario.mitigation, scenario.vm_sizes, scenario.guard_global_rows
     )
-    attacker, victim = vm_footprints(mapping, layout, scenario.attacker_vm, scenario.victim_vm)
-    sites = find_aggressors(mapping, attacker, victim, blast)
+    sites = find_aggressors(mapping, layout, scenario.attacker_vm, scenario.victim_vm, blast)
     selection = scenario.aggressor_selection
     if selection == "first":
         sites = sites[:1]

@@ -52,7 +52,6 @@ from oracles import (
     random_mapping,
     random_split_mapping,
     tiny_noncontig,
-    vm_footprints,
 )
 
 MIB = 1 << 20
@@ -361,7 +360,7 @@ def test_criterion_7_planner_oracle_equivalence():
         cases += 1
         actual = [
             (s.coord[:5], list(s.victim_rows))
-            for s in find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), blast)
+            for s in find_aggressors(mapping, layout, "vm1", "vm0", blast)
         ]
         expected = brute_sites(mapping, layout, "vm1", "vm0", blast)
         assert actual == expected

@@ -4,6 +4,7 @@ Planner outputs are re-verified against byte-by-byte footprints from
 oracles.py; worked placements for the full-scale presets are frozen.
 """
 
+import itertools
 import random
 import subprocess
 import sys
@@ -51,7 +52,6 @@ from oracles import (
     random_row_high_mapping,
     random_split_mapping,
     tiny_noncontig,
-    vm_footprints,
 )
 
 MIB = 1 << 20
@@ -353,7 +353,7 @@ def _siloz_outcome(planner, mapping, sizes):
         plan = planner(mapping, sizes)
     except PlanError as exc:
         return str(exc)
-    return plan.to_dict(), plan.contained
+    return plan.to_dict(mapping.geometry.pa_digits), plan.contained
 
 
 def test_siloz_matches_brute_oracle():
@@ -647,10 +647,10 @@ def site_row_tuple(site) -> tuple[int, int, int, int, int]:
 
 
 def check_sites(mapping, layout, attacker_vm, victim_vm, blast):
-    """find_aggressors on the two VMs' footprints against ``brute_sites``:
+    """find_aggressors on two of the layout's VMs against ``brute_sites``:
     the adjacent rows with their victim rows or, when none is adjacent, the
     fallback rows with none. Returns the sites."""
-    sites = find_aggressors(mapping, *vm_footprints(mapping, layout, attacker_vm, victim_vm), blast)
+    sites = find_aggressors(mapping, layout, attacker_vm, victim_vm, blast)
     actual = [(site_row_tuple(s), list(s.victim_rows)) for s in sites]
     assert actual == brute_sites(mapping, layout, attacker_vm, victim_vm, blast)
     for site in sites:
@@ -676,46 +676,25 @@ def test_find_aggressors_adjacent_8mib(presets, geometry):
 def test_find_aggressors_empty_under_siloz(presets):
     mapping = presets["simple"]
     plan = plan_siloz(mapping, [16 * MIB, 16 * MIB])
-    sites = find_aggressors(mapping, *vm_footprints(mapping, plan.layout, "vm1", "vm0"), 1)
+    sites = find_aggressors(mapping, plan.layout, "vm1", "vm0", 1)
     assert sites and not any(site.victim_rows for site in sites)
 
 
 def test_find_aggressors_empty_under_citadel(presets):
     mapping = presets["simple"]
     layout = plan_citadel(mapping, [256 * MIB, 256 * MIB], 1)
-    sites = find_aggressors(mapping, *vm_footprints(mapping, layout, "vm1", "vm0"), 1)
+    sites = find_aggressors(mapping, layout, "vm1", "vm0", 1)
     assert sites and not any(site.victim_rows for site in sites)
 
 
 def test_find_aggressors_empty_footprint(presets):
+    # a zero-size region has an empty footprint, as attacker, victim or both
     mapping = presets["simple"]
-    empty = row_footprint(mapping, Region("vm0", 0, 0))
-    full = row_footprint(mapping, Region("vm1", 0, MIB))
-    assert len(empty) == 0 and len(full)
-    for attacker, victim in ((empty, full), (full, empty), (empty, empty)):
-        assert find_aggressors(mapping, attacker, victim, 1) == []
-
-
-def test_find_aggressors_refuses_unsorted_footprints(presets):
-    # every search bisects a footprint: unchecked, the shuffled victim
-    # below gives 17 of this layout's 1,024 fallback sites
-    mapping = presets["simple"]
-    attacker = row_footprint(mapping, Region("vm1", 2048 * MIB, 8 * MIB))
-    victim = row_footprint(mapping, Region("vm0", 0, 8 * MIB))
-    bad = [
-        np.random.default_rng(0).permutation(victim),
-        victim[::-1],
-        np.repeat(victim, 2),
-        victim.astype(np.int32),
-        victim.reshape(1, -1),
-        victim.tolist(),
-    ]
-    for footprint in bad:
-        with pytest.raises(ValueError, match="^victim must be a strictly increasing"):
-            find_aggressors(mapping, attacker, footprint, 1)
-        with pytest.raises(ValueError, match="^attacker must be a strictly increasing"):
-            find_aggressors(mapping, footprint, victim, 1)
-    assert len(find_aggressors(mapping, attacker, victim, 1)) == 1024
+    empty, full = Region("vm0", 0, 0), Region("vm1", 0, MIB)
+    assert len(row_footprint(mapping, empty)) == 0 and len(row_footprint(mapping, full))
+    for layout in (MemoryLayout((empty, full)), MemoryLayout((empty, Region("vm1", MIB, 0)))):
+        for attacker_vm, victim_vm in (("vm1", "vm0"), ("vm0", "vm1")):
+            assert find_aggressors(mapping, layout, attacker_vm, victim_vm, 1) == []
 
 
 @pytest.mark.parametrize(
@@ -744,10 +723,15 @@ def test_boundary_fallback_distance_zero_ties(top, n_sites):
 @pytest.mark.parametrize("radius", [0, -1, True])
 def test_find_aggressors_refuses_radius(presets, radius):
     mapping = presets["simple"]
-    attacker = row_footprint(mapping, Region("vm1", 8 * MIB, MIB))
-    victim = row_footprint(mapping, Region("vm0", 0, 8 * MIB))
+    layout = MemoryLayout((Region("vm0", 0, 8 * MIB), Region("vm1", 8 * MIB, MIB)))
     with pytest.raises(ValueError, match="blast_radius"):
-        find_aggressors(mapping, attacker, victim, radius)
+        find_aggressors(mapping, layout, "vm1", "vm0", radius)
+
+
+def test_find_aggressors_refuses_unknown_vm(presets):
+    layout = MemoryLayout((Region("vm0", 0, MIB),))
+    with pytest.raises(KeyError, match="vm1"):
+        find_aggressors(presets["simple"], layout, "vm1", "vm0", 1)
 
 
 def test_find_aggressors_matches_oracle():
@@ -773,6 +757,48 @@ def test_find_aggressors_matches_oracle():
                 # the row is the attacker's even when its column-0 byte is not
                 assert site_row_tuple(site) in attacker_rows
     assert nonempty >= 20
+
+
+def three_vms(rng, unit, n_units, base=0):
+    """Three nonempty VM regions among n_units units of ``unit`` bytes from
+    base, owners in random order, so any of the three may lie between the
+    other two in PA; with room, gaps may separate them."""
+    points = sorted(rng.sample(range(n_units + 1), 6 if n_units >= 5 else 4))
+    if len(points) == 4:
+        points = points[:2] + points[1:3] + points[2:]
+    owners = rng.sample(["vm0", "vm1", "vm2"], 3)
+    return MemoryLayout(tuple(
+        Region(owner, base + lo * unit, (hi - lo) * unit)
+        for owner, lo, hi in zip(owners, points[::2], points[1::2])
+    ))
+
+
+def test_find_aggressors_three_vms_match_oracle(presets):
+    """Every ordered pair of three VMs equals ``brute_sites``: on random
+    small mappings, and on the presets in windows of 48 row-wide units, at
+    PA 0, astride the first subarray edge or anywhere."""
+    rng = random.Random(0x3B3)
+    cases = []
+    for _ in range(40):
+        geometry = random_geometry(rng, max_total=1 << 13)
+        maker = rng.choice([random_invertible_mapping, random_row_high_mapping])
+        unit = geometry.columns
+        cases.append((maker(rng, geometry), three_vms(rng, unit, geometry.total_bytes // unit)))
+    for mapping in presets.values():
+        unit = mapping.geometry.columns
+        edge = mapping.geometry.rows_per_subarray * row_chunk_stride(mapping) // unit
+        for base in (0, edge - 24, rng.randrange(mapping.geometry.total_bytes // unit - 48)):
+            cases.append((mapping, three_vms(rng, unit, 48, base * unit)))
+    adjacent = fallback = 0
+    for mapping, layout in cases:
+        blast = rng.randint(1, 3)
+        for attacker_vm, victim_vm in itertools.permutations(["vm0", "vm1", "vm2"], 2):
+            sites = check_sites(mapping, layout, attacker_vm, victim_vm, blast)
+            if sites and sites[0].victim_rows:
+                adjacent += 1
+            elif sites:
+                fallback += 1
+    assert adjacent >= 50 and fallback >= 50, (adjacent, fallback)
 
 
 def test_boundary_fallback_matches_oracle(presets):

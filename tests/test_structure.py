@@ -31,6 +31,9 @@ read the syntax tree, so only code counts:
 - gf2._reduce is the one reduction: no ``min`` or ``np.minimum`` call under
   src/ takes an argument holding a ``^``, the quadratic x = min(x, x ^ b)
   form that tests/oracles.py keeps as the reference.
+- Every .py file under src/, tests/ and demos/ parses as Python 3.10, the
+  oldest Python the package supports (``ast.parse`` with ``feature_version``
+  (3, 10)), so syntax such as ``except*`` fails on any interpreter.
 """
 
 import ast
@@ -126,6 +129,13 @@ NUMPY_SINCE_1_24 = frozenset((
 ))
 
 
+def python_files(*roots):
+    """Every .py file under ``roots``, sorted."""
+    paths = sorted(path for root in roots for path in root.rglob("*.py"))
+    assert paths, f"no Python files under {roots}"
+    return paths
+
+
 def python_nodes(*roots):
     """Every syntax node of every .py file under ``roots``, as (path, dotted
     name of the class and function it lies in, node)."""
@@ -137,9 +147,7 @@ def python_nodes(*roots):
             yield inner, child
             yield from walk(child, inner)
 
-    paths = sorted(path for root in roots for path in root.rglob("*.py"))
-    assert paths, f"no Python files under {roots}"
-    for path in paths:
+    for path in python_files(*roots):
         for scope, node in walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), ""):
             yield path, scope, node
 
@@ -244,5 +252,25 @@ def test_gf2_reduce_is_the_one_reduction():
         f"{path.relative_to(ROOT)}:{node.lineno}: in {scope or 'the module'}"
         for path, scope, node in python_nodes(SRC)
         if xor_minimum(node)
+    ]
+    assert found == []
+
+
+def parses_as_3_10(text: str, filename: str = "<text>") -> str | None:
+    """Why Python 3.10's grammar refuses ``text``, or None."""
+    try:
+        ast.parse(text, filename, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return f"{exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_every_file_parses_as_python_3_10():
+    assert parses_as_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    found = [
+        f"{path.relative_to(ROOT)}:{why}"
+        for path in python_files(SRC, ROOT / "tests", ROOT / "demos")
+        for why in [parses_as_3_10(path.read_text(encoding="utf-8"), str(path))]
+        if why
     ]
     assert found == []
