@@ -22,10 +22,10 @@ merged by a stable sort.
 find_aggressors is the one call that picks the rows to hammer: given a layout
 and two of its VMs, it builds both footprints, returns the attacker rows
 adjacent to the victim or, when none is, the nearest ones, and caches
-nothing. It bisects the sorted footprints with ``np.searchsorted``, and its
-nearest-row fallback ranks only the ends of the runs of consecutive rows in a
-bank tuple (and the rows that may tie at distance 0), since any other
-attacker row has a neighbour that ranks lower.
+nothing. It bisects the sorted footprints with ``np.searchsorted``. Its
+fallback ranks only the ends of each bank tuple's runs of consecutive rows
+and the rows that may tie at distance 0, as any other row has a neighbour
+that ranks lower, and finds once, by value, the bank tuples with no victim row.
 """
 
 from __future__ import annotations
@@ -568,14 +568,14 @@ def find_aggressors(
 
     Only three kinds of attacker row are ranked: the first and last row of
     each run of consecutive rows in a bank tuple, every row the victim also
-    holds (it pairs with itself at distance 0), and every row of a bank tuple
-    that holds no victim row (rows of any index there may tie at distance 0).
-    Any other row x lies inside a run and is not a victim row, so its
-    neighbour one row toward its nearest victim row v is an attacker row
-    whose own nearest victim row is strictly nearer, and in its own subarray
-    whenever v is in x's: that neighbour ranks strictly lower. Such a v is
-    itself the first or last row of a run of victim rows, so only those ends
-    are searched in a bank tuple.
+    holds (it pairs with itself at distance 0), and every row of a lone bank
+    tuple, told once by value as holding no victim row (rows of any index
+    there may tie at distance 0). Any other row x lies inside a run and is
+    not a victim row, so its neighbour one row toward its nearest victim row
+    v is an attacker row whose own nearest victim row is strictly nearer, and
+    in its own subarray whenever v is in x's: that neighbour ranks strictly
+    lower. Such a v is the first or last row of a run of victim rows, so only
+    those ends are searched in a bank tuple, and all victim rows for a lone one.
 
     Each site carries a representative PA at column 0 of the aggressor row.
     Sites are in (channel, rank, bankgroup, bank, row) order; an empty
@@ -612,20 +612,20 @@ def find_aggressors(
         candidates = attacker[order]
         victim_ends = victim[np.argsort((victim & bank).astype(narrow), kind="stable")]
         victim_ends = victim_ends[_run_ends(victim_ends, offset)]  # one or more per bank tuple
-        holds_victim = np.zeros(bank + 1, dtype=bool)
-        holds_victim[victim_ends & bank] = True
+        # by value, both sides narrow: uint64 against int64 would compare as float64
+        lone = ~np.isin(attacker_banks[order], (victim_ends & bank).astype(narrow))
         shared = _member(victim, attacker)[order]  # nearest to itself
-        pick = _run_ends(candidates, offset) | shared | ~holds_victim[attacker_banks[order]]
-        candidates, shared = candidates[pick], shared[pick]
+        pick = _run_ends(candidates, offset) | shared | lone
+        candidates, shared, lone = candidates[pick], shared[pick], lone[pick]
         rows = candidates >> offset
 
         def key(packed: np.ndarray) -> np.ndarray:
             return (packed & bank) << width | packed >> offset
 
-        nearest, in_bank = _nearest(key(victim_ends), key(candidates), width)
-        nearest &= geo.rows - 1
+        nearest = np.empty_like(rows)
+        nearest[~lone] = _nearest(key(victim_ends), key(candidates[~lone]), width) & (geo.rows - 1)
         # the footprint is sorted by row, its top field
-        nearest[~in_bank], _ = _nearest(victim >> offset, rows[~in_bank], width)
+        nearest[lone] = _nearest(victim >> offset, rows[lone], width)
         nearest[shared] = rows[shared]
         other_subarray = (geo.subarray_of(nearest) != geo.subarray_of(rows)).astype(np.int64)
         rank = other_subarray << width | np.abs(rows - nearest)
@@ -653,14 +653,13 @@ def _run_ends(packed: np.ndarray, offset: int) -> np.ndarray:
     return ends
 
 
-def _nearest(values: np.ndarray, x: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(values: np.ndarray, x: np.ndarray, shift: int) -> np.ndarray:
     """For each x, the nearest entry of the sorted ``values`` among those with
-    the same bits above ``shift``, the lower one on a tie; and whether one
-    exists."""
+    the same bits above ``shift``, the lower one on a tie; one must exist."""
     i = np.searchsorted(values, x)
     lo = values[np.maximum(i - 1, 0)]
-    hi = values[np.minimum(i, len(values) - 1)]
-    lo_ok = (i > 0) & (lo >> shift == x >> shift)
-    hi_ok = (i < len(values)) & (hi >> shift == x >> shift)
+    hi = values[np.minimum(i, len(values) - 1)]  # at either end, lo is hi
+    lo_ok = lo >> shift == x >> shift
+    hi_ok = hi >> shift == x >> shift
     take_lo = lo_ok & (~hi_ok | (x - lo <= hi - x))
-    return np.where(take_lo, lo, hi), lo_ok | hi_ok
+    return np.where(take_lo, lo, hi)

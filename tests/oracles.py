@@ -768,3 +768,24 @@ def tiny_noncontig() -> AddressMapping:
             "column": [[0], [1], [2]],
         },
     )
+
+
+def wide_bank_mapping() -> AddressMapping:
+    """A 46-bit mapping with 36 bank-tuple bits: PA 0-7 the column, PA 8-43
+    channel, rank, bank group and bank (12 + 12 + 6 + 6 bits), PA 44-45 the
+    row, in 2-row subarrays. A bank tuple's index is PA bits 8-43."""
+    geometry = Geometry(
+        channels=1 << 12,
+        ranks=1 << 12,
+        bankgroups=64,
+        banks=64,
+        rows=4,
+        columns=256,
+        rows_per_subarray=2,
+    )
+    fields = {"column": 8, "channel": 12, "rank": 12, "bankgroup": 6, "bank": 6, "row": 2}
+    functions, low = {}, 0
+    for kind, bits in fields.items():
+        functions[kind] = [[b] for b in range(low, low + bits)]
+        low += bits
+    return AddressMapping.build(geometry, functions)

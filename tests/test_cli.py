@@ -15,7 +15,7 @@ from vmhammer.harness import ScenarioError, TraceError, load_scenario, render_js
 from vmhammer.layout import PlanError
 from vmhammer.mapping import InvariantError, MappingError, validate
 
-from oracles import brute_analyze, tiny_noncontig
+from oracles import brute_analyze, tiny_noncontig, wide_bank_mapping
 
 
 def run_cli(capsys, *argv):
@@ -289,6 +289,21 @@ def test_attack_scenario_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "attack", path, "--expect-mitigated")
     assert code == 1
     assert json.loads(out)["verdict"] == "NOT_MITIGATED"
+
+
+def test_attack_on_36_bank_tuple_bits_refuses_the_lone_pair(capsys, tmp_path):
+    # the packed VMs sit in two bank tuples of 2^36, neither holding a row of
+    # the other: the fallback's answer is nothing adjacent, not a MemoryError
+    path = write_json(
+        tmp_path / "wide.json",
+        {"mapping": wide_bank_mapping().to_dict(), "mitigation": "none", "vm_sizes": [256, 256]},
+    )
+    code, out, err = run_cli(capsys, "attack", path)
+    assert (code, out) == (2, "")
+    assert assert_one_error(err) == {
+        "type": "ScenarioError",
+        "message": "no attacker row is adjacent to the victim; nothing to hammer",
+    }
 
 
 def test_attack_expect_mitigated_passes_siloz(capsys, tmp_path):

@@ -48,6 +48,7 @@ from oracles import (
     brute_seeded_attack,
     random_geometry,
     random_invertible_mapping,
+    random_row_high_mapping,
     random_split_mapping,
     tiny_noncontig,
 )
@@ -654,6 +655,66 @@ def test_attack_matches_seeded_oracle(data):
     assert report.stats.to_dict() == expected.stats.to_dict()
 
 
+def peak_window_count(start: int, n: int, period: int) -> int:
+    """The most of the activations [start, start + n) of one run that fall in
+    one refresh window, when a window closes every ``period`` activations."""
+    first, last = start // period, (start + n - 1) // period
+    if first == last:
+        return n
+    whole = period if last - first > 1 else 0
+    return max(period * (first + 1) - start, start + n - period * last, whole)
+
+
+def test_deterministic_verdict_follows_from_windows_and_ownership():
+    """In deterministic mode with every site selected, the verdict is
+    NOT_MITIGATED exactly when some site j, whose activations are the run's
+    [jH, (j+1)H) for hammer count H, peaks above hc_first in one refresh
+    window and has a neighbour row whose column-0 byte the victim owns. The
+    flipped bytes are the column-0 bytes beside the sites that peak so."""
+    rng = random.Random(0x7E5D)
+    makers = [random_invertible_mapping, random_split_mapping, random_row_high_mapping]
+    verdicts = Counter()
+    cut = 0  # runs in which refreshes alone keep a victim-adjacent site below hc_first
+    while sum(verdicts.values()) < 200:
+        mitigation = rng.choice(["none", "siloz", "citadel"])
+        mapping = rng.choice(makers)(rng, random_geometry(rng, max_total=1 << 12))
+        geo = mapping.geometry
+        unit = geo.columns
+        if mitigation == "citadel":
+            unit = max(unit, row_chunk_stride(mapping))
+        hc_first = rng.randint(1, 40)
+        scenario = Scenario(
+            mapping=mapping,
+            hammer=reduced_hammer(hc_first=hc_first, blast_radius=rng.randint(1, 3)),
+            vm_sizes=tuple(rng.randint(1, geo.total_bytes // (2 * unit)) * unit for _ in "ab"),
+            mitigation=mitigation,
+            hammer_count=rng.randint(1, 80),
+            refresh_every=rng.randint(1, 80),
+        )
+        try:
+            report = run_attack(scenario)
+        except (ScenarioError, PlanError):
+            continue  # nothing planned, or nothing to hammer
+        h, period = scenario.hammer_count, scenario.refresh_every
+        exposed = unrefreshed = False
+        flipped = set()  # the column-0 bytes beside every site that passes hc_first
+        for j, site in enumerate(report.aggressors):
+            neighbours = [site.coord._replace(row=v)
+                          for v in geo.neighbours(site.coord.row, scenario.hammer.blast_radius)]
+            victim_neighbour = scenario.victim_vm in {
+                classify_pa(report.layout, mapping.coord_to_pa(coord)) for coord in neighbours
+            }
+            hot = peak_window_count(j * h, h, period) > hc_first
+            flipped.update(neighbours if hot else ())
+            exposed |= victim_neighbour and hot
+            unrefreshed |= victim_neighbour and h > hc_first
+        assert {flip.coord for flip in report.flips} == flipped, scenario
+        assert report.verdict == ("NOT_MITIGATED" if exposed else "MITIGATED"), scenario
+        verdicts[report.verdict] += 1
+        cut += unrefreshed and not exposed
+    assert min(verdicts.values()) >= 25 and cut >= 10, (verdicts, cut)
+
+
 # -- rendering --------------------------------------------------------------------
 
 JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028é€😀') | st.characters(), max_size=8)
@@ -699,6 +760,7 @@ def test_render_json_renders_subclasses_as_json_does():
         "level": Level.HIGH,
         "levels": {Level.LOW: [Level.HIGH], 0: (Level.LOW,)},
         "tag": Tag.QUOTED,
+        "str keys": {Tag.QUOTED: 1, "plain": 2},
         "numpy float": np.float64(0.1),
         "float keys": {2.5: 1, -0.0: 2, float("inf"): 3},
         "bool keys": {True: 1, False: 0},

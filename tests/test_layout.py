@@ -52,6 +52,7 @@ from oracles import (
     random_row_high_mapping,
     random_split_mapping,
     tiny_noncontig,
+    wide_bank_mapping,
 )
 
 MIB = 1 << 20
@@ -687,6 +688,51 @@ def test_find_aggressors_empty_under_citadel(presets):
     assert sites and not any(site.victim_rows for site in sites)
 
 
+def adjacent_pairs(mapping, layout, blast_radius):
+    """The ordered pairs of the layout's VMs in which an attacker row lies
+    within blast radius of a victim row."""
+    owners = [region.owner for region in layout.regions if region.owner != UNUSED]
+    return [
+        (attacker_vm, victim_vm)
+        for attacker_vm, victim_vm in itertools.permutations(owners, 2)
+        if any(site.victim_rows
+               for site in find_aggressors(mapping, layout, attacker_vm, victim_vm, blast_radius))
+    ]
+
+
+def test_accepted_siloz_plans_leave_no_vm_adjacent():
+    """Every plan siloz accepts for two or three VMs on random small mappings
+    keeps every VM's rows out of every other VM's reach. Radius 3 is checked,
+    as the rows within radius 1 or 2 of a row are within radius 3 of it."""
+    rng = random.Random(0x5A0D)
+    makers = [random_invertible_mapping, random_split_mapping, random_row_high_mapping]
+    plans = 0
+    while plans < 200:
+        geometry = random_geometry(rng, max_total=1 << 13)
+        mapping = rng.choice(makers)(rng, geometry)
+        unit = geometry.columns
+        sizes = [unit * rng.randint(1, max(1, geometry.total_bytes // (4 * unit)))
+                 for _ in range(rng.randint(2, 3))]
+        try:
+            plan = plan_siloz(mapping, sizes)
+        except PlanError:
+            continue
+        plans += 1
+        assert adjacent_pairs(mapping, plan.layout, 3) == [], (mapping.to_dict(), sizes)
+
+
+def test_accepted_citadel_plans_leave_no_vm_within_the_guard(presets):
+    """Citadel's guard rows keep three VMs apart up to a blast radius of the
+    guard, for a first VM that ends anywhere in a row of chunks."""
+    for name, mapping in presets.items():
+        chunk = row_chunk_stride(mapping)
+        for guard in (1, 2, 3):
+            for extra in range(0, 16, 3):
+                sizes = [8 * MIB + extra * chunk, 8 * MIB, 8 * MIB]
+                layout = plan_citadel(mapping, sizes, guard)
+                assert adjacent_pairs(mapping, layout, guard) == [], (name, sizes, guard)
+
+
 def test_find_aggressors_empty_footprint(presets):
     # a zero-size region has an empty footprint, as attacker, victim or both
     mapping = presets["simple"]
@@ -718,6 +764,36 @@ def test_boundary_fallback_distance_zero_ties(top, n_sites):
     layout = MemoryLayout((Region("vm0", 0, 2048), Region("vm1", 2048, 2048)))
     sites = check_sites(mapping, layout, "vm1", "vm0", 1)
     assert len(sites) == n_sites and not any(site.victim_rows for site in sites)
+
+
+def wide_pa(row: int, bank_tuple: int) -> int:
+    """Column 0 of a row of ``wide_bank_mapping``."""
+    return row << 44 | bank_tuple << 8
+
+
+@pytest.mark.parametrize(
+    "vm0, vm1",
+    [
+        # every attacker bank tuple holds a victim row, two rows away in the
+        # other subarray
+        (Region("vm0", wide_pa(0, 0), 512), Region("vm1", wide_pa(2, 0), 512)),
+        # the packed layout: neither VM's bank tuple holds a row of the other
+        (Region("vm0", wide_pa(0, 0), 256), Region("vm1", wide_pa(0, 1), 256)),
+        # rows 1 and 2 across the subarray edge, in one shared bank tuple and
+        # one lone one per VM
+        (Region("vm0", wide_pa(1, 0), 512), Region("vm1", wide_pa(2, 1), 512)),
+    ],
+    ids=["holds-victim", "lone", "subarray-edge"],
+)
+def test_fallback_on_36_bank_tuple_bits_matches_oracle(vm0, vm1):
+    """Which bank tuples hold a victim row takes memory for the rows, not for
+    every bank key the 36 bits can spell."""
+    mapping = wide_bank_mapping()
+    layout = MemoryLayout((vm0, vm1))
+    for attacker_vm, victim_vm in (("vm1", "vm0"), ("vm0", "vm1")):
+        for blast in (1, 2):
+            sites = check_sites(mapping, layout, attacker_vm, victim_vm, blast)
+            assert sites and not any(site.victim_rows for site in sites)
 
 
 @pytest.mark.parametrize("radius", [0, -1, True])
